@@ -391,7 +391,14 @@ def _drop_vertex(adj: list[int], labels: list[int], x: int) -> tuple[list[int], 
 
 def _erdos_base(adj: list[int], labels: list[int]) -> list[Clique]:
     """Minimum partition of an n <= 4 graph into cliques of <= 3 vertices with
-    pairwise-distinct incidence sets, by exhaustive branching.
+    pairwise-distinct incidence sets, in the original labels."""
+    return [tuple(sorted(labels[v] for v in cl)) for cl in _erdos_base_local(tuple(adj))]
+
+
+@lru_cache(maxsize=None)
+def _erdos_base_local(adj: tuple[int, ...]) -> tuple[Clique, ...]:
+    """_erdos_base on local vertices 0..n-1, by exhaustive branching; memoized
+    on the adjacency tuple, of which there are at most 75 (n <= 4).
 
     Branches on the smallest uncovered edge, as itself or as a triangle.
     A completed edge partition is charged one trivial clique per isolated
@@ -455,4 +462,4 @@ def _erdos_base(adj: list[int], labels: list[int]) -> list[Clique]:
 
     rec()
     assert best is not None
-    return [tuple(sorted(labels[v] for v in cl)) for cl in best]
+    return tuple(best)

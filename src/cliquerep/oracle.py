@@ -27,7 +27,15 @@ from .decompose import (
     validate_greedy,
     validate_partition,
 )
-from .graphs import Graph, bits, degree, graph_from_bitmask, lowest_bit
+from .graphs import (
+    Graph,
+    _pair_index,
+    _vertex_pairs,
+    bits,
+    degree,
+    graph_from_bitmask,
+    lowest_bit,
+)
 from .represent import (
     SetRepresentation,
     augment_to_distinct,
@@ -43,6 +51,9 @@ SWEEP_MIN_N = 4
 SWEEP_MAX_N = 7
 
 THREADS_ENV = "CLIQUEREP_THREADS"
+#: Every sweep worker gets at least this many masks, so small sweeps run
+#: in-process.
+_MIN_CHUNK_MASKS = 4096
 
 
 @dataclass(frozen=True)
@@ -358,48 +369,62 @@ def check_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     return out
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV} must be a positive integer, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
+def _worker_count(workers: int | None, chunks: int) -> int:
+    """Processes a sweep of `chunks` minimum-size mask ranges may use: the
+    workers argument, else CLIQUEREP_THREADS, else every CPU, clamped to
+    min(cpu_count, chunks) and at least 1."""
+    if workers is None:
+        env = os.environ.get(THREADS_ENV)
+        if env:
+            try:
+                workers = int(env)
+            except ValueError:
+                raise ValueError(
+                    f"{THREADS_ENV} must be a positive integer, got {env!r}"
+                ) from None
+    cpus = os.cpu_count() or 1
+    return max(1, min(cpus if workers is None else workers, cpus, chunks))
+
+
+def _relabel_mask(n: int, mask: int, labels: tuple[int, ...]) -> int:
+    """Edge bitmask of the graph that has edge {labels[u], labels[v]} for
+    every edge {u, v} of `mask`."""
+    pairs, index = _vertex_pairs(n), _pair_index(n)
+    out = 0
+    for k in bits(mask):
+        a, b = (labels[v] for v in pairs[k])
+        out |= 1 << index[(a, b) if a < b else (b, a)]
+    return out
 
 
 def _sweep_range(
-    n: int, lo: int, hi: int, strategies: tuple[GreedyStrategy, ...]
-) -> tuple[int, int, int, list[BoundViolation]]:
+    n: int, lo: int, hi: int, greedy: bool
+) -> tuple[int, int, int, list[tuple[int, str, int]], list[BoundViolation]]:
+    """Check masks lo..hi-1. Returns the graph count, the largest clique and
+    element counts seen, the lexicographic greedy findings as (mask, check,
+    observed) and the recursive partition's violations, both in mask order."""
     bound = quarter_square(n)
     max_cliques = 0
     max_elements = 0
+    findings: list[tuple[int, str, int]] = []
     violations: list[BoundViolation] = []
     for mask in range(lo, hi):
         g = graph_from_bitmask(n, mask)
-        for strategy in strategies:
-            label = strategy.describe()
-            d = greedy_decomposition(g, strategy)
+        if greedy:
+            d = greedy_decomposition(g)
             total = len(d.sequence)
             nontrivial = sum(1 for c in d.sequence if len(c) >= 2)
             if total > max_cliques:
                 max_cliques = total
             if nontrivial > bound:
-                violations.append(BoundViolation(mask, label, "greedy_cliques",
-                                                 nontrivial, bound))
+                findings.append((mask, "greedy_cliques", nontrivial))
             if total > bound:
-                violations.append(BoundViolation(mask, label, "greedy_cliques_with_trivial",
-                                                 total, bound))
+                findings.append((mask, "greedy_cliques_with_trivial", total))
             aug = augment_to_distinct(representation_from_partition(d))
             if aug.ground_size > max_elements:
                 max_elements = aug.ground_size
             if aug.ground_size > bound:
-                violations.append(BoundViolation(mask, label, "augmented_elements",
-                                                 aug.ground_size, bound))
+                findings.append((mask, "augmented_elements", aug.ground_size))
         p = erdos_partition(g)
         count = len(p.cliques)
         if count > max_cliques:
@@ -427,11 +452,7 @@ def _sweep_range(
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))
-    return hi - lo, max_cliques, max_elements, violations
-
-
-def _sweep_worker(args: tuple) -> tuple[int, int, int, list[BoundViolation]]:
-    return _sweep_range(*args)
+    return hi - lo, max_cliques, max_elements, findings, violations
 
 
 def exhaustive_bound_check(
@@ -450,35 +471,50 @@ def exhaustive_bound_check(
     max_cliques_seen is the largest clique count seen across greedy runs and
     recursive partitions.
 
+    Only the lexicographic greedy is run, once per graph. A seeded strategy
+    runs the same procedure under its vertex order, so its run on g is the
+    lexicographic run on the relabeled graph that moves order[i] to i, and
+    relabeling is a bijection on the labeled graphs the sweep visits. So
+    every strategy sees the same multiset of counts, and a strategy breaches
+    a bound on g exactly when the lexicographic run breaches it on that
+    relabeled graph; those findings are mapped back to g and reported under
+    the strategy's name, per graph in the order the strategies were given,
+    followed by the recursive partition's.
+
     Work is split over bitmask ranges across processes (capped by the
-    CLIQUEREP_THREADS environment variable or the workers argument); chunk
-    results merge in bitmask order, so the report is identical regardless of
-    worker count.
+    CLIQUEREP_THREADS environment variable or the workers argument, and by
+    the CPU count); chunk results merge in bitmask order, so the report is
+    identical regardless of worker count.
     """
     if not SWEEP_MIN_N <= n <= SWEEP_MAX_N:
         raise ValueError(f"sweeps support {SWEEP_MIN_N} <= n <= {SWEEP_MAX_N}, got {n}")
     strategies = tuple(strategies)
+    greedy = bool(strategies)
     total = 1 << (n * (n - 1) // 2)
-    nworkers = _worker_count(workers)
-    if nworkers <= 1 or total < 4096:
-        parts = [_sweep_range(n, 0, total, strategies)]
+    nworkers = _worker_count(workers, total // _MIN_CHUNK_MASKS)
+    if nworkers == 1:
+        parts = [_sweep_range(n, 0, total, greedy)]
     else:
         chunks = nworkers * 4
         bounds = [total * i // chunks for i in range(chunks + 1)]
-        jobs = [(n, bounds[i], bounds[i + 1], strategies) for i in range(chunks)]
+        jobs = [(n, bounds[i], bounds[i + 1], greedy) for i in range(chunks)]
         with get_context().Pool(nworkers) as pool:
-            parts = pool.map(_sweep_worker, jobs)
-    checked = sum(p[0] for p in parts)
-    max_cliques = max(p[1] for p in parts)
-    max_elements = max(p[2] for p in parts)
-    violations: list[BoundViolation] = []
-    for p in parts:
-        violations.extend(p[3])
+            parts = pool.starmap(_sweep_range, jobs)
+    bound = quarter_square(n)
+    keyed: list[tuple[tuple[int, int], BoundViolation]] = []
+    for _, _, _, findings, erdos in parts:
+        for mask, check, observed in findings:
+            for i, s in enumerate(strategies):
+                m = _relabel_mask(n, mask, s.vertex_order(n))
+                keyed.append(((m, i), BoundViolation(m, s.describe(), check,
+                                                     observed, bound)))
+        keyed.extend(((v.graph, len(strategies)), v) for v in erdos)
+    keyed.sort(key=lambda kv: kv[0])
     return BoundReport(
         n=n,
-        graphs_checked=checked,
+        graphs_checked=sum(p[0] for p in parts),
         strategies=tuple(s.describe() for s in strategies),
-        max_cliques_seen=max_cliques,
-        max_elements_seen=max_elements,
-        violations=tuple(violations),
+        max_cliques_seen=max(p[1] for p in parts),
+        max_elements_seen=max(p[2] for p in parts),
+        violations=tuple(v for _, v in keyed),
     )

@@ -6,7 +6,17 @@ from __future__ import annotations
 import random
 from itertools import combinations, permutations
 
-from cliquerep import Graph, graph
+from cliquerep import (
+    BoundViolation,
+    Graph,
+    augment_to_distinct,
+    erdos_partition,
+    graph,
+    graph_from_bitmask,
+    greedy_decomposition,
+    representation_from_partition,
+    validate_partition,
+)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -95,3 +105,49 @@ def _isomorphic(a: Graph, b: Graph) -> bool:
                for u, v in a.edges):
             return True
     return False
+
+
+def reference_sweep(n: int, strategies, bound: int) -> tuple[int, int, list[BoundViolation]]:
+    """The sweep as a plain loop: every strategy's greedy run on every
+    labeled graph, then the recursive partition's checks, per graph in that
+    order. Returns (max_cliques_seen, max_elements_seen, violations)."""
+    max_cliques = 0
+    max_elements = 0
+    violations: list[BoundViolation] = []
+    for mask in range(1 << (n * (n - 1) // 2)):
+        g = graph_from_bitmask(n, mask)
+        for strategy in strategies:
+            label = strategy.describe()
+            d = greedy_decomposition(g, strategy)
+            total = len(d.sequence)
+            nontrivial = sum(1 for c in d.sequence if len(c) >= 2)
+            max_cliques = max(max_cliques, total)
+            if nontrivial > bound:
+                violations.append(BoundViolation(mask, label, "greedy_cliques",
+                                                 nontrivial, bound))
+            if total > bound:
+                violations.append(BoundViolation(mask, label, "greedy_cliques_with_trivial",
+                                                 total, bound))
+            aug = augment_to_distinct(representation_from_partition(d))
+            max_elements = max(max_elements, aug.ground_size)
+            if aug.ground_size > bound:
+                violations.append(BoundViolation(mask, label, "augmented_elements",
+                                                 aug.ground_size, bound))
+        p = erdos_partition(g)
+        count = len(p.cliques)
+        max_cliques = max(max_cliques, count)
+        if count > bound:
+            violations.append(BoundViolation(mask, "erdos", "erdos_cliques", count, bound))
+        oversize = max((len(c) for c in p.cliques), default=0)
+        if oversize > 3:
+            violations.append(BoundViolation(mask, "erdos", "erdos_clique_size", oversize, 3))
+        problems = validate_partition(g, p)
+        if problems:
+            violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
+                                             len(problems), 0))
+        sets = [tuple(k for k, cl in enumerate(p.cliques) if v in cl) for v in range(n)]
+        duplicates = n - len(set(sets))
+        if duplicates:
+            violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
+                                             duplicates, 0))
+    return max_cliques, max_elements, violations

@@ -24,6 +24,7 @@ from cliquerep import (
     validate_greedy,
     validate_partition,
 )
+from cliquerep import decompose
 
 
 @st.composite
@@ -122,6 +123,44 @@ class TestGreedy:
                 for s in strats:
                     d = greedy_decomposition(g, s)
                     assert not validate_greedy(g, d)
+
+
+def _seeded_via_lex(g, strategy):
+    """The seeded run predicted from the lexicographic one: relabel g by
+    sigma(order[i]) = i, run lex, and map each clique back through
+    sigma^-1."""
+    order = strategy.vertex_order(g.n)
+    sigma = {v: i for i, v in enumerate(order)}
+    relabeled = graph(g.n, [(sigma[u], sigma[v]) for u, v in g.edges])
+    lex = greedy_decomposition(relabeled, LEXICOGRAPHIC).sequence
+    return tuple(tuple(sorted(order[i] for i in cl)) for cl in lex)
+
+
+class TestSeededIsRelabeledLex:
+    """A seeded run on g is the lexicographic run on the relabeled graph:
+    the sweep derives every seeded strategy's results from this."""
+
+    SEEDS = range(1, 11)
+
+    def test_every_graph_up_to_n5(self):
+        for n in range(6):
+            for g in enumerate_labeled_graphs(n):
+                for seed in self.SEEDS:
+                    s = seeded_strategy(seed)
+                    assert greedy_decomposition(g, s).sequence == _seeded_via_lex(g, s)
+
+    def test_every_seventh_graph_at_n6(self):
+        for mask in range(0, 1 << 15, 7):
+            g = graph_from_bitmask(6, mask)
+            for seed in self.SEEDS:
+                s = seeded_strategy(seed)
+                assert greedy_decomposition(g, s).sequence == _seeded_via_lex(g, s)
+
+    @given(graphs(max_n=12), st.integers(-2**70, 2**70))
+    @settings(max_examples=200)
+    def test_any_graph_any_seed(self, g, seed):
+        s = seeded_strategy(seed)
+        assert greedy_decomposition(g, s).sequence == _seeded_via_lex(g, s)
 
 
 class TestValidateGreedy:
@@ -262,6 +301,11 @@ class TestErdosPartition:
             assert all(len(c) <= 3 for c in p.cliques)
             assert len(p.cliques) <= quarter_square(4)
             assert condition_one_holds(p)
+
+    def test_base_cases_are_memoized_on_at_most_75_inputs(self):
+        for g in enumerate_labeled_graphs(5):
+            erdos_partition(g)
+        assert 0 < decompose._erdos_base_local.cache_info().currsize <= 1 + 2 + 8 + 64
 
     @given(graphs(min_n=1))
     @settings(max_examples=80)

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from cliquerep import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    edge_bitmask,
     empty_graph,
     enumerate_labeled_graphs,
     exhaustive_bound_check,
@@ -29,7 +31,8 @@ from cliquerep import (
     validate_partition,
     validate_representation,
 )
-from helpers import brute_cp, brute_omega, has_triangle, random_graph
+from cliquerep import oracle
+from helpers import brute_cp, brute_omega, has_triangle, random_graph, reference_sweep
 
 
 class TestMinCliquePartition:
@@ -190,6 +193,51 @@ class TestExhaustiveBoundCheck:
         a = exhaustive_bound_check(5, strategies, workers=1)
         b = exhaustive_bound_check(5, strategies, workers=2)
         assert a == b
+
+    def test_workers_do_not_change_the_report_in_a_pool(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert oracle._worker_count(2, (1 << 15) // oracle._MIN_CHUNK_MASKS) == 2
+        strategies = [LEXICOGRAPHIC, seeded_strategy(3), seeded_strategy(4)]
+        a = exhaustive_bound_check(6, strategies, workers=1)
+        b = exhaustive_bound_check(6, strategies, workers=2)
+        assert a == b
+
+    def test_n6_report_with_ten_seeds(self):
+        strategies = [LEXICOGRAPHIC] + [seeded_strategy(s) for s in range(1, 11)]
+        report = exhaustive_bound_check(6, strategies, workers=1)
+        assert report.graphs_checked == 32768
+        assert report.max_cliques_seen == 9
+        assert report.max_elements_seen == 9
+        assert report.violations == ()
+
+    @pytest.mark.parametrize("seeds", [(None, 1, 2, 3), (5, None, 5)])
+    def test_violations_match_the_reference_sweep(self, monkeypatch, seeds):
+        # Two below the true bound, so every strategy and erdos breach it.
+        strategies = [LEXICOGRAPHIC if s is None else seeded_strategy(s) for s in seeds]
+        bound = quarter_square(5) - 2
+        monkeypatch.setattr(oracle, "quarter_square", lambda n: n * n // 4 - 2)
+        report = exhaustive_bound_check(5, strategies, workers=1)
+        max_cliques, max_elements, violations = reference_sweep(5, strategies, bound)
+        assert {v.strategy for v in violations} == {s.describe() for s in strategies} | {"erdos"}
+        assert report.violations == tuple(violations)
+        assert report.max_cliques_seen == max_cliques
+        assert report.max_elements_seen == max_elements
+
+    def test_relabel_mask_matches_graph_relabeling(self):
+        order = seeded_strategy(7).vertex_order(6)
+        for mask in range(0, 1 << 15, 97):
+            g = graph_from_bitmask(6, mask)
+            moved = graph(6, [(order[u], order[v]) for u, v in g.edges])
+            assert oracle._relabel_mask(6, mask, order) == edge_bitmask(moved)
+
+    def test_worker_count_is_clamped(self, monkeypatch):
+        cpus = os.cpu_count() or 1
+        monkeypatch.setenv("CLIQUEREP_THREADS", str(10**9))
+        assert oracle._worker_count(None, 8) == min(cpus, 8)
+        assert oracle._worker_count(None, 0) == 1
+        assert oracle._worker_count(10**9, 512) == min(cpus, 512)
+        monkeypatch.setenv("CLIQUEREP_THREADS", "-3")
+        assert oracle._worker_count(None, 8) == 1
 
     def test_invariant_violations_iff_maxima_exceed(self):
         report = exhaustive_bound_check(4, [LEXICOGRAPHIC, seeded_strategy(9)])
