@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .graphs import Graph, bits, lowest_bit
 
@@ -207,6 +207,26 @@ def greedy_decomposition(g: Graph, strategy: GreedyStrategy = LEXICOGRAPHIC) -> 
     return GreedyDecomposition(g, tuple(sequence))
 
 
+def _check_shape(n: int, i: int, cl: Clique, seen: set[Clique], out: list[Violation]) -> bool:
+    """Append the findings on clique i itself (empty, vertices out of range,
+    repeated vertices, a repeat of an earlier clique) to out; False when its
+    vertex pairs cannot be checked."""
+    if len(cl) == 0:
+        out.append(Violation("empty_clique", position=i))
+        return False
+    bad = [v for v in cl if not 0 <= v < n]
+    if bad:
+        out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
+        return False
+    if len(set(cl)) != len(cl):
+        out.append(Violation("repeated_vertex", position=i, vertices=cl))
+        return False
+    if cl in seen:
+        out.append(Violation("duplicate_clique", position=i, vertices=cl))
+    seen.add(cl)
+    return True
+
+
 def validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     """Replay the sequence against the residual graph; empty result iff valid.
 
@@ -221,19 +241,8 @@ def validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     seen: set[Clique] = set()
     full = (1 << g.n) - 1
     for i, cl in enumerate(d.sequence):
-        if len(cl) == 0:
-            out.append(Violation("empty_clique", position=i))
+        if not _check_shape(g.n, i, cl, seen, out):
             continue
-        bad = [v for v in cl if not 0 <= v < g.n]
-        if bad:
-            out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
-            continue
-        if len(set(cl)) != len(cl):
-            out.append(Violation("repeated_vertex", position=i, vertices=cl))
-            continue
-        if cl in seen:
-            out.append(Violation("duplicate_clique", position=i, vertices=cl))
-        seen.add(cl)
         ok_pairs = []
         for u, v in combinations(sorted(cl), 2):
             if not g.has_edge(u, v):
@@ -275,19 +284,8 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     seen: set[Clique] = set()
     counts: dict[tuple[int, int], int] = {}
     for i, cl in enumerate(p.cliques):
-        if len(cl) == 0:
-            out.append(Violation("empty_clique", position=i))
+        if not _check_shape(g.n, i, cl, seen, out):
             continue
-        bad = [v for v in cl if not 0 <= v < g.n]
-        if bad:
-            out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
-            continue
-        if len(set(cl)) != len(cl):
-            out.append(Violation("repeated_vertex", position=i, vertices=cl))
-            continue
-        if cl in seen:
-            out.append(Violation("duplicate_clique", position=i, vertices=cl))
-        seen.add(cl)
         for u, v in combinations(sorted(cl), 2):
             counts[(u, v)] = counts.get((u, v), 0) + 1
             if not g.has_edge(u, v):
@@ -309,73 +307,56 @@ def erdos_partition(g: Graph) -> CliquePartition:
     """Partition the edges into at most floor(n^2/4) cliques of <= 3 vertices
     whose clique-incidence sets are pairwise distinct (for n >= 4).
 
-    Recursive construction. If some vertex has degree <= floor(n/2), delete
-    it, partition the rest, and cover its edges directly. Otherwise take a
+    Deletes one vertex per step until at most 4 are left. If some vertex has
+    degree <= floor(n/2), its edges are covered directly. Otherwise take a
     minimum-degree vertex x with degree floor(n/2)+r, greedily pair up 2r of
     its neighbors along r disjoint neighborhood edges (the minimum-degree
     hypothesis guarantees the pairing never stalls; we check and fail loudly
-    rather than assume), remove those edges, recurse on the rest without x,
-    and cover x's edges with r triangles plus single edges. Base graphs
-    (n <= 4) are solved by exhaustive search for a minimum partition with
-    the distinctness property. Trivial cliques created for vertices isolated
-    at inner levels are kept: the distinctness property can depend on them.
+    rather than assume), remove those edges, and cover x's edges with r
+    triangles plus single edges. The remaining base graph (n <= 4) is solved
+    by exhaustive search for a minimum partition with the distinctness
+    property. Trivial cliques created for vertices isolated at inner steps
+    are kept: the distinctness property can depend on them.
     """
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    cliques = _erdos_rec(list(g.adj), list(range(g.n)))
+    adj, labels = list(g.adj), list(range(g.n))
+    cliques: list[Clique] = []
+    while len(adj) > 4:
+        n = len(adj)
+        deg = [m.bit_count() for m in adj]
+        x = min(range(n), key=lambda v: (deg[v], v))
+        lx, nbr_mask = labels[x], adj[x]
+        if nbr_mask == 0:
+            cliques.append((lx,))
+        # r > 0 exactly when every degree exceeds floor(n/2): then pair up
+        # 2r of x's neighbors and cover those edges of x with triangles.
+        r = deg[x] - n // 2
+        used = 0
+        matches: list[tuple[int, int]] = []
+        for u in bits(nbr_mask):
+            if len(matches) >= r:
+                break
+            if used >> u & 1:
+                continue
+            cand = adj[u] & nbr_mask & ~used & ~(1 << u)
+            if cand:
+                w = lowest_bit(cand)
+                matches.append((u, w))
+                used |= (1 << u) | (1 << w)
+        if len(matches) < r:
+            raise RuntimeError(
+                f"neighborhood pairing stalled at {len(matches)} of {r} edges; "
+                "the minimum-degree guarantee was violated"
+            )
+        for u, w in matches:
+            adj[u] &= ~(1 << w)
+            adj[w] &= ~(1 << u)
+            cliques.append((lx, labels[u], labels[w]))
+        cliques.extend((lx, labels[u]) for u in bits(nbr_mask & ~used))
+        adj, labels = _drop_vertex(adj, labels, x)
+    cliques.extend([labels[v] for v in cl] for cl in _erdos_base_local(tuple(adj)))
     return CliquePartition.from_cliques(g, cliques)
-
-
-def _erdos_rec(adj: list[int], labels: list[int]) -> list[Clique]:
-    n = len(adj)
-    if n <= 4:
-        return _erdos_base(adj, labels)
-    deg = [m.bit_count() for m in adj]
-    x = min(range(n), key=lambda v: (deg[v], v))
-    half = n // 2
-    lx = labels[x]
-    if deg[x] <= half:
-        out = _erdos_rec(*_drop_vertex(adj, labels, x))
-        if adj[x] == 0:
-            out.append((lx,))
-        else:
-            for u in bits(adj[x]):
-                out.append(_sorted_pair(lx, labels[u]))
-        return out
-    # Every degree exceeds floor(n/2): pair up x's neighbors and use triangles.
-    r = deg[x] - half
-    nbr_mask = adj[x]
-    used = 0
-    matches: list[tuple[int, int]] = []
-    for u in bits(nbr_mask):
-        if len(matches) == r:
-            break
-        if used >> u & 1:
-            continue
-        cand = adj[u] & nbr_mask & ~used & ~(1 << u)
-        if cand:
-            w = lowest_bit(cand)
-            matches.append((u, w))
-            used |= (1 << u) | (1 << w)
-    if len(matches) < r:
-        raise RuntimeError(
-            f"neighborhood pairing stalled at {len(matches)} of {r} edges; "
-            "the minimum-degree guarantee was violated"
-        )
-    trimmed = list(adj)
-    for u, w in matches:
-        trimmed[u] &= ~(1 << w)
-        trimmed[w] &= ~(1 << u)
-    out = _erdos_rec(*_drop_vertex(trimmed, labels, x))
-    for u, w in matches:
-        out.append(tuple(sorted((lx, labels[u], labels[w]))))
-    for u in bits(nbr_mask & ~used):
-        out.append(_sorted_pair(lx, labels[u]))
-    return out
-
-
-def _sorted_pair(a: int, b: int) -> Clique:
-    return (a, b) if a < b else (b, a)
 
 
 def _drop_vertex(adj: list[int], labels: list[int], x: int) -> tuple[list[int], list[int]]:
@@ -389,77 +370,139 @@ def _drop_vertex(adj: list[int], labels: list[int], x: int) -> tuple[list[int], 
     return new_adj, labels[:x] + labels[x + 1:]
 
 
-def _erdos_base(adj: list[int], labels: list[int]) -> list[Clique]:
-    """Minimum partition of an n <= 4 graph into cliques of <= 3 vertices with
-    pairwise-distinct incidence sets, in the original labels."""
-    return [tuple(sorted(labels[v] for v in cl)) for cl in _erdos_base_local(tuple(adj))]
-
-
 @lru_cache(maxsize=None)
 def _erdos_base_local(adj: tuple[int, ...]) -> tuple[Clique, ...]:
-    """_erdos_base on local vertices 0..n-1, by exhaustive branching; memoized
-    on the adjacency tuple, of which there are at most 75 (n <= 4).
+    """Minimum partition of an n <= 4 graph on local vertices 0..n-1 into
+    cliques of <= 3 vertices with pairwise-distinct incidence sets; memoized
+    on the adjacency tuple, of which there are at most 75.
 
-    Branches on the smallest uncovered edge, as itself or as a triangle.
-    A completed edge partition is charged one trivial clique per isolated
-    vertex plus one per extra member of each group of vertices with identical
-    incidence sets (the cheapest way to split such a group, since a fresh
-    trivial clique can collide with nothing).
+    The budget |E| + n + 1 exceeds the cost of every partition, so it never
+    prunes and the first cheapest partition in branching order wins.
     """
-    n = len(adj)
-    iso = [v for v in range(n) if adj[v] == 0]
+    budget = sum(m.bit_count() for m in adj) // 2 + len(adj) + 1
+    return tuple(_min_distinct(adj, _edge_or_triangles, budget))
+
+
+def _edge_or_triangles(residual: list[int], u: int, v: int) -> list[Clique]:
+    """The edge (u, v) itself, then each residual triangle through it. This
+    order is part of erdos_partition's output: trying the triangles first
+    picks a different, equally cheap base partition on 11 of the 75 base
+    graphs (12 when the whole order is reversed)."""
+    return [(u, v)] + [(u, v, w) for w in bits(residual[u] & residual[v])]
+
+
+def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[Clique]:
+    """All cliques of the (residual) graph containing edge (u, v), largest
+    first and lexicographic within a size. Each appears exactly once."""
+    found: list[int] = []
+
+    def grow(mask: int, cand: int) -> None:
+        found.append(mask)
+        c = cand
+        while c:
+            low = c & -c
+            w = low.bit_length() - 1
+            c ^= low
+            grow(mask | low, cand & adj[w] & ~((low << 1) - 1))
+
+    grow((1 << u) | (1 << v), adj[u] & adj[v])
+    cliques = [tuple(bits(m)) for m in found]
+    cliques.sort(key=lambda t: (-len(t), t))
+    return cliques
+
+
+def _smallest_uncovered(residual: list[int]) -> tuple[int, int] | None:
+    for u, mask in enumerate(residual):
+        if mask:
+            return u, lowest_bit(mask)
+    return None
+
+
+def _edge_partitions(
+    adj: Sequence[int],
+    options: Callable[[list[int], int, int], list[Clique]],
+    prune: Callable[[int], bool] | None = None,
+) -> Iterator[list[Clique]]:
+    """Every partition of the edges of adj (neighbor bitmasks) into cliques:
+    the clique-partition branch and bound of Orlin (1977).
+
+    Branches on the smallest uncovered edge (u, v) over options(residual, u,
+    v), the residual cliques through it to try, in order; if they are all
+    the residual cliques through it, each edge partition is yielded exactly
+    once. A node whose prune(depth) holds, depth being the number of cliques
+    chosen so far, is cut before branching. The yielded list is the live
+    search state, valid until the next step, and is extended by copying.
+    Leaves and cut nodes are handled in their parent's loop, so only nodes
+    that branch pay for a generator.
+    """
     residual = list(adj)
-    chosen: list[tuple[int, ...]] = []
-    best: list[tuple[int, ...]] | None = None
-    best_cost = None
+    chosen: list[Clique] = []
 
-    def smallest_uncovered() -> tuple[int, int] | None:
-        for u in range(n):
-            if residual[u]:
-                return u, lowest_bit(residual[u])
-        return None
-
-    def completion() -> tuple[int, list[tuple[int, ...]]]:
-        incidence: list[list[int]] = [[] for _ in range(n)]
-        for k, cl in enumerate(chosen):
-            for v in cl:
-                incidence[v].append(k)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for v in range(n):
-            if adj[v]:
-                groups.setdefault(tuple(incidence[v]), []).append(v)
-        extras = [v for members in groups.values() if len(members) > 1
-                  for v in members[1:]]
-        cost = len(chosen) + len(iso) + len(extras)
-        return cost, extras
-
-    def rec() -> None:
-        nonlocal best, best_cost
-        edge = smallest_uncovered()
-        if edge is None:
-            cost, extras = completion()
-            if best_cost is None or cost < best_cost:
-                best_cost = cost
-                best = list(chosen) + [(v,) for v in iso] + [(v,) for v in sorted(extras)]
-            return
-        if best_cost is not None and len(chosen) + 1 + len(iso) >= best_cost:
-            return
-        u, v = edge
-        options: list[tuple[int, ...]] = [(u, v)]
-        for w in bits(residual[u] & residual[v]):
-            options.append(tuple(sorted((u, v, w))))
-        for cl in options:
+    def rec(u: int, v: int) -> Iterator[list[Clique]]:
+        for cl in options(residual, u, v):
             pairs = list(combinations(cl, 2))
             for a, b in pairs:
                 residual[a] &= ~(1 << b)
                 residual[b] &= ~(1 << a)
             chosen.append(cl)
-            rec()
+            edge = _smallest_uncovered(residual)
+            if edge is None:
+                yield chosen
+            elif prune is None or not prune(len(chosen)):
+                yield from rec(*edge)
             chosen.pop()
             for a, b in pairs:
                 residual[a] |= 1 << b
                 residual[b] |= 1 << a
 
-    rec()
-    assert best is not None
-    return tuple(best)
+    edge = _smallest_uncovered(residual)
+    if edge is None:
+        yield chosen
+    elif prune is None or not prune(0):
+        yield from rec(*edge)
+
+
+def _min_distinct(
+    adj: Sequence[int],
+    options: Callable[[list[int], int, int], list[Clique]],
+    budget: int,
+) -> list[Clique] | None:
+    """Cheapest clique partition of adj with pairwise-distinct incidence
+    sets that uses fewer than budget cliques, or None if there is none.
+
+    Searches the edge partitions that options allows. A completed edge
+    partition is charged one trivial clique per isolated vertex plus one per
+    extra member of each group of vertices with identical incidence sets
+    (the cheapest way to split such a group, since a fresh trivial clique
+    can collide with nothing). Of equally cheap partitions the first found
+    wins.
+    """
+    n = len(adj)
+    iso = [(v,) for v in range(n) if adj[v] == 0]
+    best: list[Clique] | None = None
+    for chosen in _edge_partitions(adj, options, lambda depth: depth + 1 + len(iso) >= budget):
+        keys = _incidence(n, chosen)
+        extras = [v for group in _group_equal(keys) if keys[group[0]] for v in group[1:]]
+        cost = len(chosen) + len(iso) + len(extras)
+        if cost < budget:
+            budget = cost
+            best = chosen + iso + [(v,) for v in sorted(extras)]
+    return best
+
+
+def _incidence(n: int, cliques: Iterable[Clique]) -> list[tuple[int, ...]]:
+    """Per vertex, the positions of the cliques containing it, ascending."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for k, cl in enumerate(cliques):
+        for v in cl:
+            out[v].append(k)
+    return [tuple(ks) for ks in out]
+
+
+def _group_equal(keys: Iterable[Hashable]) -> list[list[int]]:
+    """Positions of equal keys, one ascending group per distinct key, groups
+    in order of first occurrence."""
+    groups: dict[Hashable, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return list(groups.values())

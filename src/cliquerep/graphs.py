@@ -173,9 +173,8 @@ def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled graphs on n vertices, bitmask ascending."""
     if not 0 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"enumeration supports 0 <= n <= {ENUMERATION_MAX_N}, got {n}")
-    pairs = _vertex_pairs(n)
-    for mask in range(1 << len(pairs)):
-        yield Graph(n, frozenset(pairs[k] for k in range(len(pairs)) if mask >> k & 1))
+    for mask in range(1 << (n * (n - 1) // 2)):
+        yield graph_from_bitmask(n, mask)
 
 
 def canonical_form(g: Graph) -> int:

@@ -21,6 +21,11 @@ from .decompose import (
     GreedyDecomposition,
     GreedyStrategy,
     Violation,
+    _cliques_through_edge,
+    _edge_partitions,
+    _group_equal,
+    _incidence,
+    _min_distinct,
     erdos_partition,
     greedy_decomposition,
     quarter_square,
@@ -40,7 +45,6 @@ from .represent import (
     SetRepresentation,
     augment_to_distinct,
     representation_from_partition,
-    validate_representation,
 )
 
 #: Search budgets, chosen so every verification run finishes in minutes on
@@ -129,33 +133,6 @@ class BoundReport:
         return report
 
 
-def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[Clique]:
-    """All cliques of the (residual) graph containing edge (u, v), largest
-    first and lexicographic within a size. Each appears exactly once."""
-    found: list[int] = []
-
-    def grow(mask: int, cand: int) -> None:
-        found.append(mask)
-        c = cand
-        while c:
-            low = c & -c
-            w = low.bit_length() - 1
-            c ^= low
-            grow(mask | low, cand & adj[w] & ~((low << 1) - 1))
-
-    grow((1 << u) | (1 << v), adj[u] & adj[v])
-    cliques = [tuple(bits(m)) for m in found]
-    cliques.sort(key=lambda t: (-len(t), t))
-    return cliques
-
-
-def _smallest_uncovered(residual: list[int]) -> tuple[int, int] | None:
-    for u, mask in enumerate(residual):
-        if mask:
-            return u, lowest_bit(mask)
-    return None
-
-
 def min_clique_partition(g: Graph, max_n: int = CP_MAX_N) -> tuple[int, CliquePartition]:
     """Exact clique-partition number with a minimum witness.
 
@@ -166,38 +143,17 @@ def min_clique_partition(g: Graph, max_n: int = CP_MAX_N) -> tuple[int, CliquePa
     """
     if g.n > max_n:
         raise ValueError(f"n={g.n} exceeds the n<={max_n} search budget")
-    iso = [v for v in range(g.n) if g.adj[v] == 0]
-    residual = list(g.adj)
-    chosen: list[Clique] = []
-    best: list[Clique] | None = None
-
-    def rec() -> None:
-        nonlocal best
-        edge = _smallest_uncovered(residual)
-        if edge is None:
-            if best is None or len(chosen) < len(best):
-                best = list(chosen)
-            return
-        if best is not None and len(chosen) + 1 >= len(best):
-            return
-        u, v = edge
-        for cl in _cliques_through_edge(residual, u, v):
-            pairs = list(combinations(cl, 2))
-            for a, b in pairs:
-                residual[a] &= ~(1 << b)
-                residual[b] &= ~(1 << a)
-            chosen.append(cl)
-            rec()
-            chosen.pop()
-            for a, b in pairs:
-                residual[a] |= 1 << b
-                residual[b] |= 1 << a
-
-    rec()
-    assert best is not None  # the all-edges partition always completes
-    cliques = best + [(v,) for v in iso]
-    witness = CliquePartition.from_cliques(g, cliques)
-    return len(cliques), witness
+    iso = [(v,) for v in range(g.n) if g.adj[v] == 0]
+    # One clique per edge always completes, so the first partition found
+    # beats this starting bound and it prunes nothing.
+    best: list[Clique] = []
+    bound = len(g.edges) + 1
+    for chosen in _edge_partitions(g.adj, _cliques_through_edge,
+                                   lambda depth: depth + 1 >= bound):
+        if len(chosen) < bound:
+            bound, best = len(chosen), list(chosen)
+    witness = CliquePartition.from_cliques(g, best + iso)
+    return len(witness.cliques), witness
 
 
 def all_clique_partitions(g: Graph, extra_trivial: bool = False) -> Iterator[CliquePartition]:
@@ -209,38 +165,13 @@ def all_clique_partitions(g: Graph, extra_trivial: bool = False) -> Iterator[Cli
     variant with additional trivial cliques on non-isolated vertices is
     produced as well. Exhaustive, so meant for small n only.
     """
-    iso = [v for v in range(g.n) if g.adj[v] == 0]
+    iso = [(v,) for v in range(g.n) if g.adj[v] == 0]
     non_iso = [v for v in range(g.n) if g.adj[v]]
-    residual = list(g.adj)
-    chosen: list[Clique] = []
-
-    def rec() -> Iterator[CliquePartition]:
-        edge = _smallest_uncovered(residual)
-        if edge is None:
-            base = list(chosen) + [(v,) for v in iso]
-            if not extra_trivial:
-                yield CliquePartition.from_cliques(g, base)
-            else:
-                for size in range(len(non_iso) + 1):
-                    for extra in combinations(non_iso, size):
-                        yield CliquePartition.from_cliques(
-                            g, base + [(v,) for v in extra]
-                        )
-            return
-        u, v = edge
-        for cl in _cliques_through_edge(residual, u, v):
-            pairs = list(combinations(cl, 2))
-            for a, b in pairs:
-                residual[a] &= ~(1 << b)
-                residual[b] &= ~(1 << a)
-            chosen.append(cl)
-            yield from rec()
-            chosen.pop()
-            for a, b in pairs:
-                residual[a] |= 1 << b
-                residual[b] |= 1 << a
-
-    yield from rec()
+    sizes = range(len(non_iso) + 1) if extra_trivial else (0,)
+    for chosen in _edge_partitions(g.adj, _cliques_through_edge):
+        for size in sizes:
+            for extra in combinations(non_iso, size):
+                yield CliquePartition.from_cliques(g, chosen + iso + [(v,) for v in extra])
 
 
 def min_distinct_representation(g: Graph, max_n: int = OMEGA_MAX_N) -> tuple[int, SetRepresentation]:
@@ -256,57 +187,15 @@ def min_distinct_representation(g: Graph, max_n: int = OMEGA_MAX_N) -> tuple[int
     """
     if g.n > max_n:
         raise ValueError(f"n={g.n} exceeds the n<={max_n} search budget")
-    iso = [v for v in range(g.n) if g.adj[v] == 0]
     budget = quarter_square(g.n) + 1 if g.n >= 4 else len(g.edges) + g.n + 1
-    residual = list(g.adj)
-    chosen: list[Clique] = []
-    best: list[Clique] | None = None
-    best_cost = budget
-
-    def completion() -> tuple[int, list[int]]:
-        incidence: list[list[int]] = [[] for _ in range(g.n)]
-        for k, cl in enumerate(chosen):
-            for v in cl:
-                incidence[v].append(k)
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for v in range(g.n):
-            if g.adj[v]:
-                groups.setdefault(tuple(incidence[v]), []).append(v)
-        extras = [v for members in groups.values() if len(members) > 1
-                  for v in members[1:]]
-        return len(chosen) + len(iso) + len(extras), extras
-
-    def rec() -> None:
-        nonlocal best, best_cost
-        edge = _smallest_uncovered(residual)
-        if edge is None:
-            cost, extras = completion()
-            if cost < best_cost:
-                best_cost = cost
-                best = list(chosen) + [(v,) for v in iso] + [(v,) for v in sorted(extras)]
-            return
-        if len(chosen) + 1 + len(iso) >= best_cost:
-            return
-        u, v = edge
-        for cl in _cliques_through_edge(residual, u, v):
-            pairs = list(combinations(cl, 2))
-            for a, b in pairs:
-                residual[a] &= ~(1 << b)
-                residual[b] &= ~(1 << a)
-            chosen.append(cl)
-            rec()
-            chosen.pop()
-            for a, b in pairs:
-                residual[a] |= 1 << b
-                residual[b] |= 1 << a
-
-    rec()
+    best = _min_distinct(g.adj, _cliques_through_edge, budget)
     if best is None:
         raise RuntimeError("search exhausted without meeting the quarter-square budget")
-    witness_partition = CliquePartition.from_cliques(g, best)
-    rep = representation_from_partition(witness_partition)
-    assert not validate_representation(g, rep, require_distinct=True)
-    return len(best), rep
+    witness = CliquePartition.from_cliques(g, best)
+    sets = tuple(frozenset(ks) for ks in _incidence(g.n, witness.cliques))
+    if len(set(sets)) < g.n:
+        raise RuntimeError("the minimum witness has duplicate sets")
+    return len(best), SetRepresentation(g, sets, len(best))
 
 
 def check_lemma6(g: Graph, p: CliquePartition) -> list[Violation]:
@@ -316,18 +205,11 @@ def check_lemma6(g: Graph, p: CliquePartition) -> list[Violation]:
     problems = validate_partition(g, p)
     if problems:
         raise ValueError(f"invalid partition: {problems[0].to_json()}")
-    incidence: list[list[int]] = [[] for _ in range(g.n)]
-    for k, cl in enumerate(p.cliques):
-        for v in cl:
-            incidence[v].append(k)
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(tuple(incidence[v]), []).append(v)
+    keys = _incidence(g.n, p.cliques)
     out: list[Violation] = []
     full = (1 << g.n) - 1
-    for key, members in sorted(groups.items()):
-        if len(members) < 2:
-            continue
+    for members in sorted(_group_equal(keys), key=lambda m: keys[m[0]]):
+        key = keys[members[0]]
         for u, v in combinations(members, 2):
             if len(key) != 1:
                 out.append(Violation("multi_membership", pair=(u, v),
@@ -438,17 +320,7 @@ def _sweep_range(
         if problems:
             violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
                                              len(problems), 0))
-        incidence: dict[int, list[int]] = {v: [] for v in range(n)}
-        for k, cl in enumerate(p.cliques):
-            for v in cl:
-                incidence[v].append(k)
-        seen_sets: set[tuple[int, ...]] = set()
-        duplicates = 0
-        for v in range(n):
-            key = tuple(incidence[v])
-            if key in seen_sets:
-                duplicates += 1
-            seen_sets.add(key)
+        duplicates = sum(len(group) - 1 for group in _group_equal(_incidence(n, p.cliques)))
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))

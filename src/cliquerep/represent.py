@@ -16,6 +16,8 @@ from .decompose import (
     CliquePartition,
     GreedyDecomposition,
     Violation,
+    _group_equal,
+    _incidence,
     validate_partition,
 )
 from .graphs import Graph
@@ -83,8 +85,8 @@ def representation_from_partition(
 
     For an unordered partition, elements follow the stored lexicographic
     clique order; for a greedy decomposition, sequence positions. The ground
-    size equals the number of cliques. Invalid partitions are rejected and
-    the output intersection property is re-verified.
+    size equals the number of cliques. Invalid partitions are rejected; the
+    intersection property of the output then follows from the partition's.
     """
     host = p.host
     if isinstance(p, GreedyDecomposition):
@@ -95,13 +97,8 @@ def representation_from_partition(
         problems = validate_partition(host, p)
     if problems:
         raise ValueError(f"invalid partition: {problems[0].to_json()}")
-    sets: list[set[int]] = [set() for _ in range(host.n)]
-    for k, cl in enumerate(cliques):
-        for v in cl:
-            sets[v].add(k)
-    rep = SetRepresentation(host, tuple(frozenset(s) for s in sets), len(cliques))
-    assert not validate_representation(host, rep)
-    return rep
+    sets = tuple(frozenset(ks) for ks in _incidence(host.n, cliques))
+    return SetRepresentation(host, sets, len(cliques))
 
 
 def partition_from_representation(r: SetRepresentation) -> CliquePartition:
@@ -110,7 +107,7 @@ def partition_from_representation(r: SetRepresentation) -> CliquePartition:
     Elements inducing identical vertex sets (only possible for trivial
     cliques) collapse to a single clique, so the result can have fewer
     cliques than the ground size. The input must satisfy the intersection
-    property; the output partition is re-validated before return.
+    property, and the output partition is then valid.
     """
     problems = validate_representation(r.host, r)
     if problems:
@@ -119,10 +116,7 @@ def partition_from_representation(r: SetRepresentation) -> CliquePartition:
     for v, s in enumerate(r.sets):
         for e in s:
             members[e].append(v)
-    cliques = {tuple(vs) for vs in members}
-    part = CliquePartition.from_cliques(r.host, cliques)
-    assert not validate_partition(r.host, part)
-    return part
+    return CliquePartition.from_cliques(r.host, {tuple(vs) for vs in members})
 
 
 def augment_to_distinct(r: SetRepresentation) -> SetRepresentation:
@@ -133,28 +127,18 @@ def augment_to_distinct(r: SetRepresentation) -> SetRepresentation:
     in exactly one set, so no pairwise intersection changes. Already-distinct
     representations are returned unchanged.
     """
-    first: dict[frozenset[int], int] = {}
-    for v, s in enumerate(r.sets):
-        first.setdefault(s, v)
-    sets: list[frozenset[int]] = []
-    nxt = r.ground_size
-    for v, s in enumerate(r.sets):
-        if first[s] == v:
-            sets.append(s)
-        else:
-            sets.append(s | {nxt})
-            nxt += 1
-    if nxt == r.ground_size:
+    fresh = sorted(v for group in _group_equal(r.sets) for v in group[1:])
+    if not fresh:
         return r
-    return SetRepresentation(r.host, tuple(sets), nxt)
+    sets = list(r.sets)
+    for k, v in enumerate(fresh, start=r.ground_size):
+        sets[v] = sets[v] | {k}
+    return SetRepresentation(r.host, tuple(sets), r.ground_size + len(fresh))
 
 
 def distinctness(r: SetRepresentation) -> DistinctnessReport:
     """Group vertices by exact set equality."""
-    groups: dict[frozenset[int], list[int]] = {}
-    for v, s in enumerate(r.sets):
-        groups.setdefault(s, []).append(v)
-    classes = tuple(sorted((tuple(vs) for vs in groups.values()), key=lambda c: c[0]))
+    classes = tuple(tuple(vs) for vs in _group_equal(r.sets))
     return DistinctnessReport(classes, all(len(c) == 1 for c in classes))
 
 

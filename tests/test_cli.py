@@ -1,6 +1,12 @@
+import ast
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import cliquerep
 from cliquerep import (
     BoundReport,
     CliquePartition,
@@ -8,11 +14,16 @@ from cliquerep import (
     SetRepresentation,
     complete_bipartite,
     complete_graph,
+    cycle_graph,
     graph,
+    path_graph,
     to_edge_list,
     to_graph6,
+    validate_partition,
 )
 from cliquerep.cli import run
+
+PACKAGE = Path(cliquerep.__file__).resolve().parent
 
 
 def write_k22_g6(tmp_path):
@@ -41,6 +52,15 @@ class TestPartition:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert doc["ordered"] is False
+
+    def test_erdos_on_a_long_path(self, tmp_path, capsys):
+        g = path_graph(1100)
+        path = tmp_path / "p1100.el"
+        path.write_text(to_edge_list(g))
+        code = run(["partition", str(path), "--method", "erdos"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert validate_partition(g, CliquePartition.from_json(doc, g)) == []
 
     def test_erdos_rejects_strategy_flags(self, tmp_path, capsys):
         code = run(["partition", write_k3_el(tmp_path), "--method", "erdos",
@@ -216,6 +236,41 @@ class TestOracle:
         assert doc["value"] == 4
         assert doc["witness"]["ground_size"] == 4
 
+    #: Witnesses recorded before the exact searches shared one kernel.
+    WITNESSES = {
+        ("cp", "petersen"): {"value": 15, "witness": {"n": 10, "ordered": False, "cliques": [
+            [0, 1], [0, 4], [0, 5], [1, 2], [1, 6], [2, 3], [2, 7], [3, 4], [3, 8],
+            [4, 9], [5, 7], [5, 8], [6, 8], [6, 9], [7, 9]]}},
+        ("cp", "c5"): {"value": 5, "witness": {"n": 5, "ordered": False, "cliques": [
+            [0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]}},
+        ("omega", "c5"): {"value": 5, "witness": {"n": 5, "ground_size": 5, "sets": [
+            [0, 1], [0, 2], [2, 3], [3, 4], [1, 4]]}},
+        ("cp", "k22"): {"value": 4, "witness": {"n": 4, "ordered": False, "cliques": [
+            [0, 2], [0, 3], [1, 2], [1, 3]]}},
+        ("omega", "k22"): {"value": 4, "witness": {"n": 4, "ground_size": 4, "sets": [
+            [0, 1], [2, 3], [0, 2], [1, 3]]}},
+        # the only graph here with triangles, so the only one whose witness
+        # depends on trying larger cliques first
+        ("cp", "diamond"): {"value": 3, "witness": {"n": 4, "ordered": False, "cliques": [
+            [0, 1, 2], [0, 3], [2, 3]]}},
+        ("omega", "diamond"): {"value": 3, "witness": {"n": 4, "ground_size": 3, "sets": [
+            [0, 1], [0], [0, 2], [1, 2]]}},
+    }
+
+    def test_witnesses_are_pinned(self, tmp_path, capsys):
+        outer = [(v, (v + 1) % 5) for v in range(5)]
+        inner = [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
+        spokes = [(v, v + 5) for v in range(5)]
+        graphs = {"petersen": graph(10, outer + inner + spokes), "c5": cycle_graph(5),
+                  "k22": complete_bipartite(2, 2),
+                  "diamond": graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])}
+        for (quantity, name), expected in self.WITNESSES.items():
+            path = tmp_path / f"{name}.el"
+            path.write_text(to_edge_list(graphs[name]))
+            code = run(["oracle", quantity, str(path)])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out) == expected, (quantity, name)
+
     def test_budget_exceeded(self, tmp_path, capsys):
         path = tmp_path / "big.el"
         path.write_text(to_edge_list(complete_graph(7)))
@@ -245,6 +300,31 @@ class TestSweep:
         code = run(["sweep", "--n", "3"])
         capsys.readouterr()
         assert code == 2
+
+
+class TestOptimizedInterpreter:
+    """Postconditions are explicit checks, so `python -O` changes nothing."""
+
+    def test_package_has_no_assert(self):
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []
+
+    def test_oracle_omega_is_identical_under_O(self, tmp_path):
+        path = tmp_path / "k22.g6"
+        path.write_text(to_graph6(complete_bipartite(2, 2)))
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+        outs = [
+            subprocess.run([sys.executable, *flags, "-m", "cliquerep.cli", "oracle", "omega",
+                            str(path)], env=env, capture_output=True, timeout=60)
+            for flags in ([], ["-O"])
+        ]
+        assert [p.returncode for p in outs] == [0, 0]
+        assert outs[0].stdout == outs[1].stdout != b""
 
 
 class TestUsage:

@@ -307,6 +307,29 @@ class TestErdosPartition:
             erdos_partition(g)
         assert 0 < decompose._erdos_base_local.cache_info().currsize <= 1 + 2 + 8 + 64
 
+    #: (n, mask) -> erdos_partition cliques, recorded before the search
+    #: kernel was shared, for every base graph whose result changes when the
+    #: triangles through an edge are tried before the edge itself.
+    EDGE_FIRST = {
+        (3, 7): [[0, 1], [0, 2], [1, 2]],
+        (4, 11): [[0, 1], [0, 2], [1, 2], [3]],
+        (4, 21): [[0, 1], [0, 3], [1, 3], [2]],
+        (4, 31): [[0, 1, 2], [0, 3], [1, 3]],
+        (4, 38): [[0, 2], [0, 3], [1], [2, 3]],
+        (4, 47): [[0, 1], [0, 2, 3], [1, 2]],
+        (4, 55): [[0, 1], [0, 2, 3], [1, 3]],
+        (4, 56): [[0], [1, 2], [1, 3], [2, 3]],
+        (4, 59): [[0, 1], [0, 2], [1, 2, 3]],
+        (4, 61): [[0, 1], [0, 3], [1, 2, 3]],
+        (4, 62): [[0, 2], [0, 3], [1, 2, 3]],
+        (4, 63): [[0, 1], [0, 2], [0, 3], [1, 2, 3]],
+    }
+
+    def test_base_tie_breaks_try_the_edge_before_triangles(self):
+        for (n, mask), cliques in self.EDGE_FIRST.items():
+            p = erdos_partition(graph_from_bitmask(n, mask))
+            assert p.to_json()["cliques"] == cliques, (n, mask)
+
     @given(graphs(min_n=1))
     @settings(max_examples=80)
     def test_contract_holds(self, g):
