@@ -129,7 +129,10 @@ def _load_graph(path: str, fmt: str | None) -> Graph:
 
 def _load_json(path: str) -> dict:
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("artifact JSON is nested too deeply") from None
 
 
 def _strategy(args: argparse.Namespace):

@@ -3,9 +3,9 @@
 Two constructions live here. The greedy decomposition repeatedly removes a
 maximal clique from the residual graph until no edge is left, then covers
 vertices that were isolated from the start with trivial cliques. The
-recursive edge/triangle partition stays within the floor(n^2/4) clique
-budget while keeping every vertex's clique-incidence set distinct from every
-other vertex's (for n >= 4).
+edge/triangle partition stays within the floor(n^2/4) clique budget while
+keeping every vertex's clique-incidence set distinct from every other
+vertex's (for n >= 4).
 """
 
 from __future__ import annotations
@@ -54,7 +54,10 @@ class GreedyStrategy:
 
     def vertex_order(self, n: int) -> tuple[int, ...]:
         """Vertices in priority order (highest priority first)."""
-        return _strategy_order(self.kind, self.seed, n)
+        order = list(range(n))
+        if self.kind == SEEDED_KIND:
+            random.Random(self.seed).shuffle(order)
+        return tuple(order)
 
 
 LEXICOGRAPHIC = GreedyStrategy()
@@ -62,14 +65,6 @@ LEXICOGRAPHIC = GreedyStrategy()
 
 def seeded_strategy(seed: int) -> GreedyStrategy:
     return GreedyStrategy(SEEDED_KIND, seed)
-
-
-@lru_cache(maxsize=4096)
-def _strategy_order(kind: str, seed: int | None, n: int) -> tuple[int, ...]:
-    order = list(range(n))
-    if kind == SEEDED_KIND:
-        random.Random(seed).shuffle(order)
-    return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -179,31 +174,35 @@ def greedy_decomposition(g: Graph, strategy: GreedyStrategy = LEXICOGRAPHIC) -> 
     """Remove one maximal clique of the residual graph at a time.
 
     Each clique is seeded at the highest-priority vertex that still has a
-    residual edge, paired with its highest-priority residual neighbor, and
-    grown by repeatedly adding the highest-priority vertex adjacent to all
-    current members. Once every edge is covered, vertices isolated in g get
-    one trivial clique each, in priority order.
+    residual edge and grown by repeatedly adding the highest-priority vertex
+    adjacent to all current members. Once every edge is covered, vertices
+    isolated in g get one trivial clique each, in priority order.
+
+    Relabeling order[i] to i once makes priority bit order, so every choice
+    takes the lowest bit and a seeded run is the lexicographic run on the
+    relabeled graph.
     """
     order = strategy.vertex_order(g.n)
-    residual = list(g.adj)
+    rank = {v: i for i, v in enumerate(order)}
+    residual = [0] * g.n
+    for u, v in g.edges:
+        residual[rank[u]] |= 1 << rank[v]
+        residual[rank[v]] |= 1 << rank[u]
+    isolated = [(order[i],) for i, m in enumerate(residual) if m == 0]
     sequence: list[Clique] = []
-    while True:
-        seed = next((v for v in order if residual[v]), None)
-        if seed is None:
-            break
-        mate = next(v for v in order if residual[seed] >> v & 1)
-        mask = (1 << seed) | (1 << mate)
-        common = residual[seed] & residual[mate]
-        while common:
-            grow = next(v for v in order if common >> v & 1)
-            mask |= 1 << grow
-            common &= residual[grow]
-        members = tuple(bits(mask))
-        for u, v in combinations(members, 2):
-            residual[u] &= ~(1 << v)
-            residual[v] &= ~(1 << u)
-        sequence.append(members)
-    sequence.extend((v,) for v in order if g.adj[v] == 0)
+    # Residual edges only disappear, so a seed left without one is done.
+    for seed in range(g.n):
+        while residual[seed]:
+            mask, common = 1 << seed, residual[seed]
+            while common:
+                grow = lowest_bit(common)
+                mask |= 1 << grow
+                common &= residual[grow]
+            members = list(bits(mask))
+            for i in members:
+                residual[i] &= ~mask
+            sequence.append(tuple(sorted(order[i] for i in members)))
+    sequence.extend(isolated)
     return GreedyDecomposition(g, tuple(sequence))
 
 
@@ -227,6 +226,15 @@ def _check_shape(n: int, i: int, cl: Clique, seen: set[Clique], out: list[Violat
     return True
 
 
+def _extension(adj: Sequence[int], clique: Clique) -> int | None:
+    """The lowest vertex outside the non-empty clique that is adjacent to
+    all of its members, or None when the clique is maximal in adj."""
+    common = adj[clique[0]]
+    for v in clique:
+        common &= adj[v] & ~(1 << v)
+    return lowest_bit(common) if common else None
+
+
 def validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     """Replay the sequence against the residual graph; empty result iff valid.
 
@@ -239,7 +247,6 @@ def validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     out: list[Violation] = []
     residual = list(g.adj)
     seen: set[Clique] = set()
-    full = (1 << g.n) - 1
     for i, cl in enumerate(d.sequence):
         if not _check_shape(g.n, i, cl, seen, out):
             continue
@@ -251,15 +258,9 @@ def validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
                 out.append(Violation("double_cover", position=i, pair=(u, v)))
             else:
                 ok_pairs.append((u, v))
-        mask = 0
-        for v in cl:
-            mask |= 1 << v
-        common = full
-        for v in cl:
-            common &= residual[v]
-        common &= ~mask
-        if common:
-            out.append(Violation("not_maximal", position=i, vertex=lowest_bit(common)))
+        witness = _extension(residual, cl)
+        if witness is not None:
+            out.append(Violation("not_maximal", position=i, vertex=witness))
         for u, v in ok_pairs:
             residual[u] &= ~(1 << v)
             residual[v] &= ~(1 << u)

@@ -151,8 +151,8 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     """Graph whose edge set is the given subset of vertex pairs.
 
     Bit k selects the k-th pair of combinations(range(n), 2); the same
-    convention is used by edge_bitmask, enumerate_labeled_graphs, and
-    canonical_form.
+    convention is used by edge_bitmask, _relabel_mask,
+    enumerate_labeled_graphs, and canonical_form.
     """
     pairs = _vertex_pairs(n)
     if not 0 <= mask < 1 << len(pairs):
@@ -167,6 +167,18 @@ def edge_bitmask(g: Graph) -> int:
     for e in g.edges:
         mask |= 1 << index[e]
     return mask
+
+
+def _relabel_mask(n: int, mask: int, labels: tuple[int, ...]) -> int:
+    """Edge bitmask of the graph that has edge {labels[u], labels[v]} for
+    every edge {u, v} of `mask`."""
+    pairs, index = _vertex_pairs(n), _pair_index(n)
+    out = 0
+    for k in bits(mask):
+        u, v = pairs[k]
+        a, b = labels[u], labels[v]
+        out |= 1 << index[(a, b) if a < b else (b, a)]
+    return out
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
@@ -184,17 +196,8 @@ def canonical_form(g: Graph) -> int:
     """
     if g.n > CANONICAL_MAX_N:
         raise ValueError(f"canonical form supports n <= {CANONICAL_MAX_N}, got {g.n}")
-    index = _pair_index(g.n)
-    edges = tuple(g.edges)
-    best: int | None = None
-    for perm in permutations(range(g.n)):
-        mask = 0
-        for u, v in edges:
-            a, b = perm[u], perm[v]
-            mask |= 1 << index[(a, b) if a < b else (b, a)]
-        if best is None or mask < best:
-            best = mask
-    return 0 if best is None else best
+    mask = edge_bitmask(g)
+    return min(_relabel_mask(g.n, mask, perm) for perm in permutations(range(g.n)))
 
 
 def parse_graph6(text: str) -> Graph:

@@ -23,6 +23,7 @@ from .decompose import (
     Violation,
     _cliques_through_edge,
     _edge_partitions,
+    _extension,
     _group_equal,
     _incidence,
     _min_distinct,
@@ -32,15 +33,7 @@ from .decompose import (
     validate_greedy,
     validate_partition,
 )
-from .graphs import (
-    Graph,
-    _pair_index,
-    _vertex_pairs,
-    bits,
-    degree,
-    graph_from_bitmask,
-    lowest_bit,
-)
+from .graphs import Graph, _relabel_mask, degree, graph_from_bitmask
 from .represent import (
     SetRepresentation,
     augment_to_distinct,
@@ -63,7 +56,7 @@ _MIN_CHUNK_MASKS = 4096
 @dataclass(frozen=True)
 class BoundViolation:
     """One bound breach found by a sweep: which graph (edge bitmask), which
-    strategy ("erdos" for the recursive partition), which check, and the
+    strategy ("erdos" for the edge/triangle partition), which check, and the
     observed value against its bound."""
 
     graph: int
@@ -207,7 +200,6 @@ def check_lemma6(g: Graph, p: CliquePartition) -> list[Violation]:
         raise ValueError(f"invalid partition: {problems[0].to_json()}")
     keys = _incidence(g.n, p.cliques)
     out: list[Violation] = []
-    full = (1 << g.n) - 1
     for members in sorted(_group_equal(keys), key=lambda m: keys[m[0]]):
         key = keys[members[0]]
         for u, v in combinations(members, 2):
@@ -216,15 +208,10 @@ def check_lemma6(g: Graph, p: CliquePartition) -> list[Violation]:
                                      observed=len(key), expected=1))
                 continue
             shared = p.cliques[key[0]]
-            mask = 0
-            common = full
-            for w in shared:
-                mask |= 1 << w
-                common &= g.adj[w]
-            common &= ~mask
-            if common:
+            witness = _extension(g.adj, shared)
+            if witness is not None:
                 out.append(Violation("not_maximal", pair=(u, v),
-                                     vertices=shared, vertex=lowest_bit(common)))
+                                     vertices=shared, vertex=witness))
     return out
 
 
@@ -268,23 +255,12 @@ def _worker_count(workers: int | None, chunks: int) -> int:
     return max(1, min(cpus if workers is None else workers, cpus, chunks))
 
 
-def _relabel_mask(n: int, mask: int, labels: tuple[int, ...]) -> int:
-    """Edge bitmask of the graph that has edge {labels[u], labels[v]} for
-    every edge {u, v} of `mask`."""
-    pairs, index = _vertex_pairs(n), _pair_index(n)
-    out = 0
-    for k in bits(mask):
-        a, b = (labels[v] for v in pairs[k])
-        out |= 1 << index[(a, b) if a < b else (b, a)]
-    return out
-
-
 def _sweep_range(
     n: int, lo: int, hi: int, greedy: bool
 ) -> tuple[int, int, int, list[tuple[int, str, int]], list[BoundViolation]]:
     """Check masks lo..hi-1. Returns the graph count, the largest clique and
     element counts seen, the lexicographic greedy findings as (mask, check,
-    observed) and the recursive partition's violations, both in mask order."""
+    observed) and erdos_partition's violations, both in mask order."""
     bound = quarter_square(n)
     max_cliques = 0
     max_elements = 0
@@ -338,10 +314,10 @@ def exhaustive_bound_check(
     its non-trivial clique count and its full length (trivial cliques
     included) against floor(n^2/4), then build the augmented representation
     and compare its ground size against the same bound. Per graph: run the
-    recursive edge/triangle partition and check its size, its <= 3 clique
-    widths, its validity, and the distinctness of its incidence sets.
+    edge/triangle partition and check its size, its <= 3 clique widths, its
+    validity, and the distinctness of its incidence sets.
     max_cliques_seen is the largest clique count seen across greedy runs and
-    recursive partitions.
+    edge/triangle partitions.
 
     Only the lexicographic greedy is run, once per graph. A seeded strategy
     runs the same procedure under its vertex order, so its run on g is the
@@ -351,7 +327,7 @@ def exhaustive_bound_check(
     a bound on g exactly when the lexicographic run breaches it on that
     relabeled graph; those findings are mapped back to g and reported under
     the strategy's name, per graph in the order the strategies were given,
-    followed by the recursive partition's.
+    followed by the edge/triangle partition's.
 
     Work is split over bitmask ranges across processes (capped by the
     CLIQUEREP_THREADS environment variable or the workers argument, and by

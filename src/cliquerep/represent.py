@@ -112,11 +112,7 @@ def partition_from_representation(r: SetRepresentation) -> CliquePartition:
     problems = validate_representation(r.host, r)
     if problems:
         raise ValueError(f"invalid representation: {problems[0].to_json()}")
-    members: list[list[int]] = [[] for _ in range(r.ground_size)]
-    for v, s in enumerate(r.sets):
-        for e in s:
-            members[e].append(v)
-    return CliquePartition.from_cliques(r.host, {tuple(vs) for vs in members})
+    return CliquePartition.from_cliques(r.host, set(_induced_sets(r)))
 
 
 def augment_to_distinct(r: SetRepresentation) -> SetRepresentation:

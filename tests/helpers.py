@@ -3,11 +3,14 @@ brute-force oracles that never call the code paths they check."""
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, permutations
 
 from cliquerep import (
     BoundViolation,
+    Clique,
+    GreedyStrategy,
     Graph,
     augment_to_distinct,
     erdos_partition,
@@ -17,11 +20,60 @@ from cliquerep import (
     representation_from_partition,
     validate_partition,
 )
+from cliquerep.graphs import bits
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     return graph(n, edges)
+
+
+def sparse_random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """G(n, p) in O(n + m) time by skipping geometrically over the vertex
+    pairs (Batagelj and Brandes 2005), so that n in the thousands is cheap
+    when p is small."""
+    edges = []
+    if p > 0:
+        log_q = math.log1p(-p) if p < 1 else -math.inf
+        v, w = 1, -1
+        while v < n:
+            skip = math.log(1.0 - rng.random()) / log_q  # inf when p is tiny
+            w += 1 + int(min(skip, n * n))
+            while w >= v and v < n:
+                w -= v
+                v += 1
+            if v < n:
+                edges.append((w, v))
+    return graph(n, edges)
+
+
+def reference_greedy(g: Graph, strategy: GreedyStrategy) -> tuple[Clique, ...]:
+    """The greedy sequence computed the direct way: scan the vertex order for
+    the seed, its mate and every growth step, in the original labels. The
+    order is drawn here rather than taken from the strategy."""
+    order = list(range(g.n))
+    if strategy.seed is not None:
+        random.Random(strategy.seed).shuffle(order)
+    residual = list(g.adj)
+    sequence: list[Clique] = []
+    while True:
+        seed = next((v for v in order if residual[v]), None)
+        if seed is None:
+            break
+        mate = next(v for v in order if residual[seed] >> v & 1)
+        mask = (1 << seed) | (1 << mate)
+        common = residual[seed] & residual[mate]
+        while common:
+            grow = next(v for v in order if common >> v & 1)
+            mask |= 1 << grow
+            common &= residual[grow]
+        members = tuple(bits(mask))
+        for u, v in combinations(members, 2):
+            residual[u] &= ~(1 << v)
+            residual[v] &= ~(1 << u)
+        sequence.append(members)
+    sequence.extend((v,) for v in order if g.adj[v] == 0)
+    return tuple(sequence)
 
 
 def has_triangle(g: Graph) -> bool:

@@ -210,6 +210,15 @@ class TestVerify:
         capsys.readouterr()
         assert code == 2
 
+    def test_deeply_nested_artifact(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        code = run(["verify", "partition", write_k3_el(tmp_path), str(deep)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: artifact JSON is nested too deeply\n"
+
     def test_mismatched_n(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 4, "ordered": False, "cliques": []}))

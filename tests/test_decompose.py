@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from cliquerep import (
     validate_partition,
 )
 from cliquerep import decompose
+from helpers import reference_greedy, sparse_random_graph
 
 
 @st.composite
@@ -161,6 +164,66 @@ class TestSeededIsRelabeledLex:
     def test_any_graph_any_seed(self, g, seed):
         s = seeded_strategy(seed)
         assert greedy_decomposition(g, s).sequence == _seeded_via_lex(g, s)
+
+
+class TestReferenceGreedy:
+    """Exact sequences against the direct order-scanning greedy, which knows
+    nothing of the relabeling: a drift in lexicographic tie-breaking shows
+    here, where TestSeededIsRelabeledLex (lex on both sides) cannot see it."""
+
+    STRATEGIES = [LEXICOGRAPHIC] + [seeded_strategy(s) for s in range(1, 11)]
+
+    def assert_matches(self, g, strategies=STRATEGIES):
+        for s in strategies:
+            assert greedy_decomposition(g, s).sequence == reference_greedy(g, s), (g, s)
+
+    def test_every_graph_up_to_n5(self):
+        for n in range(6):
+            for g in enumerate_labeled_graphs(n):
+                self.assert_matches(g)
+
+    def test_every_seventh_graph_at_n6(self):
+        for mask in range(0, 1 << 15, 7):
+            self.assert_matches(graph_from_bitmask(6, mask))
+
+    def test_seeded_random_graphs_up_to_n200(self):
+        rng = random.Random(4)
+        for _ in range(30):
+            n = rng.randint(6, 200)
+            g = sparse_random_graph(rng, n, rng.random())
+            self.assert_matches(g, [LEXICOGRAPHIC, seeded_strategy(rng.randrange(10**6))])
+
+    def test_complete_bipartite_and_complete(self):
+        self.assert_matches(complete_bipartite(30, 30))
+        self.assert_matches(complete_graph(12))
+
+
+@st.composite
+def large_graphs(draw):
+    """Graphs with 60 to 2000 vertices and at most about 20000 edges."""
+    n = draw(st.integers(60, 2000))
+    p = draw(st.floats(0, 1)) * min(1.0, 20000 / (n * (n - 1) // 2))
+    return sparse_random_graph(random.Random(draw(st.integers(0, 2**32))), n, p)
+
+
+class TestLargeGraphs:
+    @given(large_graphs(), strategies())
+    @settings(max_examples=15)
+    def test_greedy_is_valid(self, g, strategy):
+        assert validate_greedy(g, greedy_decomposition(g, strategy)) == []
+
+    @given(large_graphs())
+    @settings(max_examples=5)
+    def test_erdos_contract(self, g):
+        p = erdos_partition(g)
+        assert validate_partition(g, p) == []
+        assert len(p.cliques) <= quarter_square(g.n)
+        assert all(len(c) <= 3 for c in p.cliques)
+        incidence = [[] for _ in range(g.n)]
+        for k, cl in enumerate(p.cliques):
+            for v in cl:
+                incidence[v].append(k)
+        assert len(set(map(tuple, incidence))) == g.n
 
 
 class TestValidateGreedy:

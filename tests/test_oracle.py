@@ -210,6 +210,19 @@ class TestExhaustiveBoundCheck:
         assert report.max_elements_seen == 9
         assert report.violations == ()
 
+    @pytest.mark.slow
+    def test_n7_report_with_ten_seeds(self):
+        strategies = [LEXICOGRAPHIC] + [seeded_strategy(s) for s in range(1, 11)]
+        assert exhaustive_bound_check(7, strategies).to_json() == {
+            "n": 7,
+            "graphs_checked": 2097152,
+            "bound": 12,
+            "strategies": ["lex"] + [f"random:{s}" for s in range(1, 11)],
+            "max_cliques_seen": 12,
+            "max_elements_seen": 12,
+            "violations": [],
+        }
+
     @pytest.mark.parametrize("seeds", [(None, 1, 2, 3), (5, None, 5)])
     def test_violations_match_the_reference_sweep(self, monkeypatch, seeds):
         # Two below the true bound, so every strategy and erdos breach it.
