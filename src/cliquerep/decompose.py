@@ -321,18 +321,29 @@ def erdos_partition(g: Graph) -> CliquePartition:
     """
     if g.n < 1:
         raise ValueError("need at least one vertex")
-    adj, labels = list(g.adj), list(range(g.n))
+    # Vertices keep their labels and a deleted vertex is cleared from its
+    # neighbors' masks. by_degree[d] holds the survivors of degree d, so the
+    # lowest bit of the first non-empty one is the minimum-degree survivor
+    # with the lowest label.
+    adj = list(g.adj)
+    deg = [m.bit_count() for m in adj]
+    by_degree = [0] * g.n
+    for v, d in enumerate(deg):
+        by_degree[d] |= 1 << v
+    alive = (1 << g.n) - 1
     cliques: list[Clique] = []
-    while len(adj) > 4:
-        n = len(adj)
-        deg = [m.bit_count() for m in adj]
-        x = min(range(n), key=lambda v: (deg[v], v))
-        lx, nbr_mask = labels[x], adj[x]
+    for n in range(g.n, 4, -1):
+        d = 0
+        while not by_degree[d]:
+            d += 1
+        x = lowest_bit(by_degree[d])
+        by_degree[d] &= ~(1 << x)
+        nbr_mask = adj[x]
         if nbr_mask == 0:
-            cliques.append((lx,))
+            cliques.append((x,))
         # r > 0 exactly when every degree exceeds floor(n/2): then pair up
         # 2r of x's neighbors and cover those edges of x with triangles.
-        r = deg[x] - n // 2
+        r = d - n // 2
         used = 0
         matches: list[tuple[int, int]] = []
         for u in bits(nbr_mask):
@@ -353,22 +364,19 @@ def erdos_partition(g: Graph) -> CliquePartition:
         for u, w in matches:
             adj[u] &= ~(1 << w)
             adj[w] &= ~(1 << u)
-            cliques.append((lx, labels[u], labels[w]))
-        cliques.extend((lx, labels[u]) for u in bits(nbr_mask & ~used))
-        adj, labels = _drop_vertex(adj, labels, x)
-    cliques.extend([labels[v] for v in cl] for cl in _erdos_base_local(tuple(adj)))
+            cliques.append((x, u, w))
+        alive &= ~(1 << x)
+        for u in bits(nbr_mask):
+            if not used >> u & 1:
+                cliques.append((x, u))
+            adj[u] &= ~(1 << x)
+            by_degree[deg[u]] &= ~(1 << u)
+            deg[u] = adj[u].bit_count()
+            by_degree[deg[u]] |= 1 << u
+    labels = list(bits(alive))
+    local = tuple(sum(1 << j for j, w in enumerate(labels) if adj[v] >> w & 1) for v in labels)
+    cliques.extend([labels[v] for v in cl] for cl in _erdos_base_local(local))
     return CliquePartition.from_cliques(g, cliques)
-
-
-def _drop_vertex(adj: list[int], labels: list[int], x: int) -> tuple[list[int], list[int]]:
-    """Delete vertex x, compacting bit positions above it down by one."""
-    low = (1 << x) - 1
-    new_adj = []
-    for v, m in enumerate(adj):
-        if v == x:
-            continue
-        new_adj.append((m & low) | (m >> (x + 1)) << x)
-    return new_adj, labels[:x] + labels[x + 1:]
 
 
 @lru_cache(maxsize=None)
@@ -419,6 +427,28 @@ def _smallest_uncovered(residual: list[int]) -> tuple[int, int] | None:
     return None
 
 
+def _cliques_needed(residual: Sequence[int]) -> int:
+    """A lower bound on the number of cliques in any partition of the edges
+    of residual (neighbor bitmasks).
+
+    Takes a greedy independent set I of the non-isolated vertices and adds,
+    for each v in I, the size of a greedy independent set of v's neighbors.
+    Two non-adjacent neighbors of v need different cliques through v, and no
+    clique holds two vertices of I, so the counts add up.
+    """
+    need = 0
+    free = sum(1 << v for v, m in enumerate(residual) if m)
+    while free:
+        low = free & -free
+        nbrs = residual[low.bit_length() - 1]
+        free &= ~(nbrs | low)
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs &= ~(residual[low.bit_length() - 1] | low)
+            need += 1
+    return need
+
+
 def _edge_partitions(
     adj: Sequence[int],
     options: Callable[[list[int], int, int], list[Clique]],
@@ -430,11 +460,13 @@ def _edge_partitions(
     Branches on the smallest uncovered edge (u, v) over options(residual, u,
     v), the residual cliques through it to try, in order; if they are all
     the residual cliques through it, each edge partition is yielded exactly
-    once. A node whose prune(depth) holds, depth being the number of cliques
-    chosen so far, is cut before branching. The yielded list is the live
-    search state, valid until the next step, and is extended by copying.
-    Leaves and cut nodes are handled in their parent's loop, so only nodes
-    that branch pay for a generator.
+    once. A node whose prune(need) holds is cut before branching, where need
+    is the fewest cliques any completion below it can have: the cliques
+    chosen so far plus _cliques_needed(residual). Without prune the bound is
+    never computed. The yielded list is the live search state, valid until
+    the next step, and is extended by copying. Leaves and cut nodes are
+    handled in their parent's loop, so only nodes that branch pay for a
+    generator.
     """
     residual = list(adj)
     chosen: list[Clique] = []
@@ -449,7 +481,7 @@ def _edge_partitions(
             edge = _smallest_uncovered(residual)
             if edge is None:
                 yield chosen
-            elif prune is None or not prune(len(chosen)):
+            elif prune is None or not prune(len(chosen) + _cliques_needed(residual)):
                 yield from rec(*edge)
             chosen.pop()
             for a, b in pairs:
@@ -459,7 +491,7 @@ def _edge_partitions(
     edge = _smallest_uncovered(residual)
     if edge is None:
         yield chosen
-    elif prune is None or not prune(0):
+    elif prune is None or not prune(_cliques_needed(residual)):
         yield from rec(*edge)
 
 
@@ -481,7 +513,7 @@ def _min_distinct(
     n = len(adj)
     iso = [(v,) for v in range(n) if adj[v] == 0]
     best: list[Clique] | None = None
-    for chosen in _edge_partitions(adj, options, lambda depth: depth + 1 + len(iso) >= budget):
+    for chosen in _edge_partitions(adj, options, lambda need: need + len(iso) >= budget):
         keys = _incidence(n, chosen)
         extras = [v for group in _group_equal(keys) if keys[group[0]] for v in group[1:]]
         cost = len(chosen) + len(iso) + len(extras)

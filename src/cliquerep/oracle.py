@@ -130,9 +130,11 @@ def min_clique_partition(g: Graph, max_n: int = CP_MAX_N) -> tuple[int, CliquePa
     """Exact clique-partition number with a minimum witness.
 
     Branch and bound on the lexicographically smallest uncovered edge,
-    trying every residual clique through it, largest first; a branch is cut
-    once it cannot strictly beat the incumbent. Isolated vertices each
-    contribute one trivial clique.
+    trying every residual clique through it, largest first. A branch is cut
+    once it cannot strictly beat the incumbent: once the cliques chosen so
+    far plus an independent-set lower bound on the cliques the uncovered
+    edges still need (see _cliques_needed) reach its size. Isolated vertices
+    each contribute one trivial clique.
     """
     if g.n > max_n:
         raise ValueError(f"n={g.n} exceeds the n<={max_n} search budget")
@@ -142,7 +144,7 @@ def min_clique_partition(g: Graph, max_n: int = CP_MAX_N) -> tuple[int, CliquePa
     best: list[Clique] = []
     bound = len(g.edges) + 1
     for chosen in _edge_partitions(g.adj, _cliques_through_edge,
-                                   lambda depth: depth + 1 >= bound):
+                                   lambda need: need >= bound):
         if len(chosen) < bound:
             bound, best = len(chosen), list(chosen)
     witness = CliquePartition.from_cliques(g, best + iso)

@@ -66,6 +66,10 @@ class SetRepresentation:
                 not isinstance(e, int) or isinstance(e, bool) for e in s
             ):
                 raise ValueError("each set must be an array of integers")
+        # Every element id must occur in some set, so a larger ground size is
+        # never valid, and listing each unused id of it is unbounded work.
+        if doc["ground_size"] > sum(len(s) for s in sets):
+            raise ValueError("artifact 'ground_size' exceeds the number of set entries")
         return cls(host, tuple(frozenset(s) for s in sets), doc["ground_size"])
 
 

@@ -1,11 +1,14 @@
-"""Shared test utilities: deterministic random graphs and independent
-brute-force oracles that never call the code paths they check."""
+"""Shared test utilities: random graphs (seeded, and a Hypothesis strategy)
+and independent brute-force oracles that never call the code paths they
+check, except where a docstring names the shared part."""
 
 from __future__ import annotations
 
 import math
 import random
 from itertools import combinations, permutations
+
+from hypothesis import strategies as st
 
 from cliquerep import (
     BoundViolation,
@@ -20,7 +23,17 @@ from cliquerep import (
     representation_from_partition,
     validate_partition,
 )
+from cliquerep.decompose import _erdos_base_local
 from cliquerep.graphs import bits
+
+
+@st.composite
+def graphs(draw, min_n=0, max_n=7):
+    """Hypothesis strategy: a labeled graph on min_n..max_n vertices, drawn
+    as an edge bitmask."""
+    n = draw(st.integers(min_n, max_n))
+    m = n * (n - 1) // 2
+    return graph_from_bitmask(n, draw(st.integers(0, (1 << m) - 1)))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -74,6 +87,46 @@ def reference_greedy(g: Graph, strategy: GreedyStrategy) -> tuple[Clique, ...]:
         sequence.append(members)
     sequence.extend((v,) for v in order if g.adj[v] == 0)
     return tuple(sequence)
+
+
+def reference_erdos(g: Graph) -> tuple[Clique, ...]:
+    """erdos_partition's cliques computed the direct way: every step
+    recounts every degree and compacts every adjacency mask to local
+    indices, tracking the original labels alongside. Only the n <= 4 base
+    case is shared with the code under test."""
+    adj, labels = list(g.adj), list(range(g.n))
+    cliques: list[Clique] = []
+    while len(adj) > 4:
+        n = len(adj)
+        deg = [m.bit_count() for m in adj]
+        x = min(range(n), key=lambda v: (deg[v], v))
+        lx, nbr_mask = labels[x], adj[x]
+        if nbr_mask == 0:
+            cliques.append((lx,))
+        r = deg[x] - n // 2
+        used = 0
+        matches: list[tuple[int, int]] = []
+        for u in bits(nbr_mask):
+            if len(matches) >= r:
+                break
+            if used >> u & 1:
+                continue
+            cand = adj[u] & nbr_mask & ~used & ~(1 << u)
+            if cand:
+                w = (cand & -cand).bit_length() - 1
+                matches.append((u, w))
+                used |= (1 << u) | (1 << w)
+        assert len(matches) >= r
+        for u, w in matches:
+            adj[u] &= ~(1 << w)
+            adj[w] &= ~(1 << u)
+            cliques.append((lx, labels[u], labels[w]))
+        cliques.extend((lx, labels[u]) for u in bits(nbr_mask & ~used))
+        low = (1 << x) - 1
+        adj = [(m & low) | (m >> (x + 1)) << x for v, m in enumerate(adj) if v != x]
+        labels = labels[:x] + labels[x + 1:]
+    cliques.extend(tuple(labels[v] for v in cl) for cl in _erdos_base_local(tuple(adj)))
+    return tuple(sorted(tuple(sorted(c)) for c in cliques))
 
 
 def has_triangle(g: Graph) -> bool:

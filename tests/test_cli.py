@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import cliquerep
@@ -218,6 +219,31 @@ class TestVerify:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "error: artifact JSON is nested too deeply\n"
+
+    def test_ground_size_beyond_the_set_entries(self, tmp_path, capsys):
+        # an id no set holds is unused, so this can never be valid; reporting
+        # two million unused ids one by one took gigabytes
+        art = tmp_path / "rep.json"
+        art.write_text(json.dumps(
+            {"n": 3, "ground_size": 2_000_000, "sets": [[0], [0], [0]]}))
+        start = time.perf_counter()
+        code = run(["verify", "representation", write_k3_el(tmp_path), str(art)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: artifact 'ground_size' exceeds the number of set entries\n"
+        assert elapsed < 1.0
+
+    def test_small_unused_ids_are_reported(self, tmp_path, capsys):
+        art = tmp_path / "rep.json"
+        art.write_text(json.dumps(
+            {"n": 3, "ground_size": 3, "sets": [[0], [0], [0]]}))
+        code = run(["verify", "representation", write_k3_el(tmp_path), str(art)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert doc["violations"] == [{"kind": "unused_element", "element": 1},
+                                     {"kind": "unused_element", "element": 2}]
 
     def test_mismatched_n(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -27,14 +27,7 @@ from cliquerep import (
     validate_partition,
 )
 from cliquerep import decompose
-from helpers import reference_greedy, sparse_random_graph
-
-
-@st.composite
-def graphs(draw, min_n=0, max_n=7):
-    n = draw(st.integers(min_n, max_n))
-    m = n * (n - 1) // 2
-    return graph_from_bitmask(n, draw(st.integers(0, (1 << m) - 1)))
+from helpers import graphs, reference_erdos, reference_greedy, sparse_random_graph
 
 
 @st.composite
@@ -392,6 +385,25 @@ class TestErdosPartition:
         for (n, mask), cliques in self.EDGE_FIRST.items():
             p = erdos_partition(graph_from_bitmask(n, mask))
             assert p.to_json()["cliques"] == cliques, (n, mask)
+
+    def test_matches_the_reference_on_small_graphs(self):
+        for n in (5, 6):
+            for i, g in enumerate(enumerate_labeled_graphs(n)):
+                if n == 5 or i % 13 == 0:
+                    assert erdos_partition(g).cliques == reference_erdos(g), (n, i)
+
+    def test_matches_the_reference_on_random_graphs(self):
+        rng = random.Random(2026)
+        for _ in range(40):
+            n = rng.randint(5, 300)
+            p = rng.choice([0.01, 0.05, 0.3, 0.5, 0.7, 0.9, 1.0])
+            g = graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < p])
+            assert erdos_partition(g).cliques == reference_erdos(g), (n, p)
+
+    def test_matches_the_reference_on_a_long_path(self):
+        g = path_graph(2000)
+        assert erdos_partition(g).cliques == reference_erdos(g)
 
     @given(graphs(min_n=1))
     @settings(max_examples=80)

@@ -1,5 +1,6 @@
 import os
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,8 @@ from cliquerep import (
     validate_representation,
 )
 from cliquerep import oracle
-from helpers import brute_cp, brute_omega, has_triangle, random_graph, reference_sweep
+from cliquerep.decompose import _cliques_needed
+from helpers import brute_cp, brute_omega, graphs, has_triangle, random_graph, reference_sweep
 
 
 class TestMinCliquePartition:
@@ -79,6 +81,71 @@ class TestMinCliquePartition:
                 assert value == brute_cp(g)
                 assert validate_partition(g, witness) == []
                 assert len(witness.cliques) == value
+
+
+def dense_panel(count):
+    """The first count graphs of the fixed G(10, 36) panel (p = 0.8) of the
+    exact-search benchmark, drawn the same way with the stdlib."""
+    rng = random.Random("exact-search:panel")
+    pairs = list(combinations(range(10), 2))
+    return [graph(10, sorted(rng.sample(pairs, 36))) for _ in range(count)]
+
+
+class TestCliquesNeededBound:
+    #: Branching nodes (calls of the options callback) of
+    #: min_clique_partition on the first dense panel graphs. With the
+    #: "one more clique" bound they were 334065, 73290 and 125139.
+    NODES = [6657, 3230, 2450]
+
+    #: min_clique_partition witnesses on the same graphs, recorded under
+    #: the "one more clique" bound: a stronger bound must not change them.
+    WITNESSES = [
+        [[0, 1, 2, 5], [0, 3, 4, 6], [0, 7, 8, 9], [1, 4, 7], [1, 6, 9], [1, 8],
+         [2, 4, 9], [2, 6, 7], [3, 8], [4, 5, 8], [5, 9]],
+        [[0, 1, 3, 7], [0, 2, 9], [0, 6], [0, 8], [1, 4, 8], [1, 5, 9], [2, 3, 4, 5],
+         [3, 6, 8, 9], [4, 7, 9], [5, 6], [5, 7, 8]],
+        [[0, 1, 2, 3, 5, 6, 7], [0, 4, 8], [0, 9], [1, 4], [2, 8, 9], [3, 4, 9], [4, 6],
+         [4, 7], [7, 8], [7, 9]],
+    ]
+
+    def test_branching_nodes_are_pinned(self, monkeypatch):
+        calls = [0]
+        options = oracle._cliques_through_edge
+
+        def counting(residual, u, v):
+            calls[0] += 1
+            return options(residual, u, v)
+
+        monkeypatch.setattr(oracle, "_cliques_through_edge", counting)
+        nodes = []
+        for g in dense_panel(len(self.NODES)):
+            calls[0] = 0
+            min_clique_partition(g)
+            nodes.append(calls[0])
+        assert nodes == self.NODES
+
+    def test_witnesses_are_pinned(self):
+        for g, cliques in zip(dense_panel(len(self.WITNESSES)), self.WITNESSES):
+            value, witness = min_clique_partition(g)
+            assert witness.to_json() == {"n": 10, "ordered": False, "cliques": cliques}
+            assert value == len(cliques)
+
+    @given(graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_minimum_and_bound_against_the_unpruned_enumeration(self, g):
+        # all_clique_partitions passes no prune, so it never reads the bound
+        value = min(len(p.cliques) for p in all_clique_partitions(g))
+        assert min_clique_partition(g)[0] == value
+        isolated = sum(1 for m in g.adj if m == 0)
+        assert _cliques_needed(g.adj) <= value - isolated
+
+    def test_bound_on_known_graphs(self):
+        # K_n: one clique; K_{a,b}: all a*b edges, since I is one side and
+        # every neighborhood is independent; C5: I = {0, 2}, two edges each
+        assert _cliques_needed(complete_graph(6).adj) == 1
+        assert _cliques_needed(complete_bipartite(3, 4).adj) == 12
+        assert _cliques_needed(cycle_graph(5).adj) == 4
+        assert _cliques_needed(empty_graph(4).adj) == 0
 
 
 class TestAllCliquePartitions:

@@ -288,6 +288,7 @@ class TestJson:
             {"n": 3, "ground_size": -1, "sets": [[0], [0], [0]]},
             {"n": 3, "ground_size": 1, "sets": [[0], [0]]},
             {"n": 3, "ground_size": 1, "sets": [[0], [0], ["x"]]},
+            {"n": 3, "ground_size": 4, "sets": [[0], [0], [0]]},
         ):
             with pytest.raises(ValueError):
                 SetRepresentation.from_json(doc, p3)
