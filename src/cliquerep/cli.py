@@ -135,14 +135,18 @@ def _load_json(path: str) -> dict:
         raise ValueError("artifact JSON is nested too deeply") from None
 
 
-def _strategy(args: argparse.Namespace):
+def _construct(args: argparse.Namespace, g: Graph) -> GreedyDecomposition | CliquePartition:
+    if args.method == "erdos":
+        if args.strategy != "lex" or args.seed is not None:
+            raise ValueError("--strategy/--seed apply to --method greedy only")
+        return erdos_partition(g)
     if args.strategy == "lex":
         if args.seed is not None:
             raise ValueError("--seed requires --strategy random")
-        return LEXICOGRAPHIC
+        return greedy_decomposition(g, LEXICOGRAPHIC)
     if args.seed is None:
         raise ValueError("--strategy random requires --seed")
-    return seeded_strategy(args.seed)
+    return greedy_decomposition(g, seeded_strategy(args.seed))
 
 
 def _print_json(doc) -> None:
@@ -177,22 +181,11 @@ def _representation_dot(g: Graph, rep: SetRepresentation) -> str:
     return "\n".join(lines)
 
 
-def _reject_strategy_flags(args: argparse.Namespace) -> None:
-    if args.strategy != "lex" or args.seed is not None:
-        raise ValueError("--strategy/--seed apply to --method greedy only")
-
-
 def _cmd_partition(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    if args.method == "greedy":
-        d = greedy_decomposition(g, _strategy(args))
-        doc, cliques = d.to_json(), d.sequence
-    else:
-        _reject_strategy_flags(args)
-        p = erdos_partition(g)
-        doc, cliques = p.to_json(), p.cliques
+    doc = _construct(args, g).to_json()
     if args.output == "dot":
-        print(_partition_dot(g, cliques))
+        print(_partition_dot(g, doc["cliques"]))
     else:
         _print_json(doc)
     return 0
@@ -200,11 +193,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_represent(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    if args.method == "greedy":
-        rep = representation_from_partition(greedy_decomposition(g, _strategy(args)))
-    else:
-        _reject_strategy_flags(args)
-        rep = representation_from_partition(erdos_partition(g))
+    rep = representation_from_partition(_construct(args, g))
     if args.augment:
         rep = augment_to_distinct(rep)
     if args.output == "dot":

@@ -18,9 +18,10 @@ from .decompose import (
     Violation,
     _group_equal,
     _incidence,
+    _miscovered,
     validate_partition,
 )
-from .graphs import Graph
+from .graphs import Edge, Graph
 
 
 @dataclass(frozen=True)
@@ -149,28 +150,31 @@ def validate_representation(
 
     Reports every pair whose intersection size misses its adjacency value,
     empty sets, element ids outside 0..ground_size-1, unused element ids,
-    and, when require_distinct is set, every duplicate class.
+    and, when require_distinct is set, every duplicate class. Intersections
+    are counted over each element's members, out-of-range ids included, in
+    O(n + ground_size + sum of |members|^2) time plus sorting each set and
+    the findings; the sum is m for a valid representation.
     """
     if len(r.sets) != g.n:
         return [Violation("size_mismatch", observed=len(r.sets), expected=g.n)]
     out: list[Violation] = []
-    used: set[int] = set()
+    members: dict[int, list[int]] = {}
     for v, s in enumerate(r.sets):
         if not s:
             out.append(Violation("empty_set", vertex=v))
         for e in sorted(s):
+            members.setdefault(e, []).append(v)
             if not 0 <= e < r.ground_size:
                 out.append(Violation("element_out_of_range", vertex=v, element=e))
-            else:
-                used.add(e)
     for e in range(r.ground_size):
-        if e not in used:
+        if e not in members:
             out.append(Violation("unused_element", element=e))
-    for u, v in combinations(range(g.n), 2):
-        want = 1 if g.has_edge(u, v) else 0
-        got = len(r.sets[u] & r.sets[v])
-        if got != want:
-            out.append(Violation("wrong_intersection", pair=(u, v), observed=got, expected=want))
+    counts: dict[Edge, int] = {}
+    for vs in members.values():
+        for pair in combinations(vs, 2):
+            counts[pair] = counts.get(pair, 0) + 1
+    out.extend(Violation("wrong_intersection", pair=pair, observed=c, expected=adjacent)
+               for pair, c, adjacent in _miscovered(g, counts))
     if require_distinct:
         for cls in distinctness(r).classes:
             if len(cls) > 1:

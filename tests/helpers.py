@@ -13,17 +13,21 @@ from hypothesis import strategies as st
 from cliquerep import (
     BoundViolation,
     Clique,
+    CliquePartition,
     GreedyStrategy,
     Graph,
+    SetRepresentation,
+    Violation,
     augment_to_distinct,
     erdos_partition,
     graph,
     graph_from_bitmask,
     greedy_decomposition,
     representation_from_partition,
+    distinctness,
     validate_partition,
 )
-from cliquerep.decompose import _erdos_base_local
+from cliquerep.decompose import _check_shape, _erdos_base_local
 from cliquerep.graphs import bits
 
 
@@ -127,6 +131,67 @@ def reference_erdos(g: Graph) -> tuple[Clique, ...]:
         labels = labels[:x] + labels[x + 1:]
     cliques.extend(tuple(labels[v] for v in cl) for cl in _erdos_base_local(tuple(adj)))
     return tuple(sorted(tuple(sorted(c)) for c in cliques))
+
+
+def reference_validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
+    """validate_partition the direct way: count each clique's pairs, then
+    scan every edge and every counted pair in sorted order. Only the
+    per-clique shape check (_check_shape) is shared with the code under
+    test."""
+    out: list[Violation] = []
+    seen: set[Clique] = set()
+    counts: dict[tuple[int, int], int] = {}
+    for i, cl in enumerate(p.cliques):
+        if not _check_shape(g.n, i, cl, seen, out):
+            continue
+        for u, v in combinations(sorted(cl), 2):
+            counts[(u, v)] = counts.get((u, v), 0) + 1
+            if not g.has_edge(u, v):
+                out.append(Violation("not_a_clique", position=i, pair=(u, v)))
+    for u, v in sorted(g.edges):
+        c = counts.get((u, v), 0)
+        if c != 1:
+            out.append(Violation("miscovered_edge", pair=(u, v), observed=c, expected=1))
+    for pair, c in sorted(counts.items()):
+        if pair not in g.edges:
+            out.append(Violation("covered_nonedge", pair=pair, observed=c, expected=0))
+    for v in range(g.n):
+        if g.adj[v] == 0 and (v,) not in seen:
+            out.append(Violation("isolated_vertex_uncovered", vertex=v))
+    return out
+
+
+def reference_validate_representation(
+    g: Graph, r: SetRepresentation, require_distinct: bool = False
+) -> list[Violation]:
+    """validate_representation the direct way: intersect the two sets of
+    every vertex pair. Only the duplicate classes (distinctness) are shared
+    with the code under test."""
+    if len(r.sets) != g.n:
+        return [Violation("size_mismatch", observed=len(r.sets), expected=g.n)]
+    out: list[Violation] = []
+    used: set[int] = set()
+    for v, s in enumerate(r.sets):
+        if not s:
+            out.append(Violation("empty_set", vertex=v))
+        for e in sorted(s):
+            if not 0 <= e < r.ground_size:
+                out.append(Violation("element_out_of_range", vertex=v, element=e))
+            else:
+                used.add(e)
+    for e in range(r.ground_size):
+        if e not in used:
+            out.append(Violation("unused_element", element=e))
+    for u, v in combinations(range(g.n), 2):
+        want = 1 if g.has_edge(u, v) else 0
+        got = len(r.sets[u] & r.sets[v])
+        if got != want:
+            out.append(Violation("wrong_intersection", pair=(u, v), observed=got, expected=want))
+    if require_distinct:
+        for cls in distinctness(r).classes:
+            if len(cls) > 1:
+                out.append(Violation("duplicate_sets", vertices=cls))
+    return out
 
 
 def has_triangle(g: Graph) -> bool:

@@ -7,6 +7,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import cliquerep
 from cliquerep import (
     BoundReport,
@@ -37,6 +39,17 @@ def write_k3_el(tmp_path):
     path = tmp_path / "k3.el"
     path.write_text(to_edge_list(complete_graph(3)))
     return str(path)
+
+
+def write_pin_graph(tmp_path):
+    # the triangle 0 1 2, the pendant edge 2 3 and the isolated vertex 4
+    path = tmp_path / "pin.el"
+    path.write_text(to_edge_list(graph(5, [(0, 1), (0, 2), (1, 2), (2, 3)])))
+    return str(path)
+
+
+def invalid_report(violations) -> str:
+    return json.dumps({"valid": False, "violations": violations}, indent=2, sort_keys=True) + "\n"
 
 
 class TestPartition:
@@ -204,6 +217,46 @@ class TestVerify:
         assert code == 1
         assert any(v["kind"] == "duplicate_sets" for v in doc["violations"])
 
+    def test_every_partition_violation_kind_is_pinned(self, tmp_path, capsys):
+        art = tmp_path / "p.json"
+        art.write_text(json.dumps({"n": 5, "ordered": False, "cliques": [
+            [], [0, 7], [1, 1], [2, 3], [2, 3], [0, 3], [0, 1], [0, 2]]}))
+        code = run(["verify", "partition", write_pin_graph(tmp_path), str(art)])
+        assert code == 1
+        assert capsys.readouterr().out == invalid_report([
+            {"kind": "empty_clique", "position": 0},
+            {"kind": "not_a_clique", "pair": [0, 3], "position": 3},
+            {"kind": "bad_vertex", "position": 4, "vertex": 7},
+            {"kind": "repeated_vertex", "position": 5, "vertices": [1, 1]},
+            {"kind": "duplicate_clique", "position": 7, "vertices": [2, 3]},
+            {"expected": 1, "kind": "miscovered_edge", "observed": 0, "pair": [1, 2]},
+            {"expected": 1, "kind": "miscovered_edge", "observed": 2, "pair": [2, 3]},
+            {"expected": 0, "kind": "covered_nonedge", "observed": 1, "pair": [0, 3]},
+            {"kind": "isolated_vertex_uncovered", "vertex": 4},
+        ])
+
+    def test_every_representation_violation_kind_is_pinned(self, tmp_path, capsys):
+        art = tmp_path / "r.json"
+        art.write_text(json.dumps({"n": 5, "ground_size": 5, "sets": [
+            [0, 1], [1, 0], [2, 9], [9, 0, 2], []]}))
+        code = run(["verify", "representation", write_pin_graph(tmp_path), str(art),
+                    "--require-distinct"])
+        assert code == 1
+        assert capsys.readouterr().out == invalid_report([
+            {"element": 9, "kind": "element_out_of_range", "vertex": 2},
+            {"element": 9, "kind": "element_out_of_range", "vertex": 3},
+            {"kind": "empty_set", "vertex": 4},
+            {"element": 3, "kind": "unused_element"},
+            {"element": 4, "kind": "unused_element"},
+            {"expected": 1, "kind": "wrong_intersection", "observed": 2, "pair": [0, 1]},
+            {"expected": 1, "kind": "wrong_intersection", "observed": 0, "pair": [0, 2]},
+            {"expected": 0, "kind": "wrong_intersection", "observed": 1, "pair": [0, 3]},
+            {"expected": 1, "kind": "wrong_intersection", "observed": 0, "pair": [1, 2]},
+            {"expected": 0, "kind": "wrong_intersection", "observed": 1, "pair": [1, 3]},
+            {"expected": 1, "kind": "wrong_intersection", "observed": 2, "pair": [2, 3]},
+            {"kind": "duplicate_sets", "vertices": [0, 1]},
+        ])
+
     def test_malformed_artifact(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -360,6 +413,29 @@ class TestOptimizedInterpreter:
         ]
         assert [p.returncode for p in outs] == [0, 0]
         assert outs[0].stdout == outs[1].stdout != b""
+
+
+@pytest.mark.parametrize("subcommand", ["partition", "represent"])
+class TestStrategyFlags:
+    @pytest.mark.parametrize("flags, message", [
+        (["--method", "greedy", "--seed", "7"], "--seed requires --strategy random"),
+        (["--method", "greedy", "--strategy", "random"], "--strategy random requires --seed"),
+        (["--method", "erdos", "--seed", "3"], "--strategy/--seed apply to --method greedy only"),
+        (["--method", "erdos", "--strategy", "random"],
+         "--strategy/--seed apply to --method greedy only"),
+    ])
+    def test_error_line(self, tmp_path, capsys, subcommand, flags, message):
+        code = run([subcommand, write_k3_el(tmp_path), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_graph_is_loaded_before_the_flags_are_checked(self, tmp_path, capsys, subcommand):
+        code = run([subcommand, str(tmp_path / "missing.el"), "--method", "erdos", "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
 
 class TestUsage:
