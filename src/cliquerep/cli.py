@@ -18,12 +18,11 @@ from itertools import combinations
 from pathlib import Path
 
 from .decompose import (
-    LEXICOGRAPHIC,
     CliquePartition,
     GreedyDecomposition,
+    GreedyStrategy,
     erdos_partition,
     greedy_decomposition,
-    seeded_strategy,
     validate_greedy,
     validate_partition,
 )
@@ -140,13 +139,11 @@ def _construct(args: argparse.Namespace, g: Graph) -> GreedyDecomposition | Cliq
         if args.strategy != "lex" or args.seed is not None:
             raise ValueError("--strategy/--seed apply to --method greedy only")
         return erdos_partition(g)
-    if args.strategy == "lex":
-        if args.seed is not None:
-            raise ValueError("--seed requires --strategy random")
-        return greedy_decomposition(g, LEXICOGRAPHIC)
-    if args.seed is None:
+    if args.strategy == "lex" and args.seed is not None:
+        raise ValueError("--seed requires --strategy random")
+    if args.strategy == "random" and args.seed is None:
         raise ValueError("--strategy random requires --seed")
-    return greedy_decomposition(g, seeded_strategy(args.seed))
+    return greedy_decomposition(g, GreedyStrategy(args.seed))
 
 
 def _print_json(doc) -> None:
@@ -235,10 +232,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    strategies = [LEXICOGRAPHIC]
-    if args.seeds:
-        for chunk in args.seeds.split(","):
-            strategies.append(seeded_strategy(int(chunk.strip())))
+    seeds = args.seeds.split(",") if args.seeds else []
+    strategies = [GreedyStrategy()] + [GreedyStrategy(int(s.strip())) for s in seeds]
     report = exhaustive_bound_check(args.n, strategies)
     _print_json(report.to_json())
     return 1 if report.violations else 0

@@ -20,9 +20,6 @@ from .graphs import Edge, Graph, bits, lowest_bit
 
 Clique = tuple[int, ...]
 
-LEXICOGRAPHIC_KIND = "lexicographic"
-SEEDED_KIND = "seeded-random"
-
 
 def quarter_square(n: int) -> int:
     """floor(n*n / 4): the clique budget every construction here respects."""
@@ -31,31 +28,23 @@ def quarter_square(n: int) -> int:
 
 @dataclass(frozen=True)
 class GreedyStrategy:
-    """Tie-breaking rule for greedy clique growth.
+    """Tie-breaking rule for greedy clique growth, fixed by its seed.
 
-    "lexicographic" always prefers lower vertex indices. "seeded-random" runs
-    the identical procedure under a vertex permutation drawn from the seed,
-    so a fixed seed reproduces the exact decomposition.
+    Without a seed the rule is lexicographic: it always prefers lower vertex
+    indices. A seed (0 included) runs the identical procedure under a vertex
+    permutation drawn from it, so a fixed seed reproduces the exact
+    decomposition.
     """
 
-    kind: str = LEXICOGRAPHIC_KIND
     seed: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in (LEXICOGRAPHIC_KIND, SEEDED_KIND):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == SEEDED_KIND and self.seed is None:
-            raise ValueError("seeded-random strategy needs a seed")
-        if self.kind == LEXICOGRAPHIC_KIND and self.seed is not None:
-            raise ValueError("lexicographic strategy takes no seed")
-
     def describe(self) -> str:
-        return "lex" if self.kind == LEXICOGRAPHIC_KIND else f"random:{self.seed}"
+        return "lex" if self.seed is None else f"random:{self.seed}"
 
     def vertex_order(self, n: int) -> tuple[int, ...]:
         """Vertices in priority order (highest priority first)."""
         order = list(range(n))
-        if self.kind == SEEDED_KIND:
+        if self.seed is not None:
             random.Random(self.seed).shuffle(order)
         return tuple(order)
 
@@ -64,7 +53,7 @@ LEXICOGRAPHIC = GreedyStrategy()
 
 
 def seeded_strategy(seed: int) -> GreedyStrategy:
-    return GreedyStrategy(SEEDED_KIND, seed)
+    return GreedyStrategy(seed)
 
 
 @dataclass(frozen=True)
@@ -147,16 +136,22 @@ class GreedyDecomposition:
         return cls(host, tuple(tuple(sorted(c)) for c in cliques))
 
 
-def _cliques_from_json(doc: dict, host: Graph) -> list[list[int]]:
+def _check_header(doc: dict, host: Graph, keys: tuple[str, ...]) -> None:
+    """Reject an artifact that is not a JSON object, lacks one of keys (in
+    their order), or whose 'n' is not an integer equal to host's order."""
     if not isinstance(doc, dict):
         raise ValueError("artifact must be a JSON object")
-    for key in ("n", "ordered", "cliques"):
+    for key in keys:
         if key not in doc:
             raise ValueError(f"artifact is missing the {key!r} key")
     if not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
         raise ValueError("artifact 'n' must be an integer")
     if doc["n"] != host.n:
         raise ValueError(f"artifact n={doc['n']} does not match graph n={host.n}")
+
+
+def _cliques_from_json(doc: dict, host: Graph) -> list[list[int]]:
+    _check_header(doc, host, ("n", "ordered", "cliques"))
     if not isinstance(doc["ordered"], bool):
         raise ValueError("artifact 'ordered' must be a boolean")
     cliques = doc["cliques"]

@@ -142,9 +142,10 @@ def _vertex_pairs(n: int) -> tuple[Edge, ...]:
     return tuple(combinations(range(n), 2))
 
 
-@lru_cache(maxsize=None)
-def _pair_index(n: int) -> dict[Edge, int]:
-    return {pair: k for k, pair in enumerate(_vertex_pairs(n))}
+def _pair_position(n: int, u: int, v: int) -> int:
+    """Position of the pair u < v in combinations(range(n), 2): the
+    n-1-i pairs led by each i < u come first."""
+    return u * (2 * n - u - 1) // 2 + v - u - 1
 
 
 def graph_from_bitmask(n: int, mask: int) -> Graph:
@@ -161,23 +162,24 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
 
 
 def edge_bitmask(g: Graph) -> int:
-    """Inverse of graph_from_bitmask."""
-    index = _pair_index(g.n)
-    mask = 0
-    for e in g.edges:
-        mask |= 1 << index[e]
-    return mask
+    """Inverse of graph_from_bitmask. The bits are set in a byte buffer:
+    or-ing each into a growing int would copy the int once per edge."""
+    buf = bytearray((g.n * (g.n - 1) // 2 + 7) // 8)
+    for u, v in g.edges:
+        k = _pair_position(g.n, u, v)
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _relabel_mask(n: int, mask: int, labels: tuple[int, ...]) -> int:
     """Edge bitmask of the graph that has edge {labels[u], labels[v]} for
     every edge {u, v} of `mask`."""
-    pairs, index = _vertex_pairs(n), _pair_index(n)
+    pairs = _vertex_pairs(n)
     out = 0
     for k in bits(mask):
         u, v = pairs[k]
         a, b = labels[u], labels[v]
-        out |= 1 << index[(a, b) if a < b else (b, a)]
+        out |= 1 << (_pair_position(n, a, b) if a < b else _pair_position(n, b, a))
     return out
 
 

@@ -41,7 +41,7 @@ from .represent import (
 )
 
 #: Search budgets, chosen so every verification run finishes in minutes on
-#: one machine. Overridable per call at the caller's risk.
+#: one machine.
 CP_MAX_N = 10
 OMEGA_MAX_N = 6
 SWEEP_MIN_N = 4
@@ -126,7 +126,7 @@ class BoundReport:
         return report
 
 
-def min_clique_partition(g: Graph, max_n: int = CP_MAX_N) -> tuple[int, CliquePartition]:
+def min_clique_partition(g: Graph) -> tuple[int, CliquePartition]:
     """Exact clique-partition number with a minimum witness.
 
     Branch and bound on the lexicographically smallest uncovered edge,
@@ -136,8 +136,8 @@ def min_clique_partition(g: Graph, max_n: int = CP_MAX_N) -> tuple[int, CliquePa
     edges still need (see _cliques_needed) reach its size. Isolated vertices
     each contribute one trivial clique.
     """
-    if g.n > max_n:
-        raise ValueError(f"n={g.n} exceeds the n<={max_n} search budget")
+    if g.n > CP_MAX_N:
+        raise ValueError(f"n={g.n} exceeds the n<={CP_MAX_N} search budget")
     iso = [(v,) for v in range(g.n) if g.adj[v] == 0]
     # One clique per edge always completes, so the first partition found
     # beats this starting bound and it prunes nothing.
@@ -169,7 +169,7 @@ def all_clique_partitions(g: Graph, extra_trivial: bool = False) -> Iterator[Cli
                 yield CliquePartition.from_cliques(g, chosen + iso + [(v,) for v in extra])
 
 
-def min_distinct_representation(g: Graph, max_n: int = OMEGA_MAX_N) -> tuple[int, SetRepresentation]:
+def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
     """Exact distinct-family intersection number with a minimum witness.
 
     Trivial cliques are the only way to enlarge a vertex's element set
@@ -180,8 +180,8 @@ def min_distinct_representation(g: Graph, max_n: int = OMEGA_MAX_N) -> tuple[int
     search is pruned against the quarter-square budget, which the witness is
     known to meet.
     """
-    if g.n > max_n:
-        raise ValueError(f"n={g.n} exceeds the n<={max_n} search budget")
+    if g.n > OMEGA_MAX_N:
+        raise ValueError(f"n={g.n} exceeds the n<={OMEGA_MAX_N} search budget")
     budget = quarter_square(g.n) + 1 if g.n >= 4 else len(g.edges) + g.n + 1
     best = _min_distinct(g.adj, _cliques_through_edge, budget)
     if best is None:
@@ -225,6 +225,10 @@ def check_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     problems = validate_greedy(g, d)
     if problems:
         raise ValueError(f"invalid decomposition: {problems[0].to_json()}")
+    # A valid sequence has no repeated clique and puts the edge {x, y} in
+    # clique j alone, so the other cliques touching x or y are those through
+    # x plus those through y, less clique j counted once at each.
+    cliques_at = [len(ks) for ks in _incidence(g.n, d.sequence)]
     out: list[Violation] = []
     for j, cl in enumerate(d.sequence):
         if len(cl) != 2:
@@ -232,29 +236,28 @@ def check_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
         x, y = cl
         if degree(g, x) <= 1 and degree(g, y) <= 1:
             continue
-        touching = {c for i, c in enumerate(d.sequence)
-                    if i != j and (x in c or y in c)}
-        if len(touching) > g.n - 2:
+        touching = cliques_at[x] + cliques_at[y] - 2
+        if touching > g.n - 2:
             out.append(Violation("rs_bound", position=j, pair=(x, y),
-                                 observed=len(touching), expected=g.n - 2))
+                                 observed=touching, expected=g.n - 2))
     return out
 
 
-def _worker_count(workers: int | None, chunks: int) -> int:
-    """Processes a sweep of `chunks` minimum-size mask ranges may use: the
-    workers argument, else CLIQUEREP_THREADS, else every CPU, clamped to
-    min(cpu_count, chunks) and at least 1."""
-    if workers is None:
-        env = os.environ.get(THREADS_ENV)
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{THREADS_ENV} must be a positive integer, got {env!r}"
-                ) from None
+def _worker_count(chunks: int) -> int:
+    """Processes a sweep of `chunks` minimum-size mask ranges may use:
+    CLIQUEREP_THREADS, else every CPU, clamped to min(cpu_count, chunks) and
+    at least 1."""
     cpus = os.cpu_count() or 1
-    return max(1, min(cpus if workers is None else workers, cpus, chunks))
+    workers = cpus
+    env = os.environ.get(THREADS_ENV)
+    if env:
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(
+                f"{THREADS_ENV} must be a positive integer, got {env!r}"
+            ) from None
+    return max(1, min(workers, cpus, chunks))
 
 
 def _sweep_range(
@@ -305,11 +308,7 @@ def _sweep_range(
     return hi - lo, max_cliques, max_elements, findings, violations
 
 
-def exhaustive_bound_check(
-    n: int,
-    strategies: Iterable[GreedyStrategy] = (),
-    workers: int | None = None,
-) -> BoundReport:
+def exhaustive_bound_check(n: int, strategies: Iterable[GreedyStrategy] = ()) -> BoundReport:
     """Sweep every labeled graph on n vertices.
 
     Per graph and strategy: run the greedy decomposition and compare both
@@ -332,16 +331,16 @@ def exhaustive_bound_check(
     followed by the edge/triangle partition's.
 
     Work is split over bitmask ranges across processes (capped by the
-    CLIQUEREP_THREADS environment variable or the workers argument, and by
-    the CPU count); chunk results merge in bitmask order, so the report is
-    identical regardless of worker count.
+    CLIQUEREP_THREADS environment variable and by the CPU count); chunk
+    results merge in bitmask order, so the report is identical regardless
+    of worker count.
     """
     if not SWEEP_MIN_N <= n <= SWEEP_MAX_N:
         raise ValueError(f"sweeps support {SWEEP_MIN_N} <= n <= {SWEEP_MAX_N}, got {n}")
     strategies = tuple(strategies)
     greedy = bool(strategies)
     total = 1 << (n * (n - 1) // 2)
-    nworkers = _worker_count(workers, total // _MIN_CHUNK_MASKS)
+    nworkers = _worker_count(total // _MIN_CHUNK_MASKS)
     if nworkers == 1:
         parts = [_sweep_range(n, 0, total, greedy)]
     else:

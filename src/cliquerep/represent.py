@@ -16,6 +16,7 @@ from .decompose import (
     CliquePartition,
     GreedyDecomposition,
     Violation,
+    _check_header,
     _group_equal,
     _incidence,
     _miscovered,
@@ -46,15 +47,7 @@ class SetRepresentation:
 
     @classmethod
     def from_json(cls, doc: dict, host: Graph) -> "SetRepresentation":
-        if not isinstance(doc, dict):
-            raise ValueError("artifact must be a JSON object")
-        for key in ("n", "ground_size", "sets"):
-            if key not in doc:
-                raise ValueError(f"artifact is missing the {key!r} key")
-        if not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
-            raise ValueError("artifact 'n' must be an integer")
-        if doc["n"] != host.n:
-            raise ValueError(f"artifact n={doc['n']} does not match graph n={host.n}")
+        _check_header(doc, host, ("n", "ground_size", "sets"))
         if not isinstance(doc["ground_size"], int) or isinstance(doc["ground_size"], bool):
             raise ValueError("artifact 'ground_size' must be an integer")
         if doc["ground_size"] < 0:

@@ -14,11 +14,13 @@ from cliquerep import (
     BoundViolation,
     Clique,
     CliquePartition,
+    GreedyDecomposition,
     GreedyStrategy,
     Graph,
     SetRepresentation,
     Violation,
     augment_to_distinct,
+    degree,
     erdos_partition,
     graph,
     graph_from_bitmask,
@@ -158,6 +160,24 @@ def reference_validate_partition(g: Graph, p: CliquePartition) -> list[Violation
     for v in range(g.n):
         if g.adj[v] == 0 and (v,) not in seen:
             out.append(Violation("isolated_vertex_uncovered", vertex=v))
+    return out
+
+
+def reference_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
+    """check_rs_bound on a valid sequence the direct way: for each 2-clique,
+    scan the whole sequence for the other cliques touching it."""
+    out: list[Violation] = []
+    for j, cl in enumerate(d.sequence):
+        if len(cl) != 2:
+            continue
+        x, y = cl
+        if degree(g, x) <= 1 and degree(g, y) <= 1:
+            continue
+        touching = {c for i, c in enumerate(d.sequence)
+                    if i != j and (x in c or y in c)}
+        if len(touching) > g.n - 2:
+            out.append(Violation("rs_bound", position=j, pair=(x, y),
+                                 observed=len(touching), expected=g.n - 2))
     return out
 
 

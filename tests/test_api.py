@@ -1,0 +1,67 @@
+"""The settable values of the public API, pinned so that a new parameter,
+field or option shows up as a diff of this file."""
+
+import dataclasses
+import inspect
+
+import cliquerep
+from cliquerep import GreedyStrategy
+
+PARAMETERS = {
+    "BoundReport": ["n", "graphs_checked", "strategies", "max_cliques_seen",
+                    "max_elements_seen", "violations"],
+    "BoundViolation": ["graph", "strategy", "check", "observed", "bound"],
+    "CliquePartition": ["host", "cliques"],
+    "DistinctnessReport": ["classes", "is_family"],
+    "Graph": ["n", "edges"],
+    "GreedyDecomposition": ["host", "sequence"],
+    "GreedyStrategy": ["seed"],
+    "SetRepresentation": ["host", "sets", "ground_size"],
+    "Violation": ["kind", "position", "pair", "vertex", "vertices", "element",
+                  "observed", "expected"],
+    "all_clique_partitions": ["g", "extra_trivial"],
+    "augment_to_distinct": ["r"],
+    "canonical_form": ["g"],
+    "check_lemma6": ["g", "p"],
+    "check_rs_bound": ["g", "d"],
+    "complete_bipartite": ["a", "b"],
+    "complete_graph": ["n"],
+    "cycle_graph": ["n"],
+    "degree": ["g", "v"],
+    "distinctness": ["r"],
+    "edge_bitmask": ["g"],
+    "empty_graph": ["n"],
+    "enumerate_labeled_graphs": ["n"],
+    "erdos_partition": ["g"],
+    "exhaustive_bound_check": ["n", "strategies"],
+    "graph": ["n", "edges"],
+    "graph_from_bitmask": ["n", "mask"],
+    "greedy_decomposition": ["g", "strategy"],
+    "induced_subgraph": ["g", "vertices"],
+    "min_clique_partition": ["g"],
+    "min_distinct_representation": ["g"],
+    "parse_edge_list": ["text"],
+    "parse_graph6": ["text"],
+    "partition_from_representation": ["r"],
+    "path_graph": ["n"],
+    "quarter_square": ["n"],
+    "remove_edges": ["g", "edges_to_remove"],
+    "representation_from_partition": ["p"],
+    "representations_equivalent": ["a", "b"],
+    "seeded_strategy": ["seed"],
+    "to_edge_list": ["g"],
+    "to_graph6": ["g"],
+    "validate_greedy": ["g", "d"],
+    "validate_partition": ["g", "p"],
+    "validate_representation": ["g", "r", "require_distinct"],
+}
+
+
+def test_public_parameters_are_pinned():
+    found = {}
+    for name in cliquerep.__all__:
+        obj = getattr(cliquerep, name)
+        if inspect.isfunction(obj) or (isinstance(obj, type) and dataclasses.is_dataclass(obj)):
+            found[name] = list(inspect.signature(obj).parameters)
+    assert found == PARAMETERS
+    assert [f.name for f in dataclasses.fields(GreedyStrategy)] == ["seed"]

@@ -55,13 +55,12 @@ class TestStrategy:
         orders = {seeded_strategy(s).vertex_order(8) for s in range(20)}
         assert len(orders) > 1
 
-    def test_invalid_combinations(self):
-        with pytest.raises(ValueError):
-            GreedyStrategy("seeded-random")
-        with pytest.raises(ValueError):
-            GreedyStrategy("lexicographic", seed=3)
-        with pytest.raises(ValueError):
-            GreedyStrategy("alphabetical")
+    def test_a_strategy_is_its_seed(self):
+        assert GreedyStrategy() == LEXICOGRAPHIC
+        assert GreedyStrategy(7) == seeded_strategy(7)
+        # Seed 0 is a seeded strategy, not the lexicographic one.
+        assert GreedyStrategy(0).describe() == "random:0"
+        assert GreedyStrategy(0).vertex_order(8) != LEXICOGRAPHIC.vertex_order(8)
 
     def test_describe(self):
         assert LEXICOGRAPHIC.describe() == "lex"

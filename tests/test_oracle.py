@@ -1,5 +1,6 @@
 import os
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -34,7 +35,16 @@ from cliquerep import (
 )
 from cliquerep import oracle
 from cliquerep.decompose import _cliques_needed
-from helpers import brute_cp, brute_omega, graphs, has_triangle, random_graph, reference_sweep
+from helpers import (
+    brute_cp,
+    brute_omega,
+    graphs,
+    has_triangle,
+    random_graph,
+    reference_rs_bound,
+    reference_sweep,
+    sparse_random_graph,
+)
 
 
 class TestMinCliquePartition:
@@ -255,23 +265,29 @@ class TestExhaustiveBoundCheck:
         d = greedy_decomposition(empty_graph(4))
         assert len(d.sequence) == 4 <= report.max_cliques_seen
 
-    def test_workers_do_not_change_the_report(self):
+    def test_workers_do_not_change_the_report(self, monkeypatch):
         strategies = [LEXICOGRAPHIC, seeded_strategy(3)]
-        a = exhaustive_bound_check(5, strategies, workers=1)
-        b = exhaustive_bound_check(5, strategies, workers=2)
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        a = exhaustive_bound_check(5, strategies)
+        monkeypatch.setenv("CLIQUEREP_THREADS", "2")
+        b = exhaustive_bound_check(5, strategies)
         assert a == b
 
     def test_workers_do_not_change_the_report_in_a_pool(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert oracle._worker_count(2, (1 << 15) // oracle._MIN_CHUNK_MASKS) == 2
+        monkeypatch.setenv("CLIQUEREP_THREADS", "2")
+        assert oracle._worker_count((1 << 15) // oracle._MIN_CHUNK_MASKS) == 2
         strategies = [LEXICOGRAPHIC, seeded_strategy(3), seeded_strategy(4)]
-        a = exhaustive_bound_check(6, strategies, workers=1)
-        b = exhaustive_bound_check(6, strategies, workers=2)
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        a = exhaustive_bound_check(6, strategies)
+        monkeypatch.setenv("CLIQUEREP_THREADS", "2")
+        b = exhaustive_bound_check(6, strategies)
         assert a == b
 
-    def test_n6_report_with_ten_seeds(self):
+    def test_n6_report_with_ten_seeds(self, monkeypatch):
         strategies = [LEXICOGRAPHIC] + [seeded_strategy(s) for s in range(1, 11)]
-        report = exhaustive_bound_check(6, strategies, workers=1)
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        report = exhaustive_bound_check(6, strategies)
         assert report.graphs_checked == 32768
         assert report.max_cliques_seen == 9
         assert report.max_elements_seen == 9
@@ -296,7 +312,8 @@ class TestExhaustiveBoundCheck:
         strategies = [LEXICOGRAPHIC if s is None else seeded_strategy(s) for s in seeds]
         bound = quarter_square(5) - 2
         monkeypatch.setattr(oracle, "quarter_square", lambda n: n * n // 4 - 2)
-        report = exhaustive_bound_check(5, strategies, workers=1)
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        report = exhaustive_bound_check(5, strategies)
         max_cliques, max_elements, violations = reference_sweep(5, strategies, bound)
         assert {v.strategy for v in violations} == {s.describe() for s in strategies} | {"erdos"}
         assert report.violations == tuple(violations)
@@ -313,11 +330,13 @@ class TestExhaustiveBoundCheck:
     def test_worker_count_is_clamped(self, monkeypatch):
         cpus = os.cpu_count() or 1
         monkeypatch.setenv("CLIQUEREP_THREADS", str(10**9))
-        assert oracle._worker_count(None, 8) == min(cpus, 8)
-        assert oracle._worker_count(None, 0) == 1
-        assert oracle._worker_count(10**9, 512) == min(cpus, 512)
+        assert oracle._worker_count(8) == min(cpus, 8)
+        assert oracle._worker_count(0) == 1
+        assert oracle._worker_count(512) == min(cpus, 512)
         monkeypatch.setenv("CLIQUEREP_THREADS", "-3")
-        assert oracle._worker_count(None, 8) == 1
+        assert oracle._worker_count(8) == 1
+        monkeypatch.delenv("CLIQUEREP_THREADS")
+        assert oracle._worker_count(512) == min(cpus, 512)
 
     def test_invariant_violations_iff_maxima_exceed(self):
         report = exhaustive_bound_check(4, [LEXICOGRAPHIC, seeded_strategy(9)])
@@ -402,6 +421,25 @@ class TestRsBoundCheck:
             strategy = LEXICOGRAPHIC if i % 3 == 0 else seeded_strategy(rng.getrandbits(32))
             d = greedy_decomposition(g, strategy)
             assert check_rs_bound(g, d) == []
+
+    def test_matches_the_reference(self):
+        rng = random.Random(99)
+        cases = [(g, LEXICOGRAPHIC) for n in range(6) for g in enumerate_labeled_graphs(n)]
+        cases += [(random_graph(rng, rng.randint(5, 30), rng.random()),
+                   seeded_strategy(rng.getrandbits(32))) for _ in range(100)]
+        for g, strategy in cases:
+            d = greedy_decomposition(g, strategy)
+            assert check_rs_bound(g, d) == reference_rs_bound(g, d)
+
+    def test_linear_on_a_large_sparse_graph(self):
+        # Scanning the whole sequence for every 2-clique took 4.1 s on this
+        # graph (2-core x86 VM, Python 3.11).
+        n = 4000
+        g = sparse_random_graph(random.Random(8), n, 3 / n)
+        d = greedy_decomposition(g)
+        start = time.perf_counter()
+        assert check_rs_bound(g, d) == []
+        assert time.perf_counter() - start < 0.5
 
 
 class TestMonotonicitysmall:

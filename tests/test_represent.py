@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from cliquerep import (
     CliquePartition,
+    GreedyDecomposition,
     SetRepresentation,
     augment_to_distinct,
     complete_graph,
@@ -292,3 +293,24 @@ class TestJson:
         ):
             with pytest.raises(ValueError):
                 SetRepresentation.from_json(doc, p3)
+
+    @pytest.mark.parametrize("load, keys", [
+        (CliquePartition.from_json, ("n", "ordered", "cliques")),
+        (GreedyDecomposition.from_json, ("n", "ordered", "cliques")),
+        (SetRepresentation.from_json, ("n", "ground_size", "sets")),
+    ])
+    def test_header_messages(self, load, keys):
+        # The artifact kinds share these checks; keys are checked in order.
+        full = {"n": 3, "ordered": False, "cliques": [], "ground_size": 0, "sets": []}
+        header = {k: full[k] for k in keys}
+        for doc, message in (
+            ([], "artifact must be a JSON object"),
+            ({}, "artifact is missing the 'n' key"),
+            ({"n": 3}, f"artifact is missing the {keys[1]!r} key"),
+            ({"n": 3, keys[1]: full[keys[1]]}, f"artifact is missing the {keys[2]!r} key"),
+            ({**header, "n": True}, "artifact 'n' must be an integer"),
+            ({**header, "n": 4}, "artifact n=4 does not match graph n=3"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                load(doc, path_graph(3))
+            assert str(exc.value) == message
