@@ -20,7 +20,6 @@ from pathlib import Path
 from .decompose import (
     CliquePartition,
     GreedyDecomposition,
-    GreedyStrategy,
     erdos_partition,
     greedy_decomposition,
     validate_greedy,
@@ -143,7 +142,7 @@ def _construct(args: argparse.Namespace, g: Graph) -> GreedyDecomposition | Cliq
         raise ValueError("--seed requires --strategy random")
     if args.strategy == "random" and args.seed is None:
         raise ValueError("--strategy random requires --seed")
-    return greedy_decomposition(g, GreedyStrategy(args.seed))
+    return greedy_decomposition(g, args.seed)
 
 
 def _print_json(doc) -> None:
@@ -233,8 +232,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     seeds = args.seeds.split(",") if args.seeds else []
-    strategies = [GreedyStrategy()] + [GreedyStrategy(int(s.strip())) for s in seeds]
-    report = exhaustive_bound_check(args.n, strategies)
+    report = exhaustive_bound_check(args.n, [None] + [int(s.strip()) for s in seeds])
     _print_json(report.to_json())
     return 1 if report.violations else 0
 

@@ -26,34 +26,13 @@ def quarter_square(n: int) -> int:
     return n * n // 4
 
 
-@dataclass(frozen=True)
-class GreedyStrategy:
-    """Tie-breaking rule for greedy clique growth, fixed by its seed.
-
-    Without a seed the rule is lexicographic: it always prefers lower vertex
-    indices. A seed (0 included) runs the identical procedure under a vertex
-    permutation drawn from it, so a fixed seed reproduces the exact
-    decomposition.
-    """
-
-    seed: int | None = None
-
-    def describe(self) -> str:
-        return "lex" if self.seed is None else f"random:{self.seed}"
-
-    def vertex_order(self, n: int) -> tuple[int, ...]:
-        """Vertices in priority order (highest priority first)."""
-        order = list(range(n))
-        if self.seed is not None:
-            random.Random(self.seed).shuffle(order)
-        return tuple(order)
-
-
-LEXICOGRAPHIC = GreedyStrategy()
-
-
-def seeded_strategy(seed: int) -> GreedyStrategy:
-    return GreedyStrategy(seed)
+def _vertex_order(n: int, seed: int | None) -> tuple[int, ...]:
+    """Vertices in greedy priority order (highest first): lexicographic
+    without a seed, else a permutation drawn from the seed (0 included)."""
+    order = list(range(n))
+    if seed is not None:
+        random.Random(seed).shuffle(order)
+    return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -165,19 +144,21 @@ def _cliques_from_json(doc: dict, host: Graph) -> list[list[int]]:
     return cliques
 
 
-def greedy_decomposition(g: Graph, strategy: GreedyStrategy = LEXICOGRAPHIC) -> GreedyDecomposition:
+def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecomposition:
     """Remove one maximal clique of the residual graph at a time.
 
-    Each clique is seeded at the highest-priority vertex that still has a
-    residual edge and grown by repeatedly adding the highest-priority vertex
+    Each clique starts at the highest-priority vertex that still has a
+    residual edge and grows by repeatedly adding the highest-priority vertex
     adjacent to all current members. Once every edge is covered, vertices
     isolated in g get one trivial clique each, in priority order.
 
-    Relabeling order[i] to i once makes priority bit order, so every choice
-    takes the lowest bit and a seeded run is the lexicographic run on the
-    relabeled graph.
+    Priority is lexicographic (lower vertex first) when seed is None, and
+    otherwise a vertex permutation drawn from the seed (0 included), so a
+    fixed seed reproduces the exact decomposition. Relabeling order[i] to i
+    once makes priority bit order, so every choice takes the lowest bit and
+    a seeded run is the lexicographic run on the relabeled graph.
     """
-    order = strategy.vertex_order(g.n)
+    order = _vertex_order(g.n, seed)
     rank = {v: i for i, v in enumerate(order)}
     residual = [0] * g.n
     for u, v in g.edges:
@@ -185,10 +166,10 @@ def greedy_decomposition(g: Graph, strategy: GreedyStrategy = LEXICOGRAPHIC) -> 
         residual[rank[v]] |= 1 << rank[u]
     isolated = [(order[i],) for i, m in enumerate(residual) if m == 0]
     sequence: list[Clique] = []
-    # Residual edges only disappear, so a seed left without one is done.
-    for seed in range(g.n):
-        while residual[seed]:
-            mask, common = 1 << seed, residual[seed]
+    # Residual edges only disappear, so a start left without one is done.
+    for start in range(g.n):
+        while residual[start]:
+            mask, common = 1 << start, residual[start]
             while common:
                 grow = lowest_bit(common)
                 mask |= 1 << grow

@@ -8,8 +8,8 @@ verification sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations, compress, permutations
 from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
@@ -22,6 +22,7 @@ CANONICAL_MAX_N = 8
 GRAPH6_MAX_N = 62
 
 _GRAPH6_PREFIX = ">>graph6<<"
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class GraphParseError(ValueError):
@@ -137,15 +138,18 @@ def remove_edges(g: Graph, edges_to_remove: Iterable[Iterable[int]]) -> Graph:
     return Graph(g.n, g.edges - drop)
 
 
-@lru_cache(maxsize=None)
-def _vertex_pairs(n: int) -> tuple[Edge, ...]:
-    return tuple(combinations(range(n), 2))
-
-
 def _pair_position(n: int, u: int, v: int) -> int:
     """Position of the pair u < v in combinations(range(n), 2): the
     n-1-i pairs led by each i < u come first."""
     return u * (2 * n - u - 1) // 2 + v - u - 1
+
+
+def _mask_pairs(n: int, mask: int) -> Iterator[Edge]:
+    """The pairs of combinations(range(n), 2) whose bit is set in mask.
+
+    One linear pass over the reversed binary digits, mapped to 0/1 bytes:
+    testing mask >> k & 1 for every k would copy the mask once per pair."""
+    return compress(combinations(range(n), 2), bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
 
 
 def graph_from_bitmask(n: int, mask: int) -> Graph:
@@ -155,10 +159,9 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     convention is used by edge_bitmask, _relabel_mask,
     enumerate_labeled_graphs, and canonical_form.
     """
-    pairs = _vertex_pairs(n)
-    if not 0 <= mask < 1 << len(pairs):
+    if not 0 <= mask < 1 << (n * (n - 1) // 2):
         raise ValueError(f"mask {mask} out of range for n={n}")
-    return Graph(n, frozenset(pairs[k] for k in range(len(pairs)) if mask >> k & 1))
+    return Graph(n, frozenset(_mask_pairs(n, mask)))
 
 
 def edge_bitmask(g: Graph) -> int:
@@ -174,10 +177,8 @@ def edge_bitmask(g: Graph) -> int:
 def _relabel_mask(n: int, mask: int, labels: tuple[int, ...]) -> int:
     """Edge bitmask of the graph that has edge {labels[u], labels[v]} for
     every edge {u, v} of `mask`."""
-    pairs = _vertex_pairs(n)
     out = 0
-    for k in bits(mask):
-        u, v = pairs[k]
+    for u, v in _mask_pairs(n, mask):
         a, b = labels[u], labels[v]
         out |= 1 << (_pair_position(n, a, b) if a < b else _pair_position(n, b, a))
     return out

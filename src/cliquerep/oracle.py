@@ -19,7 +19,6 @@ from .decompose import (
     Clique,
     CliquePartition,
     GreedyDecomposition,
-    GreedyStrategy,
     Violation,
     _cliques_through_edge,
     _edge_partitions,
@@ -27,6 +26,7 @@ from .decompose import (
     _group_equal,
     _incidence,
     _min_distinct,
+    _vertex_order,
     erdos_partition,
     greedy_decomposition,
     quarter_square,
@@ -100,30 +100,6 @@ class BoundReport:
             "max_elements_seen": self.max_elements_seen,
             "violations": [v.to_json() for v in self.violations],
         }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "BoundReport":
-        if not isinstance(doc, dict):
-            raise ValueError("report must be a JSON object")
-        for key in ("n", "graphs_checked", "bound", "strategies",
-                    "max_cliques_seen", "max_elements_seen", "violations"):
-            if key not in doc:
-                raise ValueError(f"report is missing the {key!r} key")
-        report = cls(
-            n=doc["n"],
-            graphs_checked=doc["graphs_checked"],
-            strategies=tuple(doc["strategies"]),
-            max_cliques_seen=doc["max_cliques_seen"],
-            max_elements_seen=doc["max_elements_seen"],
-            violations=tuple(
-                BoundViolation(v["graph"], v["strategy"], v["check"],
-                               v["observed"], v["bound"])
-                for v in doc["violations"]
-            ),
-        )
-        if doc["bound"] != report.bound:
-            raise ValueError(f"report bound {doc['bound']} does not match n={report.n}")
-        return report
 
 
 def min_clique_partition(g: Graph) -> tuple[int, CliquePartition]:
@@ -308,27 +284,28 @@ def _sweep_range(
     return hi - lo, max_cliques, max_elements, findings, violations
 
 
-def exhaustive_bound_check(n: int, strategies: Iterable[GreedyStrategy] = ()) -> BoundReport:
+def exhaustive_bound_check(n: int, seeds: Iterable[int | None] = ()) -> BoundReport:
     """Sweep every labeled graph on n vertices.
 
-    Per graph and strategy: run the greedy decomposition and compare both
-    its non-trivial clique count and its full length (trivial cliques
-    included) against floor(n^2/4), then build the augmented representation
-    and compare its ground size against the same bound. Per graph: run the
-    edge/triangle partition and check its size, its <= 3 clique widths, its
-    validity, and the distinctness of its incidence sets.
-    max_cliques_seen is the largest clique count seen across greedy runs and
-    edge/triangle partitions.
+    Per graph and greedy seed (None for the lexicographic run): run the
+    greedy decomposition and compare both its non-trivial clique count and
+    its full length (trivial cliques included) against floor(n^2/4), then
+    build the augmented representation and compare its ground size against
+    the same bound. Per graph: run the edge/triangle partition and check its
+    size, its <= 3 clique widths, its validity, and the distinctness of its
+    incidence sets. max_cliques_seen is the largest clique count seen across
+    greedy runs and edge/triangle partitions. The report names each run
+    "lex" or "random:<seed>".
 
-    Only the lexicographic greedy is run, once per graph. A seeded strategy
-    runs the same procedure under its vertex order, so its run on g is the
+    Only the lexicographic greedy is run, once per graph. A seeded run uses
+    the same procedure under its vertex order, so its run on g is the
     lexicographic run on the relabeled graph that moves order[i] to i, and
     relabeling is a bijection on the labeled graphs the sweep visits. So
-    every strategy sees the same multiset of counts, and a strategy breaches
+    every seed sees the same multiset of counts, and a seeded run breaches
     a bound on g exactly when the lexicographic run breaches it on that
     relabeled graph; those findings are mapped back to g and reported under
-    the strategy's name, per graph in the order the strategies were given,
-    followed by the edge/triangle partition's.
+    the run's name, per graph in the order the seeds were given, followed by
+    the edge/triangle partition's.
 
     Work is split over bitmask ranges across processes (capped by the
     CLIQUEREP_THREADS environment variable and by the CPU count); chunk
@@ -337,8 +314,10 @@ def exhaustive_bound_check(n: int, strategies: Iterable[GreedyStrategy] = ()) ->
     """
     if not SWEEP_MIN_N <= n <= SWEEP_MAX_N:
         raise ValueError(f"sweeps support {SWEEP_MIN_N} <= n <= {SWEEP_MAX_N}, got {n}")
-    strategies = tuple(strategies)
-    greedy = bool(strategies)
+    seeds = tuple(seeds)
+    labels = tuple("lex" if s is None else f"random:{s}" for s in seeds)
+    orders = [_vertex_order(n, s) for s in seeds]
+    greedy = bool(seeds)
     total = 1 << (n * (n - 1) // 2)
     nworkers = _worker_count(total // _MIN_CHUNK_MASKS)
     if nworkers == 1:
@@ -353,16 +332,15 @@ def exhaustive_bound_check(n: int, strategies: Iterable[GreedyStrategy] = ()) ->
     keyed: list[tuple[tuple[int, int], BoundViolation]] = []
     for _, _, _, findings, erdos in parts:
         for mask, check, observed in findings:
-            for i, s in enumerate(strategies):
-                m = _relabel_mask(n, mask, s.vertex_order(n))
-                keyed.append(((m, i), BoundViolation(m, s.describe(), check,
-                                                     observed, bound)))
-        keyed.extend(((v.graph, len(strategies)), v) for v in erdos)
+            for i, order in enumerate(orders):
+                m = _relabel_mask(n, mask, order)
+                keyed.append(((m, i), BoundViolation(m, labels[i], check, observed, bound)))
+        keyed.extend(((v.graph, len(seeds)), v) for v in erdos)
     keyed.sort(key=lambda kv: kv[0])
     return BoundReport(
         n=n,
         graphs_checked=sum(p[0] for p in parts),
-        strategies=tuple(s.describe() for s in strategies),
+        strategies=labels,
         max_cliques_seen=max(p[1] for p in parts),
         max_elements_seen=max(p[2] for p in parts),
         violations=tuple(v for _, v in keyed),

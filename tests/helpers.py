@@ -15,7 +15,6 @@ from cliquerep import (
     Clique,
     CliquePartition,
     GreedyDecomposition,
-    GreedyStrategy,
     Graph,
     SetRepresentation,
     Violation,
@@ -66,22 +65,22 @@ def sparse_random_graph(rng: random.Random, n: int, p: float) -> Graph:
     return graph(n, edges)
 
 
-def reference_greedy(g: Graph, strategy: GreedyStrategy) -> tuple[Clique, ...]:
+def reference_greedy(g: Graph, seed: int | None) -> tuple[Clique, ...]:
     """The greedy sequence computed the direct way: scan the vertex order for
-    the seed, its mate and every growth step, in the original labels. The
-    order is drawn here rather than taken from the strategy."""
+    the first vertex, its mate and every growth step, in the original labels.
+    The order is drawn here rather than taken from the library."""
     order = list(range(g.n))
-    if strategy.seed is not None:
-        random.Random(strategy.seed).shuffle(order)
+    if seed is not None:
+        random.Random(seed).shuffle(order)
     residual = list(g.adj)
     sequence: list[Clique] = []
     while True:
-        seed = next((v for v in order if residual[v]), None)
-        if seed is None:
+        first = next((v for v in order if residual[v]), None)
+        if first is None:
             break
-        mate = next(v for v in order if residual[seed] >> v & 1)
-        mask = (1 << seed) | (1 << mate)
-        common = residual[seed] & residual[mate]
+        mate = next(v for v in order if residual[first] >> v & 1)
+        mask = (1 << first) | (1 << mate)
+        common = residual[first] & residual[mate]
         while common:
             grow = next(v for v in order if common >> v & 1)
             mask |= 1 << grow
@@ -297,8 +296,8 @@ def _isomorphic(a: Graph, b: Graph) -> bool:
     return False
 
 
-def reference_sweep(n: int, strategies, bound: int) -> tuple[int, int, list[BoundViolation]]:
-    """The sweep as a plain loop: every strategy's greedy run on every
+def reference_sweep(n: int, seeds, bound: int) -> tuple[int, int, list[BoundViolation]]:
+    """The sweep as a plain loop: every seed's greedy run on every
     labeled graph, then the recursive partition's checks, per graph in that
     order. Returns (max_cliques_seen, max_elements_seen, violations)."""
     max_cliques = 0
@@ -306,9 +305,9 @@ def reference_sweep(n: int, strategies, bound: int) -> tuple[int, int, list[Boun
     violations: list[BoundViolation] = []
     for mask in range(1 << (n * (n - 1) // 2)):
         g = graph_from_bitmask(n, mask)
-        for strategy in strategies:
-            label = strategy.describe()
-            d = greedy_decomposition(g, strategy)
+        for seed in seeds:
+            label = "lex" if seed is None else f"random:{seed}"
+            d = greedy_decomposition(g, seed)
             total = len(d.sequence)
             nontrivial = sum(1 for c in d.sequence if len(c) >= 2)
             max_cliques = max(max_cliques, total)

@@ -1,11 +1,25 @@
-"""The settable values of the public API, pinned so that a new parameter,
-field or option shows up as a diff of this file."""
+"""The public names and settable values of the API, pinned so that a new
+name, parameter, field or option shows up as a diff of this file."""
 
 import dataclasses
 import inspect
 
 import cliquerep
-from cliquerep import GreedyStrategy
+
+NAMES = [
+    "BoundReport", "BoundViolation", "Clique", "CliquePartition", "DistinctnessReport",
+    "Edge", "Graph", "GraphParseError", "GreedyDecomposition", "SetRepresentation",
+    "Violation", "all_clique_partitions", "augment_to_distinct", "canonical_form",
+    "check_lemma6", "check_rs_bound", "complete_bipartite", "complete_graph",
+    "cycle_graph", "degree", "distinctness", "edge_bitmask", "empty_graph",
+    "enumerate_labeled_graphs", "erdos_partition", "exhaustive_bound_check", "graph",
+    "graph_from_bitmask", "greedy_decomposition", "induced_subgraph",
+    "min_clique_partition", "min_distinct_representation", "parse_edge_list",
+    "parse_graph6", "partition_from_representation", "path_graph", "quarter_square",
+    "remove_edges", "representation_from_partition", "representations_equivalent",
+    "to_edge_list", "to_graph6", "validate_greedy", "validate_partition",
+    "validate_representation",
+]
 
 PARAMETERS = {
     "BoundReport": ["n", "graphs_checked", "strategies", "max_cliques_seen",
@@ -15,7 +29,6 @@ PARAMETERS = {
     "DistinctnessReport": ["classes", "is_family"],
     "Graph": ["n", "edges"],
     "GreedyDecomposition": ["host", "sequence"],
-    "GreedyStrategy": ["seed"],
     "SetRepresentation": ["host", "sets", "ground_size"],
     "Violation": ["kind", "position", "pair", "vertex", "vertices", "element",
                   "observed", "expected"],
@@ -33,10 +46,10 @@ PARAMETERS = {
     "empty_graph": ["n"],
     "enumerate_labeled_graphs": ["n"],
     "erdos_partition": ["g"],
-    "exhaustive_bound_check": ["n", "strategies"],
+    "exhaustive_bound_check": ["n", "seeds"],
     "graph": ["n", "edges"],
     "graph_from_bitmask": ["n", "mask"],
-    "greedy_decomposition": ["g", "strategy"],
+    "greedy_decomposition": ["g", "seed"],
     "induced_subgraph": ["g", "vertices"],
     "min_clique_partition": ["g"],
     "min_distinct_representation": ["g"],
@@ -48,7 +61,6 @@ PARAMETERS = {
     "remove_edges": ["g", "edges_to_remove"],
     "representation_from_partition": ["p"],
     "representations_equivalent": ["a", "b"],
-    "seeded_strategy": ["seed"],
     "to_edge_list": ["g"],
     "to_graph6": ["g"],
     "validate_greedy": ["g", "d"],
@@ -64,4 +76,7 @@ def test_public_parameters_are_pinned():
         if inspect.isfunction(obj) or (isinstance(obj, type) and dataclasses.is_dataclass(obj)):
             found[name] = list(inspect.signature(obj).parameters)
     assert found == PARAMETERS
-    assert [f.name for f in dataclasses.fields(GreedyStrategy)] == ["seed"]
+
+
+def test_public_names_are_pinned():
+    assert sorted(cliquerep.__all__) == NAMES

@@ -11,13 +11,13 @@ import pytest
 
 import cliquerep
 from cliquerep import (
-    BoundReport,
     CliquePartition,
     GreedyDecomposition,
     SetRepresentation,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    exhaustive_bound_check,
     graph,
     path_graph,
     to_edge_list,
@@ -376,7 +376,7 @@ class TestSweep:
         assert doc["violations"] == []
         assert doc["graphs_checked"] == 64
         assert doc["bound"] == 4
-        assert BoundReport.from_json(doc).n == 4
+        assert doc == exhaustive_bound_check(4, [None]).to_json()
 
     def test_n4_with_seeds(self, capsys):
         code = run(["sweep", "--n", "4", "--seeds", "1,2,3"])

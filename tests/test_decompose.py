@@ -5,10 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquerep import (
-    LEXICOGRAPHIC,
     CliquePartition,
     GreedyDecomposition,
-    GreedyStrategy,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -22,19 +20,16 @@ from cliquerep import (
     quarter_square,
     representation_from_partition,
     distinctness,
-    seeded_strategy,
     validate_greedy,
     validate_partition,
 )
-from cliquerep import decompose
+from cliquerep import decompose, exhaustive_bound_check
+from cliquerep.decompose import _vertex_order
 from helpers import graphs, reference_erdos, reference_greedy, sparse_random_graph
 
 
-@st.composite
-def strategies(draw):
-    if draw(st.booleans()):
-        return LEXICOGRAPHIC
-    return seeded_strategy(draw(st.integers(0, 2**63)))
+#: A greedy seed: None for the lexicographic run.
+seeds = st.none() | st.integers(0, 2**63)
 
 
 def condition_one_holds(p: CliquePartition) -> bool:
@@ -43,28 +38,28 @@ def condition_one_holds(p: CliquePartition) -> bool:
 
 class TestStrategy:
     def test_lexicographic_order(self):
-        assert LEXICOGRAPHIC.vertex_order(4) == (0, 1, 2, 3)
+        assert _vertex_order(4, None) == (0, 1, 2, 3)
 
     def test_seeded_is_reproducible(self):
-        a = seeded_strategy(42).vertex_order(8)
-        b = seeded_strategy(42).vertex_order(8)
+        a = _vertex_order(8, 42)
+        b = _vertex_order(8, 42)
         assert a == b
         assert sorted(a) == list(range(8))
 
     def test_different_seeds_differ_somewhere(self):
-        orders = {seeded_strategy(s).vertex_order(8) for s in range(20)}
+        orders = {_vertex_order(8, s) for s in range(20)}
         assert len(orders) > 1
 
     def test_a_strategy_is_its_seed(self):
-        assert GreedyStrategy() == LEXICOGRAPHIC
-        assert GreedyStrategy(7) == seeded_strategy(7)
-        # Seed 0 is a seeded strategy, not the lexicographic one.
-        assert GreedyStrategy(0).describe() == "random:0"
-        assert GreedyStrategy(0).vertex_order(8) != LEXICOGRAPHIC.vertex_order(8)
+        # Seed 0 is a seeded order, not the lexicographic one.
+        assert _vertex_order(8, 0) != _vertex_order(8, None)
+        g = path_graph(8)
+        assert greedy_decomposition(g, 0) != greedy_decomposition(g)
+        assert greedy_decomposition(g, 0).sequence == reference_greedy(g, 0)
+        assert exhaustive_bound_check(4, [0]).strategies == ("random:0",)
 
     def test_describe(self):
-        assert LEXICOGRAPHIC.describe() == "lex"
-        assert seeded_strategy(7).describe() == "random:7"
+        assert exhaustive_bound_check(4, [None, 7]).strategies == ("lex", "random:7")
 
 
 class TestGreedy:
@@ -98,42 +93,41 @@ class TestGreedy:
     def test_seeded_changes_the_sequence(self):
         g = cycle_graph(5)
         lex = greedy_decomposition(g).sequence
-        seqs = {greedy_decomposition(g, seeded_strategy(s)).sequence for s in range(10)}
+        seqs = {greedy_decomposition(g, s).sequence for s in range(10)}
         assert any(s != lex for s in seqs)
 
-    @given(graphs(), strategies())
-    def test_always_valid(self, g, strategy):
-        d = greedy_decomposition(g, strategy)
+    @given(graphs(), seeds)
+    def test_always_valid(self, g, seed):
+        d = greedy_decomposition(g, seed)
         assert validate_greedy(g, d) == []
         assert validate_partition(g, d.as_partition()) == []
 
-    @given(graphs(), strategies())
-    def test_deterministic(self, g, strategy):
-        assert greedy_decomposition(g, strategy) == greedy_decomposition(g, strategy)
+    @given(graphs(), seeds)
+    def test_deterministic(self, g, seed):
+        assert greedy_decomposition(g, seed) == greedy_decomposition(g, seed)
 
     def test_exhaustive_small_all_valid(self):
-        strats = [LEXICOGRAPHIC, seeded_strategy(1), seeded_strategy(2)]
         for n in range(5):
             for g in enumerate_labeled_graphs(n):
-                for s in strats:
+                for s in (None, 1, 2):
                     d = greedy_decomposition(g, s)
                     assert not validate_greedy(g, d)
 
 
-def _seeded_via_lex(g, strategy):
+def _seeded_via_lex(g, seed):
     """The seeded run predicted from the lexicographic one: relabel g by
     sigma(order[i]) = i, run lex, and map each clique back through
     sigma^-1."""
-    order = strategy.vertex_order(g.n)
+    order = _vertex_order(g.n, seed)
     sigma = {v: i for i, v in enumerate(order)}
     relabeled = graph(g.n, [(sigma[u], sigma[v]) for u, v in g.edges])
-    lex = greedy_decomposition(relabeled, LEXICOGRAPHIC).sequence
+    lex = greedy_decomposition(relabeled).sequence
     return tuple(tuple(sorted(order[i] for i in cl)) for cl in lex)
 
 
 class TestSeededIsRelabeledLex:
     """A seeded run on g is the lexicographic run on the relabeled graph:
-    the sweep derives every seeded strategy's results from this."""
+    the sweep derives every seeded run's results from this."""
 
     SEEDS = range(1, 11)
 
@@ -141,21 +135,18 @@ class TestSeededIsRelabeledLex:
         for n in range(6):
             for g in enumerate_labeled_graphs(n):
                 for seed in self.SEEDS:
-                    s = seeded_strategy(seed)
-                    assert greedy_decomposition(g, s).sequence == _seeded_via_lex(g, s)
+                    assert greedy_decomposition(g, seed).sequence == _seeded_via_lex(g, seed)
 
     def test_every_seventh_graph_at_n6(self):
         for mask in range(0, 1 << 15, 7):
             g = graph_from_bitmask(6, mask)
             for seed in self.SEEDS:
-                s = seeded_strategy(seed)
-                assert greedy_decomposition(g, s).sequence == _seeded_via_lex(g, s)
+                assert greedy_decomposition(g, seed).sequence == _seeded_via_lex(g, seed)
 
     @given(graphs(max_n=12), st.integers(-2**70, 2**70))
     @settings(max_examples=200)
     def test_any_graph_any_seed(self, g, seed):
-        s = seeded_strategy(seed)
-        assert greedy_decomposition(g, s).sequence == _seeded_via_lex(g, s)
+        assert greedy_decomposition(g, seed).sequence == _seeded_via_lex(g, seed)
 
 
 class TestReferenceGreedy:
@@ -163,10 +154,10 @@ class TestReferenceGreedy:
     nothing of the relabeling: a drift in lexicographic tie-breaking shows
     here, where TestSeededIsRelabeledLex (lex on both sides) cannot see it."""
 
-    STRATEGIES = [LEXICOGRAPHIC] + [seeded_strategy(s) for s in range(1, 11)]
+    SEEDS = [None, *range(1, 11)]
 
-    def assert_matches(self, g, strategies=STRATEGIES):
-        for s in strategies:
+    def assert_matches(self, g, seeds=SEEDS):
+        for s in seeds:
             assert greedy_decomposition(g, s).sequence == reference_greedy(g, s), (g, s)
 
     def test_every_graph_up_to_n5(self):
@@ -183,7 +174,7 @@ class TestReferenceGreedy:
         for _ in range(30):
             n = rng.randint(6, 200)
             g = sparse_random_graph(rng, n, rng.random())
-            self.assert_matches(g, [LEXICOGRAPHIC, seeded_strategy(rng.randrange(10**6))])
+            self.assert_matches(g, [None, rng.randrange(10**6)])
 
     def test_complete_bipartite_and_complete(self):
         self.assert_matches(complete_bipartite(30, 30))
@@ -199,10 +190,10 @@ def large_graphs(draw):
 
 
 class TestLargeGraphs:
-    @given(large_graphs(), strategies())
+    @given(large_graphs(), seeds)
     @settings(max_examples=15)
-    def test_greedy_is_valid(self, g, strategy):
-        assert validate_greedy(g, greedy_decomposition(g, strategy)) == []
+    def test_greedy_is_valid(self, g, seed):
+        assert validate_greedy(g, greedy_decomposition(g, seed)) == []
 
     @given(large_graphs())
     @settings(max_examples=5)

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import time
@@ -8,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliquerep import (
-    LEXICOGRAPHIC,
-    BoundReport,
     CliquePartition,
     GreedyDecomposition,
     all_clique_partitions,
@@ -29,12 +28,11 @@ from cliquerep import (
     min_distinct_representation,
     path_graph,
     quarter_square,
-    seeded_strategy,
     validate_partition,
     validate_representation,
 )
 from cliquerep import oracle
-from cliquerep.decompose import _cliques_needed
+from cliquerep.decompose import _cliques_needed, _vertex_order
 from helpers import (
     brute_cp,
     brute_omega,
@@ -251,7 +249,7 @@ class TestMinDistinctRepresentation:
 
 class TestExhaustiveBoundCheck:
     def test_n4_lexicographic(self):
-        report = exhaustive_bound_check(4, [LEXICOGRAPHIC])
+        report = exhaustive_bound_check(4, [None])
         assert report.graphs_checked == 64
         assert report.bound == 4
         assert report.violations == ()
@@ -261,33 +259,30 @@ class TestExhaustiveBoundCheck:
 
     def test_empty_graph_drives_max_cliques(self):
         # the edgeless graph alone already needs n trivial cliques
-        report = exhaustive_bound_check(4, [LEXICOGRAPHIC])
+        report = exhaustive_bound_check(4, [None])
         d = greedy_decomposition(empty_graph(4))
         assert len(d.sequence) == 4 <= report.max_cliques_seen
 
     def test_workers_do_not_change_the_report(self, monkeypatch):
-        strategies = [LEXICOGRAPHIC, seeded_strategy(3)]
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
-        a = exhaustive_bound_check(5, strategies)
+        a = exhaustive_bound_check(5, [None, 3])
         monkeypatch.setenv("CLIQUEREP_THREADS", "2")
-        b = exhaustive_bound_check(5, strategies)
+        b = exhaustive_bound_check(5, [None, 3])
         assert a == b
 
     def test_workers_do_not_change_the_report_in_a_pool(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setenv("CLIQUEREP_THREADS", "2")
         assert oracle._worker_count((1 << 15) // oracle._MIN_CHUNK_MASKS) == 2
-        strategies = [LEXICOGRAPHIC, seeded_strategy(3), seeded_strategy(4)]
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
-        a = exhaustive_bound_check(6, strategies)
+        a = exhaustive_bound_check(6, [None, 3, 4])
         monkeypatch.setenv("CLIQUEREP_THREADS", "2")
-        b = exhaustive_bound_check(6, strategies)
+        b = exhaustive_bound_check(6, [None, 3, 4])
         assert a == b
 
     def test_n6_report_with_ten_seeds(self, monkeypatch):
-        strategies = [LEXICOGRAPHIC] + [seeded_strategy(s) for s in range(1, 11)]
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
-        report = exhaustive_bound_check(6, strategies)
+        report = exhaustive_bound_check(6, [None, *range(1, 11)])
         assert report.graphs_checked == 32768
         assert report.max_cliques_seen == 9
         assert report.max_elements_seen == 9
@@ -295,8 +290,7 @@ class TestExhaustiveBoundCheck:
 
     @pytest.mark.slow
     def test_n7_report_with_ten_seeds(self):
-        strategies = [LEXICOGRAPHIC] + [seeded_strategy(s) for s in range(1, 11)]
-        assert exhaustive_bound_check(7, strategies).to_json() == {
+        assert exhaustive_bound_check(7, [None, *range(1, 11)]).to_json() == {
             "n": 7,
             "graphs_checked": 2097152,
             "bound": 12,
@@ -308,20 +302,19 @@ class TestExhaustiveBoundCheck:
 
     @pytest.mark.parametrize("seeds", [(None, 1, 2, 3), (5, None, 5)])
     def test_violations_match_the_reference_sweep(self, monkeypatch, seeds):
-        # Two below the true bound, so every strategy and erdos breach it.
-        strategies = [LEXICOGRAPHIC if s is None else seeded_strategy(s) for s in seeds]
+        # Two below the true bound, so every greedy run and erdos breach it.
         bound = quarter_square(5) - 2
         monkeypatch.setattr(oracle, "quarter_square", lambda n: n * n // 4 - 2)
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
-        report = exhaustive_bound_check(5, strategies)
-        max_cliques, max_elements, violations = reference_sweep(5, strategies, bound)
-        assert {v.strategy for v in violations} == {s.describe() for s in strategies} | {"erdos"}
+        report = exhaustive_bound_check(5, seeds)
+        max_cliques, max_elements, violations = reference_sweep(5, seeds, bound)
+        assert {v.strategy for v in violations} == set(report.strategies) | {"erdos"}
         assert report.violations == tuple(violations)
         assert report.max_cliques_seen == max_cliques
         assert report.max_elements_seen == max_elements
 
     def test_relabel_mask_matches_graph_relabeling(self):
-        order = seeded_strategy(7).vertex_order(6)
+        order = _vertex_order(6, 7)
         for mask in range(0, 1 << 15, 97):
             g = graph_from_bitmask(6, mask)
             moved = graph(6, [(order[u], order[v]) for u, v in g.edges])
@@ -339,7 +332,7 @@ class TestExhaustiveBoundCheck:
         assert oracle._worker_count(512) == min(cpus, 512)
 
     def test_invariant_violations_iff_maxima_exceed(self):
-        report = exhaustive_bound_check(4, [LEXICOGRAPHIC, seeded_strategy(9)])
+        report = exhaustive_bound_check(4, [None, 9])
         assert (report.violations == ()) == (
             report.max_cliques_seen <= report.bound
             and report.max_elements_seen <= report.bound
@@ -347,21 +340,21 @@ class TestExhaustiveBoundCheck:
 
     def test_rejects_out_of_range_n(self):
         with pytest.raises(ValueError):
-            exhaustive_bound_check(3, [LEXICOGRAPHIC])
+            exhaustive_bound_check(3, [None])
         with pytest.raises(ValueError):
-            exhaustive_bound_check(8, [LEXICOGRAPHIC])
+            exhaustive_bound_check(8, [None])
 
     def test_json_round_trip(self):
-        report = exhaustive_bound_check(4, [LEXICOGRAPHIC])
-        assert BoundReport.from_json(report.to_json()) == report
+        doc = exhaustive_bound_check(4, [None, 2]).to_json()
+        assert json.loads(json.dumps(doc)) == doc
 
     def test_thread_env_cap(self, monkeypatch):
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
-        report = exhaustive_bound_check(4, [LEXICOGRAPHIC])
+        report = exhaustive_bound_check(4, [None])
         assert report.graphs_checked == 64
         monkeypatch.setenv("CLIQUEREP_THREADS", "zero")
         with pytest.raises(ValueError):
-            exhaustive_bound_check(4, [LEXICOGRAPHIC])
+            exhaustive_bound_check(4, [None])
 
 
 class TestLemma6Check:
@@ -418,17 +411,16 @@ class TestRsBoundCheck:
         rng = random.Random(1234)
         for i in range(300):
             g = random_graph(rng, rng.randint(5, 9), rng.uniform(0.1, 0.9))
-            strategy = LEXICOGRAPHIC if i % 3 == 0 else seeded_strategy(rng.getrandbits(32))
-            d = greedy_decomposition(g, strategy)
+            d = greedy_decomposition(g, None if i % 3 == 0 else rng.getrandbits(32))
             assert check_rs_bound(g, d) == []
 
     def test_matches_the_reference(self):
         rng = random.Random(99)
-        cases = [(g, LEXICOGRAPHIC) for n in range(6) for g in enumerate_labeled_graphs(n)]
-        cases += [(random_graph(rng, rng.randint(5, 30), rng.random()),
-                   seeded_strategy(rng.getrandbits(32))) for _ in range(100)]
-        for g, strategy in cases:
-            d = greedy_decomposition(g, strategy)
+        cases = [(g, None) for n in range(6) for g in enumerate_labeled_graphs(n)]
+        cases += [(random_graph(rng, rng.randint(5, 30), rng.random()), rng.getrandbits(32))
+                  for _ in range(100)]
+        for g, seed in cases:
+            d = greedy_decomposition(g, seed)
             assert check_rs_bound(g, d) == reference_rs_bound(g, d)
 
     def test_linear_on_a_large_sparse_graph(self):

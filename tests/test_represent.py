@@ -18,7 +18,6 @@ from cliquerep import (
     path_graph,
     representation_from_partition,
     representations_equivalent,
-    seeded_strategy,
     validate_representation,
 )
 
@@ -36,8 +35,7 @@ def partitions(draw):
     g = draw(graphs(min_n=1))
     if draw(st.booleans()):
         return erdos_partition(g)
-    strategy = seeded_strategy(draw(st.integers(0, 2**32)))
-    return greedy_decomposition(g, strategy).as_partition()
+    return greedy_decomposition(g, draw(st.integers(0, 2**32))).as_partition()
 
 
 def rep(host, sets, ground) -> SetRepresentation:

@@ -16,7 +16,6 @@ from cliquerep import (
     erdos_partition,
     greedy_decomposition,
     representation_from_partition,
-    seeded_strategy,
     validate_partition,
     validate_representation,
 )
@@ -32,7 +31,7 @@ from helpers import (
 def valid_partition(rng: random.Random, g: Graph) -> CliquePartition:
     if rng.random() < 0.5:
         return erdos_partition(g)
-    return greedy_decomposition(g, seeded_strategy(rng.randrange(2**32))).as_partition()
+    return greedy_decomposition(g, rng.randrange(2**32)).as_partition()
 
 
 def tamper_partition(rng: random.Random, p: CliquePartition) -> CliquePartition:
