@@ -231,8 +231,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    seeds = args.seeds.split(",") if args.seeds else []
-    report = exhaustive_bound_check(args.n, [None] + [int(s.strip()) for s in seeds])
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
+    except ValueError:
+        raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+    report = exhaustive_bound_check(args.n, [None, *seeds])
     _print_json(report.to_json())
     return 1 if report.violations else 0
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .graphs import Edge, Graph, bits, lowest_bit
@@ -385,34 +386,29 @@ def _edge_or_triangles(residual: list[int], u: int, v: int) -> list[Clique]:
 
 def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[Clique]:
     """All cliques of the (residual) graph containing edge (u, v), largest
-    first and lexicographic within a size. Each appears exactly once."""
-    found: list[int] = []
-
-    def grow(mask: int, cand: int) -> None:
-        found.append(mask)
-        c = cand
-        while c:
-            low = c & -c
+    first and lexicographic within a size. Each appears exactly once, as
+    u, v and then its other members ascending: a sorted tuple when u < v <
+    every common neighbor, as at the kernel's smallest uncovered edge."""
+    stack = [((u, v), adj[u] & adj[v])]
+    found: list[Clique] = []
+    while stack:
+        members, cand = stack.pop()
+        found.append(members)
+        while cand:
+            low = cand & -cand
+            cand ^= low
             w = low.bit_length() - 1
-            c ^= low
-            grow(mask | low, cand & adj[w] & ~((low << 1) - 1))
-
-    grow((1 << u) | (1 << v), adj[u] & adj[v])
-    cliques = [tuple(bits(m)) for m in found]
-    cliques.sort(key=lambda t: (-len(t), t))
-    return cliques
+            stack.append((members + (w,), cand & adj[w]))
+    # A stable sort by size keeps the lexicographic order within a size.
+    found.sort()
+    found.sort(key=len, reverse=True)
+    return found
 
 
-def _smallest_uncovered(residual: list[int]) -> tuple[int, int] | None:
-    for u, mask in enumerate(residual):
-        if mask:
-            return u, lowest_bit(mask)
-    return None
-
-
-def _cliques_needed(residual: Sequence[int]) -> int:
+def _cliques_needed(residual: Sequence[int], free: int | None = None) -> int:
     """A lower bound on the number of cliques in any partition of the edges
-    of residual (neighbor bitmasks).
+    of residual (symmetric neighbor bitmasks); free is the mask of its
+    non-isolated vertices, the OR of its rows, and is computed if omitted.
 
     Takes a greedy independent set I of the non-isolated vertices and adds,
     for each v in I, the size of a greedy independent set of v's neighbors.
@@ -420,7 +416,8 @@ def _cliques_needed(residual: Sequence[int]) -> int:
     clique holds two vertices of I, so the counts add up.
     """
     need = 0
-    free = sum(1 << v for v, m in enumerate(residual) if m)
+    if free is None:
+        free = reduce(or_, residual, 0)
     while free:
         low = free & -free
         nbrs = residual[low.bit_length() - 1]
@@ -450,32 +447,39 @@ def _edge_partitions(
     the next step, and is extended by copying. Leaves and cut nodes are
     handled in their parent's loop, so only nodes that branch pay for a
     generator.
+
+    A node removes and restores its clique with one vertex mask per member
+    and scans the residual once: the OR of its rows is the non-isolated
+    vertex mask the bound starts from, and its lowest vertex u (all rows
+    below u are empty) has the smallest uncovered edge, to u's lowest
+    neighbor. These are costs only: which nodes are visited, in what order,
+    and what prune sees follow from the rules above.
     """
     residual = list(adj)
     chosen: list[Clique] = []
 
-    def rec(u: int, v: int) -> Iterator[list[Clique]]:
-        for cl in options(residual, u, v):
-            pairs = list(combinations(cl, 2))
-            for a, b in pairs:
-                residual[a] &= ~(1 << b)
-                residual[b] &= ~(1 << a)
+    def rec(u: int) -> Iterator[list[Clique]]:
+        for cl in options(residual, u, lowest_bit(residual[u])):
+            mask = 0
+            for a in cl:
+                mask |= 1 << a
+            for a in cl:
+                residual[a] &= ~mask
             chosen.append(cl)
-            edge = _smallest_uncovered(residual)
-            if edge is None:
+            free = reduce(or_, residual)
+            if not free:
                 yield chosen
-            elif prune is None or not prune(len(chosen) + _cliques_needed(residual)):
-                yield from rec(*edge)
+            elif prune is None or not prune(len(chosen) + _cliques_needed(residual, free)):
+                yield from rec(lowest_bit(free))
             chosen.pop()
-            for a, b in pairs:
-                residual[a] |= 1 << b
-                residual[b] |= 1 << a
+            for a in cl:
+                residual[a] |= mask ^ (1 << a)
 
-    edge = _smallest_uncovered(residual)
-    if edge is None:
+    free = reduce(or_, residual, 0)
+    if not free:
         yield chosen
-    elif prune is None or not prune(_cliques_needed(residual)):
-        yield from rec(*edge)
+    elif prune is None or not prune(_cliques_needed(residual, free)):
+        yield from rec(lowest_bit(free))
 
 
 def _min_distinct(
@@ -495,14 +499,22 @@ def _min_distinct(
     """
     n = len(adj)
     iso = [(v,) for v in range(n) if adj[v] == 0]
+    # Incidence keys are clique-position bitmasks; isolated vertices start
+    # from distinct negative keys, so only the others can repeat a key.
+    start = [0 if m else ~v for v, m in enumerate(adj)]
     best: list[Clique] | None = None
     for chosen in _edge_partitions(adj, options, lambda need: need + len(iso) >= budget):
-        keys = _incidence(n, chosen)
-        extras = [v for group in _group_equal(keys) if keys[group[0]] for v in group[1:]]
-        cost = len(chosen) + len(iso) + len(extras)
+        if len(chosen) + len(iso) >= budget:
+            continue
+        keys = start.copy()
+        for k, cl in enumerate(chosen):
+            for v in cl:
+                keys[v] |= 1 << k
+        cost = len(chosen) + len(iso) + n - len(set(keys))
         if cost < budget:
             budget = cost
-            best = chosen + iso + [(v,) for v in sorted(extras)]
+            extras = sorted(v for group in _group_equal(keys) for v in group[1:])
+            best = chosen + iso + [(v,) for v in extras]
     return best
 
 

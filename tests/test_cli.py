@@ -384,6 +384,21 @@ class TestSweep:
         assert code == 0
         assert doc["strategies"] == ["lex", "random:1", "random:2", "random:3"]
 
+    @pytest.mark.parametrize("seeds", ["x", "1,,2", ",", "1.5", "2,seven"])
+    def test_bad_seeds_name_the_flag(self, capsys, seeds):
+        code = run(["sweep", "--n", "4", "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --seeds must be comma-separated integers, got {seeds!r}\n")
+
+    def test_seeds_allow_spaces_and_negatives(self, capsys):
+        code = run(["sweep", "--n", "4", "--seeds= 5, -2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["strategies"] == ["lex", "random:5", "random:-2"]
+
     def test_out_of_range(self, capsys):
         code = run(["sweep", "--n", "3"])
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -116,7 +117,15 @@ class TestCliquesNeededBound:
          [4, 7], [7, 8], [7, 9]],
     ]
 
-    def test_branching_nodes_are_pinned(self, monkeypatch):
+    #: Branching nodes of min_distinct_representation over all 1024
+    #: labeled 5-vertex graphs, and the sha256 of its results there, one
+    #: json.dumps([value, witness], sort_keys=True) per graph in mask order.
+    OMEGA_NODES = 3660
+    OMEGA_DIGEST = "11bf6b99acd19dbce9d3b2d5a5573dc55fb22d86d5e50feb1d79451eba99351c"
+
+    @pytest.fixture
+    def option_calls(self, monkeypatch):
+        """Counts calls of the options callback, one per branching node."""
         calls = [0]
         options = oracle._cliques_through_edge
 
@@ -125,12 +134,36 @@ class TestCliquesNeededBound:
             return options(residual, u, v)
 
         monkeypatch.setattr(oracle, "_cliques_through_edge", counting)
+        return calls
+
+    def test_branching_nodes_are_pinned(self, option_calls):
         nodes = []
         for g in dense_panel(len(self.NODES)):
-            calls[0] = 0
+            option_calls[0] = 0
             min_clique_partition(g)
-            nodes.append(calls[0])
+            nodes.append(option_calls[0])
         assert nodes == self.NODES
+
+    def test_omega_nodes_and_witnesses_are_pinned(self, option_calls):
+        digest = hashlib.sha256()
+        for g in enumerate_labeled_graphs(5):
+            value, witness = min_distinct_representation(g)
+            digest.update(json.dumps([value, witness.to_json()], sort_keys=True).encode())
+        assert option_calls[0] == self.OMEGA_NODES
+        assert digest.hexdigest() == self.OMEGA_DIGEST
+
+    @pytest.mark.slow
+    def test_worst_known_n10_graph_within_the_readme_budget(self, option_calls):
+        # K_10 minus {1,2} and {1,8}, the slowest of the 836 n=10 graphs the
+        # README's "Search budgets" names; VM slowdowns reach 1.7x.
+        g = graph(10, [e for e in complete_graph(10).edges if e not in ((1, 2), (1, 8))])
+        start = time.perf_counter()
+        value, witness = min_clique_partition(g)
+        assert time.perf_counter() - start < 60
+        assert option_calls[0] == 311268
+        assert value == 8
+        assert witness.cliques == ((0, 1), (0, 2, 3, 4, 5, 6, 7, 8, 9), (1, 3), (1, 4),
+                                   (1, 5), (1, 6), (1, 7), (1, 9))
 
     def test_witnesses_are_pinned(self):
         for g, cliques in zip(dense_panel(len(self.WITNESSES)), self.WITNESSES):
@@ -175,6 +208,14 @@ class TestAllCliquePartitions:
                 assert len(set(parts)) == len(parts)
                 for p in parts:
                     assert validate_partition(g, p) == []
+
+    def test_order_is_pinned(self):
+        # sha256 of json.dumps of the 16 partitions' clique lists, as yielded
+        g = graph(5, [e for e in complete_graph(5).edges if e != (0, 1)])
+        parts = [p.to_json()["cliques"] for p in all_clique_partitions(g)]
+        assert len(parts) == 16
+        assert hashlib.sha256(json.dumps(parts).encode()).hexdigest() == (
+            "b017ff3f115fc12ba6bb336b0a79602542c274181921ec8830ec14ab1166aef8")
 
     def test_extra_trivial_variants(self):
         g = path_graph(2)
