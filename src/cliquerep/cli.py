@@ -253,6 +253,9 @@ def run(argv: list[str] | None = None) -> int:
     except (GraphParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ vertex's (for n >= 4).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import or_
@@ -54,13 +54,8 @@ class Violation:
     expected: int | None = None
 
     def to_json(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        for name in ("position", "pair", "vertex", "vertices", "element",
-                     "observed", "expected"):
-            value = getattr(self, name)
-            if value is not None:
-                doc[name] = list(value) if isinstance(value, tuple) else value
-        return doc
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in values if v is not None}
 
 
 @dataclass(frozen=True)
@@ -440,13 +435,14 @@ def _edge_partitions(
     Branches on the smallest uncovered edge (u, v) over options(residual, u,
     v), the residual cliques through it to try, in order; if they are all
     the residual cliques through it, each edge partition is yielded exactly
-    once. A node whose prune(need) holds is cut before branching, where need
-    is the fewest cliques any completion below it can have: the cliques
-    chosen so far plus _cliques_needed(residual). Without prune the bound is
-    never computed. The yielded list is the live search state, valid until
-    the next step, and is extended by copying. Leaves and cut nodes are
-    handled in their parent's loop, so only nodes that branch pay for a
-    generator.
+    once. A node whose prune(need) holds is cut: a branching node before it
+    branches, a leaf before it is yielded, so every yielded partition passes
+    prune. need is the fewest cliques any completion below the node can
+    have: the cliques chosen so far plus _cliques_needed(residual), which is
+    0 at a leaf. Without prune the bound is never computed. The yielded list
+    is the live search state, valid until the next step, and is extended by
+    copying. Leaves and cut nodes are handled in their parent's loop, so
+    only nodes that branch pay for a generator.
 
     A node removes and restores its clique with one vertex mask per member
     and scans the residual once: the OR of its rows is the non-isolated
@@ -467,19 +463,21 @@ def _edge_partitions(
                 residual[a] &= ~mask
             chosen.append(cl)
             free = reduce(or_, residual)
-            if not free:
-                yield chosen
-            elif prune is None or not prune(len(chosen) + _cliques_needed(residual, free)):
-                yield from rec(lowest_bit(free))
+            if prune is None or not prune(len(chosen) + _cliques_needed(residual, free)):
+                if free:
+                    yield from rec(lowest_bit(free))
+                else:
+                    yield chosen
             chosen.pop()
             for a in cl:
                 residual[a] |= mask ^ (1 << a)
 
     free = reduce(or_, residual, 0)
-    if not free:
-        yield chosen
-    elif prune is None or not prune(_cliques_needed(residual, free)):
-        yield from rec(lowest_bit(free))
+    if prune is None or not prune(_cliques_needed(residual, free)):
+        if free:
+            yield from rec(lowest_bit(free))
+        else:
+            yield chosen
 
 
 def _min_distinct(
@@ -504,8 +502,6 @@ def _min_distinct(
     start = [0 if m else ~v for v, m in enumerate(adj)]
     best: list[Clique] | None = None
     for chosen in _edge_partitions(adj, options, lambda need: need + len(iso) >= budget):
-        if len(chosen) + len(iso) >= budget:
-            continue
         keys = start.copy()
         for k, cl in enumerate(chosen):
             for v in cl:

@@ -203,6 +203,12 @@ def canonical_form(g: Graph) -> int:
     return min(_relabel_mask(g.n, mask, perm) for perm in permutations(range(g.n)))
 
 
+def _graph6_pairs(n: int) -> Iterator[Edge]:
+    """The pairs row < col in graph6 bit order: the upper triangle of the
+    adjacency matrix column by column."""
+    return ((row, col) for col in range(1, n) for row in range(col))
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode one short-form graph6 graph (n <= 62).
 
@@ -222,8 +228,7 @@ def parse_graph6(text: str) -> Graph:
     if not 63 <= head <= 63 + GRAPH6_MAX_N:
         raise GraphParseError(f"byte 0: header byte {s[0]!r} out of range")
     n = head - 63
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+    need = (n * (n - 1) // 2 + 5) // 6
     data = s[1:]
     if len(data) < need:
         raise GraphParseError(
@@ -233,35 +238,22 @@ def parse_graph6(text: str) -> Graph:
         raise GraphParseError(
             f"byte {1 + need}: unexpected trailing character {data[need]!r}"
         )
-    values = []
     for i, ch in enumerate(data):
-        c = ord(ch)
-        if not 63 <= c <= 126:
+        if not 63 <= ord(ch) <= 126:
             raise GraphParseError(f"byte {1 + i}: character {ch!r} out of range")
-        values.append(c - 63)
-    edges = set()
-    k = 0
-    for col in range(1, n):
-        for row in range(col):
-            if values[k // 6] >> (5 - k % 6) & 1:
-                edges.add((row, col))
-            k += 1
-    return Graph(n, frozenset(edges))
+    digits = "".join(f"{ord(ch) - 63:06b}" for ch in data)
+    return Graph(n, frozenset(compress(_graph6_pairs(n), digits.encode().translate(_BIT_BYTES))))
 
 
 def to_graph6(g: Graph) -> str:
     """Encode in short-form graph6; inverse of parse_graph6."""
     if g.n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 short form caps at n={GRAPH6_MAX_N}, got {g.n}")
-    nbits = g.n * (g.n - 1) // 2
-    values = [0] * ((nbits + 5) // 6)
-    k = 0
-    for col in range(1, g.n):
-        for row in range(col):
-            if (row, col) in g.edges:
-                values[k // 6] |= 1 << (5 - k % 6)
-            k += 1
-    return chr(63 + g.n) + "".join(chr(63 + v) for v in values)
+    digits = "".join("1" if pair in g.edges else "0" for pair in _graph6_pairs(g.n))
+    digits += "0" * (-len(digits) % 6)
+    return chr(63 + g.n) + "".join(
+        chr(63 + int(digits[k:k + 6], 2)) for k in range(0, len(digits), 6)
+    )
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -10,7 +10,7 @@ neighborhoods are promised to satisfy.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from multiprocessing import get_context
 from typing import Iterable, Iterator
@@ -66,13 +66,7 @@ class BoundViolation:
     bound: int
 
     def to_json(self) -> dict:
-        return {
-            "graph": self.graph,
-            "strategy": self.strategy,
-            "check": self.check,
-            "observed": self.observed,
-            "bound": self.bound,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -121,8 +115,7 @@ def min_clique_partition(g: Graph) -> tuple[int, CliquePartition]:
     bound = len(g.edges) + 1
     for chosen in _edge_partitions(g.adj, _cliques_through_edge,
                                    lambda need: need >= bound):
-        if len(chosen) < bound:
-            bound, best = len(chosen), list(chosen)
+        bound, best = len(chosen), list(chosen)
     witness = CliquePartition.from_cliques(g, best + iso)
     return len(witness.cliques), witness
 
@@ -237,11 +230,11 @@ def _worker_count(chunks: int) -> int:
 
 
 def _sweep_range(
-    n: int, lo: int, hi: int, greedy: bool
-) -> tuple[int, int, int, list[tuple[int, str, int]], list[BoundViolation]]:
-    """Check masks lo..hi-1. Returns the graph count, the largest clique and
-    element counts seen, the lexicographic greedy findings as (mask, check,
-    observed) and erdos_partition's violations, both in mask order."""
+    n: int, lo: int, hi: int
+) -> tuple[int, int, list[tuple[int, str, int]], list[BoundViolation]]:
+    """Check masks lo..hi-1. Returns the largest clique and element counts
+    seen, the lexicographic greedy findings as (mask, check, observed) and
+    erdos_partition's violations, both in mask order."""
     bound = quarter_square(n)
     max_cliques = 0
     max_elements = 0
@@ -249,21 +242,20 @@ def _sweep_range(
     violations: list[BoundViolation] = []
     for mask in range(lo, hi):
         g = graph_from_bitmask(n, mask)
-        if greedy:
-            d = greedy_decomposition(g)
-            total = len(d.sequence)
-            nontrivial = sum(1 for c in d.sequence if len(c) >= 2)
-            if total > max_cliques:
-                max_cliques = total
-            if nontrivial > bound:
-                findings.append((mask, "greedy_cliques", nontrivial))
-            if total > bound:
-                findings.append((mask, "greedy_cliques_with_trivial", total))
-            aug = augment_to_distinct(representation_from_partition(d))
-            if aug.ground_size > max_elements:
-                max_elements = aug.ground_size
-            if aug.ground_size > bound:
-                findings.append((mask, "augmented_elements", aug.ground_size))
+        d = greedy_decomposition(g)
+        total = len(d.sequence)
+        nontrivial = sum(1 for c in d.sequence if len(c) >= 2)
+        if total > max_cliques:
+            max_cliques = total
+        if nontrivial > bound:
+            findings.append((mask, "greedy_cliques", nontrivial))
+        if total > bound:
+            findings.append((mask, "greedy_cliques_with_trivial", total))
+        aug = augment_to_distinct(representation_from_partition(d))
+        if aug.ground_size > max_elements:
+            max_elements = aug.ground_size
+        if aug.ground_size > bound:
+            findings.append((mask, "augmented_elements", aug.ground_size))
         p = erdos_partition(g)
         count = len(p.cliques)
         if count > max_cliques:
@@ -281,13 +273,13 @@ def _sweep_range(
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))
-    return hi - lo, max_cliques, max_elements, findings, violations
+    return max_cliques, max_elements, findings, violations
 
 
-def exhaustive_bound_check(n: int, seeds: Iterable[int | None] = ()) -> BoundReport:
+def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     """Sweep every labeled graph on n vertices.
 
-    Per graph and greedy seed (None for the lexicographic run): run the
+    Per graph and greedy seed (at least one; None for lexicographic): run the
     greedy decomposition and compare both its non-trivial clique count and
     its full length (trivial cliques included) against floor(n^2/4), then
     build the augmented representation and compare its ground size against
@@ -315,22 +307,23 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None] = ()) -> BoundRep
     if not SWEEP_MIN_N <= n <= SWEEP_MAX_N:
         raise ValueError(f"sweeps support {SWEEP_MIN_N} <= n <= {SWEEP_MAX_N}, got {n}")
     seeds = tuple(seeds)
+    if not seeds:
+        raise ValueError("a sweep needs at least one greedy seed (None for lexicographic)")
     labels = tuple("lex" if s is None else f"random:{s}" for s in seeds)
     orders = [_vertex_order(n, s) for s in seeds]
-    greedy = bool(seeds)
     total = 1 << (n * (n - 1) // 2)
     nworkers = _worker_count(total // _MIN_CHUNK_MASKS)
     if nworkers == 1:
-        parts = [_sweep_range(n, 0, total, greedy)]
+        parts = [_sweep_range(n, 0, total)]
     else:
         chunks = nworkers * 4
         bounds = [total * i // chunks for i in range(chunks + 1)]
-        jobs = [(n, bounds[i], bounds[i + 1], greedy) for i in range(chunks)]
+        jobs = [(n, bounds[i], bounds[i + 1]) for i in range(chunks)]
         with get_context().Pool(nworkers) as pool:
             parts = pool.starmap(_sweep_range, jobs)
     bound = quarter_square(n)
     keyed: list[tuple[tuple[int, int], BoundViolation]] = []
-    for _, _, _, findings, erdos in parts:
+    for _, _, findings, erdos in parts:
         for mask, check, observed in findings:
             for i, order in enumerate(orders):
                 m = _relabel_mask(n, mask, order)
@@ -339,9 +332,9 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None] = ()) -> BoundRep
     keyed.sort(key=lambda kv: kv[0])
     return BoundReport(
         n=n,
-        graphs_checked=sum(p[0] for p in parts),
+        graphs_checked=total,
         strategies=labels,
-        max_cliques_seen=max(p[1] for p in parts),
-        max_elements_seen=max(p[2] for p in parts),
+        max_cliques_seen=max(p[0] for p in parts),
+        max_elements_seen=max(p[1] for p in parts),
         violations=tuple(v for _, v in keyed),
     )

@@ -2,6 +2,7 @@ import ast
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -497,3 +498,16 @@ class TestUsage:
         err = capsys.readouterr().err
         assert code == 2
         assert "line 2" in err
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path):
+        # A 1 GB address-space cap makes the vertex-order list for n = 10^12
+        # fail at once, so the test never touches real memory.
+        path = tmp_path / "huge.el"
+        path.write_text("n=1000000000000\n0 1\n")
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliquerep.cli", "partition", str(path), "--method", "greedy"],
+            env=env, capture_output=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: out of memory\n")

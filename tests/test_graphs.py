@@ -43,6 +43,12 @@ def nx_to_graph6(g: Graph) -> str:
     return nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
 
 
+def parse_error(text: str) -> str:
+    with pytest.raises(GraphParseError) as info:
+        parse_graph6(text)
+    return str(info.value)
+
+
 @st.composite
 def graphs(draw, min_n=0, max_n=7):
     n = draw(st.integers(min_n, max_n))
@@ -84,31 +90,49 @@ class TestGraph6:
         assert parse_graph6("C?") == nx_from_graph6("C?")
 
     def test_empty_input(self):
-        with pytest.raises(GraphParseError):
-            parse_graph6("")
+        assert parse_error("") == "empty graph6 input"
 
     def test_optional_prefix(self):
         assert parse_graph6(">>graph6<<C~\n") == complete_graph(4)
 
     def test_truncated(self):
-        with pytest.raises(GraphParseError, match="truncated"):
-            parse_graph6("D")
+        assert parse_error("D") == "byte 1: truncated bit field (0 data bytes, need 2)"
 
     def test_trailing_data(self):
-        with pytest.raises(GraphParseError, match="trailing"):
-            parse_graph6("C~~")
+        assert parse_error("C~~") == "byte 2: unexpected trailing character '~'"
 
     def test_long_form_rejected(self):
-        with pytest.raises(GraphParseError, match="byte 0"):
-            parse_graph6("~??")
+        assert parse_error("~??") == "byte 0: long-form graph6 (n > 62) is not supported"
 
     def test_out_of_range_character(self):
-        with pytest.raises(GraphParseError, match="byte 1"):
-            parse_graph6("C" + chr(30))
+        assert parse_error("C!") == "byte 1: character '!' out of range"
 
     def test_header_out_of_range(self):
-        with pytest.raises(GraphParseError, match="byte 0"):
-            parse_graph6("!??")
+        assert parse_error("!??") == "byte 0: header byte '!' out of range"
+
+    @pytest.mark.parametrize("text, message", [
+        (">>graph6<<", "empty graph6 input"),
+        (">>graph6<<D?", "byte 2: truncated bit field (1 data bytes, need 2)"),
+        ("~", "byte 0: long-form graph6 (n > 62) is not supported"),
+        ("\x7f", "byte 0: header byte '\\x7f' out of range"),
+        ("D!", "byte 2: truncated bit field (1 data bytes, need 2)"),
+        ("C!~", "byte 2: unexpected trailing character '~'"),
+        ("D~!", "byte 2: character '!' out of range"),
+    ])
+    def test_error_offsets_and_check_order(self, text, message):
+        # Offsets count from after the prefix, and the length is checked
+        # before the characters.
+        assert parse_error(text) == message
+
+    @pytest.mark.parametrize("g, encoded", [
+        (empty_graph(0), "?"),
+        (empty_graph(1), "@"),
+        (cycle_graph(7), "FhCKG"),
+        (complete_graph(62), "}" + "~" * 315 + "_"),
+    ])
+    def test_encoding_pins(self, g, encoded):
+        assert to_graph6(g) == encoded
+        assert parse_graph6(encoded) == g
 
     def test_encode_rejects_large_n(self):
         with pytest.raises(ValueError):

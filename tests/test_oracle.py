@@ -385,6 +385,10 @@ class TestExhaustiveBoundCheck:
         with pytest.raises(ValueError):
             exhaustive_bound_check(8, [None])
 
+    def test_rejects_empty_seeds(self):
+        with pytest.raises(ValueError, match="at least one greedy seed"):
+            exhaustive_bound_check(4, [])
+
     def test_json_round_trip(self):
         doc = exhaustive_bound_check(4, [None, 2]).to_json()
         assert json.loads(json.dumps(doc)) == doc
