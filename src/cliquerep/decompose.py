@@ -155,46 +155,56 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
     a seeded run is the lexicographic run on the relabeled graph.
     """
     order = _vertex_order(g.n, seed)
-    rank = {v: i for i, v in enumerate(order)}
-    residual = [0] * g.n
-    for u, v in g.edges:
-        residual[rank[u]] |= 1 << rank[v]
-        residual[rank[v]] |= 1 << rank[u]
+    if seed is None:
+        residual = list(g.adj)  # the lexicographic relabeling is the identity
+    else:
+        rank = {v: i for i, v in enumerate(order)}
+        residual = [0] * g.n
+        for u, v in g.edges:
+            residual[rank[u]] |= 1 << rank[v]
+            residual[rank[v]] |= 1 << rank[u]
     isolated = [(order[i],) for i, m in enumerate(residual) if m == 0]
     sequence: list[Clique] = []
     # Residual edges only disappear, so a start left without one is done.
     for start in range(g.n):
         while residual[start]:
-            mask, common = 1 << start, residual[start]
+            members, mask, common = [start], 1 << start, residual[start]
             while common:
-                grow = lowest_bit(common)
-                mask |= 1 << grow
+                low = common & -common
+                grow = low.bit_length() - 1
+                members.append(grow)
+                mask |= low
                 common &= residual[grow]
-            members = list(bits(mask))
             for i in members:
                 residual[i] &= ~mask
-            sequence.append(tuple(sorted(order[i] for i in members)))
+            sequence.append(tuple(sorted(map(order.__getitem__, members))))
     sequence.extend(isolated)
     return GreedyDecomposition(g, tuple(sequence))
 
 
-def _check_shape(n: int, i: int, cl: Clique, seen: set[Clique], out: list[Violation]) -> bool:
+def _check_shape(
+    vertices: frozenset[int], i: int, cl: Clique, seen: set[Clique], out: list[Violation]
+) -> bool:
     """Append the findings on clique i itself (empty, vertices out of range,
     repeated vertices, a repeat of an earlier clique) to out; False when its
-    vertex pairs cannot be checked."""
-    if len(cl) == 0:
-        out.append(Violation("empty_clique", position=i))
-        return False
-    bad = [v for v in cl if not 0 <= v < n]
-    if bad:
-        out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
-        return False
-    if len(set(cl)) != len(cl):
-        out.append(Violation("repeated_vertex", position=i, vertices=cl))
-        return False
-    if cl in seen:
-        out.append(Violation("duplicate_clique", position=i, vertices=cl))
+    vertex pairs cannot be checked. vertices is frozenset(range(n)); a clique
+    of distinct members, all in it, costs one intersection. Every clique
+    goes into seen: one equal to a misshapen clique is misshapen too."""
+    count = len(seen)
     seen.add(cl)
+    if not cl or len(vertices.intersection(cl)) != len(cl):
+        if not cl:
+            out.append(Violation("empty_clique", position=i))
+            return False
+        bad = [v for v in cl if not 0 <= v < len(vertices)]
+        if bad:
+            out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
+            return False
+        if len(set(cl)) != len(cl):
+            out.append(Violation("repeated_vertex", position=i, vertices=cl))
+            return False
+    if len(seen) == count:
+        out.append(Violation("duplicate_clique", position=i, vertices=cl))
     return True
 
 
@@ -218,9 +228,10 @@ def validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     """
     out: list[Violation] = []
     residual = list(g.adj)
+    vertices = frozenset(range(g.n))
     seen: set[Clique] = set()
     for i, cl in enumerate(d.sequence):
-        if not _check_shape(g.n, i, cl, seen, out):
+        if not _check_shape(vertices, i, cl, seen, out):
             continue
         ok_pairs = []
         for u, v in combinations(sorted(cl), 2):
@@ -255,10 +266,14 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     Costs O(n + sum of |clique|^2) time plus sorting each clique and the findings.
     """
     out: list[Violation] = []
+    # g.adj first: for an n too large to hold it fails at once, where the
+    # vertex set would fill memory one vertex at a time.
+    adj = g.adj
+    vertices = frozenset(range(g.n))
     seen: set[Clique] = set()
     counts: dict[Edge, int] = {}
     for i, cl in enumerate(p.cliques):
-        if not _check_shape(g.n, i, cl, seen, out):
+        if not _check_shape(vertices, i, cl, seen, out):
             continue
         for pair in combinations(sorted(cl), 2):
             counts[pair] = counts.get(pair, 0) + 1
@@ -270,7 +285,7 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     out.extend(Violation("covered_nonedge", pair=pair, observed=c, expected=0)
                for pair, c, adjacent in bad if not adjacent)
     for v in range(g.n):
-        if g.adj[v] == 0 and (v,) not in seen:
+        if adj[v] == 0 and (v,) not in seen:
             out.append(Violation("isolated_vertex_uncovered", vertex=v))
     return out
 
@@ -278,8 +293,9 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
 def _miscovered(g: Graph, counts: dict[Edge, int]) -> list[tuple[Edge, int, int]]:
     """(pair, count, adjacency) for every pair whose count (absent: 0) is not
     its adjacency in g, pairs ascending; O(m + len(counts)) plus the sort."""
-    bad = [(pair, c, 0) for pair, c in counts.items() if pair not in g.edges]
-    bad += [(pair, counts.get(pair, 0), 1) for pair in g.edges if counts.get(pair, 0) != 1]
+    bad = [(pair, counts[pair], 0) for pair in counts.keys() - g.edges]
+    bad += [(pair, c, 1) for pair, c in counts.items() if c != 1 and pair in g.edges]
+    bad += [(pair, 0, 1) for pair in g.edges.difference(counts)]
     return sorted(bad)
 
 

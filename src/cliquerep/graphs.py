@@ -59,6 +59,15 @@ class Graph:
             masks[v] |= 1 << u
         return tuple(masks)
 
+    @classmethod
+    def _checked(cls, n: int, edges: frozenset[Edge]) -> "Graph":
+        """A Graph from parts a parser has already checked against the
+        invariants above: __post_init__ would walk every edge again."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
@@ -124,18 +133,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         (index[u], index[v]) for u, v in g.edges if u in index and v in index
     )
     return Graph(len(labels), edges), labels
-
-
-def remove_edges(g: Graph, edges_to_remove: Iterable[Iterable[int]]) -> Graph:
-    """Same vertices, minus the given edges; every edge must be present."""
-    drop = set()
-    for e in edges_to_remove:
-        u, v = e
-        pair = (u, v) if u < v else (v, u)
-        if pair not in g.edges:
-            raise ValueError(f"edge {pair} not present in the graph")
-        drop.add(pair)
-    return Graph(g.n, g.edges - drop)
 
 
 def _pair_position(n: int, u: int, v: int) -> int:
@@ -242,7 +239,8 @@ def parse_graph6(text: str) -> Graph:
         if not 63 <= ord(ch) <= 126:
             raise GraphParseError(f"byte {1 + i}: character {ch!r} out of range")
     digits = "".join(f"{ord(ch) - 63:06b}" for ch in data)
-    return Graph(n, frozenset(compress(_graph6_pairs(n), digits.encode().translate(_BIT_BYTES))))
+    edges = frozenset(compress(_graph6_pairs(n), digits.encode().translate(_BIT_BYTES)))
+    return Graph._checked(n, edges)
 
 
 def to_graph6(g: Graph) -> str:
@@ -260,48 +258,50 @@ def parse_edge_list(text: str) -> Graph:
     """Parse the 'n=<count>' header plus 'u v' lines format.
 
     Lines starting with '#' and blank lines are ignored. The explicit header
-    keeps isolated vertices alive through serialization.
+    keeps isolated vertices alive through serialization. One walk over the
+    lines checks the header, then per edge line the token count, the
+    integers, self-loops, the endpoint range and duplicates, in that order,
+    so the result is not checked a second time.
     """
-    n: int | None = None
-    edges: set[Edge] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = enumerate(text.splitlines(), start=1)
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line and not line.startswith("#"):
+            break
+    else:
+        raise GraphParseError("missing 'n=<count>' header")
+    if not line.startswith("n="):
+        raise GraphParseError(f"line {lineno}: expected 'n=<count>' header, got {line!r}")
+    try:
+        n = int(line[2:])
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: bad vertex count {line[2:]!r}") from None
+    if n < 0:
+        raise GraphParseError(f"line {lineno}: negative vertex count")
+    edges: set[Edge] = set()
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        if n is None:
-            if not line.startswith("n="):
-                raise GraphParseError(
-                    f"line {lineno}: expected 'n=<count>' header, got {line!r}"
-                )
-            try:
-                n = int(line[2:])
-            except ValueError:
-                raise GraphParseError(
-                    f"line {lineno}: bad vertex count {line[2:]!r}"
-                ) from None
-            if n < 0:
-                raise GraphParseError(f"line {lineno}: negative vertex count")
-            continue
-        parts = line.split()
         if len(parts) != 2:
-            raise GraphParseError(f"line {lineno}: expected 'u v', got {line!r}")
+            raise GraphParseError(f"line {lineno}: expected 'u v', got {raw.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError(
-                f"line {lineno}: non-integer endpoint in {line!r}"
+                f"line {lineno}: non-integer endpoint in {raw.strip()!r}"
             ) from None
-        if u == v:
+        if u > v:
+            u, v = v, u
+        elif u == v:
             raise GraphParseError(f"line {lineno}: self-loop on vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
+        if u < 0 or v >= n:
             raise GraphParseError(f"line {lineno}: endpoint out of range for n={n}")
-        pair = (u, v) if u < v else (v, u)
-        if pair in edges:
-            raise GraphParseError(f"line {lineno}: duplicate edge {pair}")
-        edges.add(pair)
-    if n is None:
-        raise GraphParseError("missing 'n=<count>' header")
-    return Graph(n, frozenset(edges))
+        count = len(edges)
+        edges.add((u, v))
+        if len(edges) == count:
+            raise GraphParseError(f"line {lineno}: duplicate edge {(u, v)}")
+    return Graph._checked(n, frozenset(edges))
 
 
 def to_edge_list(g: Graph) -> str:

@@ -175,13 +175,6 @@ def validate_representation(
     return out
 
 
-def representations_equivalent(a: SetRepresentation, b: SetRepresentation) -> bool:
-    """True when b is a bijective relabeling of a's element ids."""
-    if a.host != b.host or a.ground_size != b.ground_size:
-        return False
-    return sorted(_induced_sets(a)) == sorted(_induced_sets(b))
-
-
 def _induced_sets(r: SetRepresentation) -> list[tuple[int, ...]]:
     members: list[list[int]] = [[] for _ in range(r.ground_size)]
     for v, s in enumerate(r.sets):

@@ -28,7 +28,7 @@ from cliquerep import (
     distinctness,
     validate_partition,
 )
-from cliquerep.decompose import _check_shape, _erdos_base_local
+from cliquerep.decompose import _erdos_base_local
 from cliquerep.graphs import bits
 
 
@@ -63,6 +63,30 @@ def sparse_random_graph(rng: random.Random, n: int, p: float) -> Graph:
             if v < n:
                 edges.append((w, v))
     return graph(n, edges)
+
+
+def remove_edges(g: Graph, edges_to_remove) -> Graph:
+    """Same vertices, minus the given edges; every edge must be present."""
+    drop = set()
+    for u, v in edges_to_remove:
+        pair = (u, v) if u < v else (v, u)
+        if pair not in g.edges:
+            raise ValueError(f"edge {pair} not present in the graph")
+        drop.add(pair)
+    return Graph(g.n, g.edges - drop)
+
+
+def representations_equivalent(a: SetRepresentation, b: SetRepresentation) -> bool:
+    """True when b is a bijective relabeling of a's element ids: same host,
+    same ground size and the same multiset of element member sets."""
+    if a.host != b.host or a.ground_size != b.ground_size:
+        return False
+
+    def member_sets(r: SetRepresentation) -> list[tuple[int, ...]]:
+        return sorted(tuple(v for v, s in enumerate(r.sets) if e in s)
+                      for e in range(r.ground_size))
+
+    return member_sets(a) == member_sets(b)
 
 
 def reference_greedy(g: Graph, seed: int | None) -> tuple[Clique, ...]:
@@ -134,16 +158,37 @@ def reference_erdos(g: Graph) -> tuple[Clique, ...]:
     return tuple(sorted(tuple(sorted(c)) for c in cliques))
 
 
+def reference_check_shape(n: int, i: int, cl: Clique, seen: set[Clique],
+                          out: list[Violation]) -> bool:
+    """The findings on clique i itself, checked one by one: empty, each
+    vertex out of range, repeated vertices, then a repeat of an earlier
+    well-shaped clique (only those go into seen). False when the clique's
+    pairs cannot be checked."""
+    if len(cl) == 0:
+        out.append(Violation("empty_clique", position=i))
+        return False
+    bad = [v for v in cl if not 0 <= v < n]
+    if bad:
+        out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
+        return False
+    if len(set(cl)) != len(cl):
+        out.append(Violation("repeated_vertex", position=i, vertices=cl))
+        return False
+    if cl in seen:
+        out.append(Violation("duplicate_clique", position=i, vertices=cl))
+    seen.add(cl)
+    return True
+
+
 def reference_validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
-    """validate_partition the direct way: count each clique's pairs, then
-    scan every edge and every counted pair in sorted order. Only the
-    per-clique shape check (_check_shape) is shared with the code under
-    test."""
+    """validate_partition the direct way: check each clique's shape and
+    count its pairs, then scan every edge and every counted pair in sorted
+    order."""
     out: list[Violation] = []
     seen: set[Clique] = set()
     counts: dict[tuple[int, int], int] = {}
     for i, cl in enumerate(p.cliques):
-        if not _check_shape(g.n, i, cl, seen, out):
+        if not reference_check_shape(g.n, i, cl, seen, out):
             continue
         for u, v in combinations(sorted(cl), 2):
             counts[(u, v)] = counts.get((u, v), 0) + 1

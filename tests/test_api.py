@@ -16,9 +16,8 @@ NAMES = [
     "graph_from_bitmask", "greedy_decomposition", "induced_subgraph",
     "min_clique_partition", "min_distinct_representation", "parse_edge_list",
     "parse_graph6", "partition_from_representation", "path_graph", "quarter_square",
-    "remove_edges", "representation_from_partition", "representations_equivalent",
-    "to_edge_list", "to_graph6", "validate_greedy", "validate_partition",
-    "validate_representation",
+    "representation_from_partition", "to_edge_list", "to_graph6", "validate_greedy",
+    "validate_partition", "validate_representation",
 ]
 
 PARAMETERS = {
@@ -58,9 +57,7 @@ PARAMETERS = {
     "partition_from_representation": ["r"],
     "path_graph": ["n"],
     "quarter_square": ["n"],
-    "remove_edges": ["g", "edges_to_remove"],
     "representation_from_partition": ["p"],
-    "representations_equivalent": ["a", "b"],
     "to_edge_list": ["g"],
     "to_graph6": ["g"],
     "validate_greedy": ["g", "d"],

@@ -1,7 +1,9 @@
 import ast
+import contextlib
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -9,23 +11,35 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import cliquerep
 from cliquerep import (
     CliquePartition,
     GreedyDecomposition,
     SetRepresentation,
+    augment_to_distinct,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    empty_graph,
+    erdos_partition,
     exhaustive_bound_check,
     graph,
+    greedy_decomposition,
+    min_clique_partition,
+    min_distinct_representation,
     path_graph,
+    representation_from_partition,
     to_edge_list,
     to_graph6,
+    validate_greedy,
     validate_partition,
+    validate_representation,
 )
-from cliquerep.cli import run
+from cliquerep.cli import _print_rows, run
+from helpers import graphs, random_graph
 
 PACKAGE = Path(cliquerep.__file__).resolve().parent
 
@@ -406,6 +420,131 @@ class TestSweep:
         assert code == 2
 
 
+def dumped(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def run_on_text(argv: list[str], text: str) -> tuple[int, str]:
+    """run(argv) with text on standard input; returns (code, stdout)."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+def construction_doc(g, argv: list[str]) -> dict:
+    """The document a partition or represent command prints, built with the
+    library."""
+    seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else None
+    built = erdos_partition(g) if "erdos" in argv else greedy_decomposition(g, seed)
+    if argv[0] == "partition":
+        return built.to_json()
+    r = representation_from_partition(built)
+    return (augment_to_distinct(r) if "--augment" in argv else r).to_json()
+
+
+#: n = 0 gives empty 'cliques' and 'sets' arrays; isolated vertices give
+#: singleton cliques.
+JSON_GRAPHS = {
+    "n0": empty_graph(0),
+    "empty3": empty_graph(3),
+    "isolated": graph(7, [(0, 1), (1, 2), (0, 2), (2, 4)]),
+    "k5": complete_graph(5),
+    "k33": complete_bipartite(3, 3),
+}
+
+CONSTRUCTIONS = [
+    ["partition", "--method", "greedy"],
+    ["partition", "--method", "greedy", "--strategy", "random", "--seed", "3"],
+    ["partition", "--method", "erdos"],
+    ["represent", "--method", "greedy"],
+    ["represent", "--method", "greedy", "--augment"],
+    ["represent", "--method", "erdos"],
+    ["represent", "--method", "erdos", "--augment"],
+]
+
+
+class TestJsonBytes:
+    """Every JSON document on stdout is byte for byte
+    json.dumps(doc, indent=2, sort_keys=True) plus a newline."""
+
+    # The erdos partition needs a vertex.
+    @pytest.mark.parametrize("name, argv", [
+        (name, argv) for name in sorted(JSON_GRAPHS) for argv in CONSTRUCTIONS
+        if name != "n0" or "erdos" not in argv
+    ], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+    def test_constructions(self, name, argv):
+        g = JSON_GRAPHS[name]
+        code, out = run_on_text([argv[0], "-", "--format", "edgelist", *argv[1:]],
+                                to_edge_list(g))
+        assert code == 0
+        assert out == dumped(construction_doc(g, argv))
+
+    @given(graphs(max_n=40), st.sampled_from(CONSTRUCTIONS))
+    @settings(max_examples=60)
+    def test_constructions_on_random_graphs(self, g, argv):
+        assume(g.n > 0 or "erdos" not in argv)
+        code, out = run_on_text([argv[0], "-", "--format", "edgelist", *argv[1:]],
+                                to_edge_list(g))
+        assert code == 0
+        assert out == dumped(construction_doc(g, argv))
+
+    def test_empty_and_negative_rows(self, capsys):
+        doc = {"n": 3, "ground_size": 12, "sets": [[], [-1, 10**30], [0]]}
+        _print_rows(doc, "sets")
+        assert capsys.readouterr().out == dumped(doc)
+
+    @pytest.mark.parametrize("name", ["isolated", "k5", "k33"])
+    def test_verify(self, tmp_path, name):
+        g = JSON_GRAPHS[name]
+        p = erdos_partition(g)
+        d = greedy_decomposition(g)
+        r = augment_to_distinct(representation_from_partition(d))
+        broken = CliquePartition(g, p.cliques[1:] + ((0, 0), (), p.cliques[-1]))
+        tampered = SetRepresentation(g, r.sets[1:] + r.sets[:1], r.ground_size + 1)
+        check = {
+            "partition": lambda doc: validate_partition(g, CliquePartition.from_json(doc, g)),
+            "greedy": lambda doc: validate_greedy(g, GreedyDecomposition.from_json(doc, g)),
+            "representation": lambda doc: validate_representation(
+                g, SetRepresentation.from_json(doc, g)),
+        }
+        cases = [("partition", p), ("partition", broken), ("greedy", d), ("greedy", p),
+                 ("representation", r), ("representation", tampered)]
+        (tmp_path / "g.el").write_text(to_edge_list(g))
+        kinds = set()
+        for kind, artifact in cases:
+            doc = artifact.to_json()
+            problems = check[kind](doc)
+            (tmp_path / "a.json").write_text(json.dumps(doc))
+            code, out = run_on_text(["verify", kind, str(tmp_path / "g.el"),
+                                     str(tmp_path / "a.json")], "")
+            assert code == (1 if problems else 0)
+            assert out == dumped({"valid": not problems,
+                                  "violations": [v.to_json() for v in problems]})
+            kinds.add(bool(problems))
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("name", ["n0", "isolated", "k33"])
+    def test_oracle(self, name):
+        g = JSON_GRAPHS[name]
+        value, witness = min_clique_partition(g)
+        code, out = run_on_text(["oracle", "cp", "-", "--format", "edgelist"], to_edge_list(g))
+        assert (code, out) == (0, dumped({"value": value, "witness": witness.to_json()}))
+        if g.n <= 6:
+            value, r = min_distinct_representation(g)
+            code, out = run_on_text(["oracle", "omega", "-", "--format", "edgelist"],
+                                    to_edge_list(g))
+            assert (code, out) == (0, dumped({"value": value, "witness": r.to_json()}))
+
+    def test_sweep(self):
+        code, out = run_on_text(["sweep", "--n", "4", "--seeds", "1,2"], "")
+        assert (code, out) == (0, dumped(exhaustive_bound_check(4, [None, 1, 2]).to_json()))
+
+
 class TestOptimizedInterpreter:
     """Postconditions are explicit checks, so `python -O` changes nothing."""
 
@@ -429,6 +568,30 @@ class TestOptimizedInterpreter:
         ]
         assert [p.returncode for p in outs] == [0, 0]
         assert outs[0].stdout == outs[1].stdout != b""
+
+    def test_ingest_and_output_are_identical_under_O(self, tmp_path):
+        g = random_graph(random.Random(200), 200, 0.5)
+        (tmp_path / "g.el").write_text(to_edge_list(g))
+        r = augment_to_distinct(representation_from_partition(greedy_decomposition(g)))
+        (tmp_path / "valid.json").write_text(json.dumps(r.to_json()))
+        tampered = SetRepresentation(g, r.sets[1:] + r.sets[:1], r.ground_size)
+        (tmp_path / "tampered.json").write_text(json.dumps(tampered.to_json()))
+        commands = [
+            (["partition", "g.el", "--method", "erdos"], 0),
+            (["represent", "g.el", "--method", "greedy", "--augment"], 0),
+            (["verify", "representation", "g.el", "valid.json", "--require-distinct"], 0),
+            (["verify", "representation", "g.el", "tampered.json"], 1),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+        for argv, code in commands:
+            outs = [
+                subprocess.run([sys.executable, *flags, "-m", "cliquerep.cli", *argv],
+                               cwd=tmp_path, env=env, capture_output=True, timeout=120)
+                for flags in ([], ["-O"])
+            ]
+            plain, optimized = [(p.returncode, p.stdout, p.stderr) for p in outs]
+            assert plain == optimized, argv
+            assert plain[0] == code and plain[1] != b"", argv
 
 
 @pytest.mark.parametrize("subcommand", ["partition", "represent"])

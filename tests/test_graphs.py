@@ -23,11 +23,10 @@ from cliquerep import (
     parse_edge_list,
     parse_graph6,
     path_graph,
-    remove_edges,
     to_edge_list,
     to_graph6,
 )
-from helpers import iso_classes_by_permutation
+from helpers import iso_classes_by_permutation, remove_edges
 
 
 def nx_from_graph6(text: str) -> Graph:
@@ -195,6 +194,37 @@ class TestEdgeList:
             parse_edge_list("n=2\n0 1 2")
         with pytest.raises(GraphParseError):
             parse_edge_list("n=-1\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "missing 'n=<count>' header"),
+        ("# only a comment\n\n   \n", "missing 'n=<count>' header"),
+        ("# c\n\nnodes=3\n", "line 3: expected 'n=<count>' header, got 'nodes=3'"),
+        ("  0 1  \n", "line 1: expected 'n=<count>' header, got '0 1'"),
+        ("\n# c\nn=x\n", "line 3: bad vertex count 'x'"),
+        ("n=\n", "line 1: bad vertex count ''"),
+        ("n=3.0\n", "line 1: bad vertex count '3.0'"),
+        ("# c\nn=-2\n0 1\n", "line 2: negative vertex count"),
+        ("n=3\n# 0 1\n\n0 1 2\n", "line 4: expected 'u v', got '0 1 2'"),
+        ("n=3\n  0  \n", "line 2: expected 'u v', got '0'"),
+        ("n=3\nx y z\n", "line 2: expected 'u v', got 'x y z'"),
+        ("n=3\n0 1\n\t1 x \n", "line 3: non-integer endpoint in '1 x'"),
+        ("n=3\n1.5 2\n", "line 2: non-integer endpoint in '1.5 2'"),
+        ("n=1\n# c\n0 0\n", "line 3: self-loop on vertex 0"),
+        ("n=3\n-1 -1\n", "line 2: self-loop on vertex -1"),
+        ("n=3\n2 -0\n0 -0\n", "line 3: self-loop on vertex 0"),
+        ("n=2\n0 2\n", "line 2: endpoint out of range for n=2"),
+        ("n=3\n\n-1 2\n", "line 3: endpoint out of range for n=3"),
+        ("n=0\n0 1\n", "line 2: endpoint out of range for n=0"),
+        ("n=3\n0 1\n# c\n\n1 0\n", "line 5: duplicate edge (0, 1)"),
+        ("n=4\n2 3\n 3   2 \n", "line 3: duplicate edge (2, 3)"),
+    ])
+    def test_error_lines_and_check_order(self, text, message):
+        # Blank and comment lines count towards the line number; each line
+        # is checked for its token count, integers, self-loop, range and
+        # duplicate in that order, so 'n=1' then '0 0' is a self-loop.
+        with pytest.raises(GraphParseError) as info:
+            parse_edge_list(text)
+        assert str(info.value) == message
 
     @given(graphs(max_n=7))
     def test_round_trip(self, g):

@@ -17,9 +17,9 @@ from cliquerep import (
     partition_from_representation,
     path_graph,
     representation_from_partition,
-    representations_equivalent,
     validate_representation,
 )
+from helpers import representations_equivalent
 
 
 @st.composite
