@@ -274,6 +274,9 @@ def run(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
+    except OverflowError:  # a vertex count beyond any list index, so beyond memory
+        print("error: input too large for this machine", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

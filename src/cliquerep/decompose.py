@@ -451,49 +451,62 @@ def _edge_partitions(
     Branches on the smallest uncovered edge (u, v) over options(residual, u,
     v), the residual cliques through it to try, in order; if they are all
     the residual cliques through it, each edge partition is yielded exactly
-    once. A node whose prune(need) holds is cut: a branching node before it
-    branches, a leaf before it is yielded, so every yielded partition passes
-    prune. need is the fewest cliques any completion below the node can
-    have: the cliques chosen so far plus _cliques_needed(residual), which is
-    0 at a leaf. Without prune the bound is never computed. The yielded list
-    is the live search state, valid until the next step, and is extended by
-    copying. Leaves and cut nodes are handled in their parent's loop, so
-    only nodes that branch pay for a generator.
+    once. When u and v have no common residual neighbor, options must return
+    exactly [(u, v)], as _cliques_through_edge and _edge_or_triangles do:
+    such a forced edge is taken without calling it. A node whose prune(need)
+    holds is cut: a branching node before it branches, a leaf before it is
+    yielded, so every yielded partition passes prune. need is the fewest
+    cliques any completion below the node can have: the cliques chosen so
+    far plus _cliques_needed(residual), which is 0 at a leaf. Without prune
+    the bound is never computed. The yielded list is the live search state,
+    valid until the next step, and is extended by copying.
 
-    A node removes and restores its clique with one vertex mask per member
-    and scans the residual once: the OR of its rows is the non-isolated
-    vertex mask the bound starts from, and its lowest vertex u (all rows
-    below u are empty) has the smallest uncovered edge, to u's lowest
-    neighbor. These are costs only: which nodes are visited, in what order,
-    and what prune sees follow from the rules above.
+    The search is one loop in one frame, with an explicit stack of the
+    branching nodes: each keeps its remaining options, the number of
+    cliques chosen above it and a copy of its residual, which is restored
+    before its next option is taken. Each node scans the residual once: the
+    OR of its rows is the non-isolated vertex mask the bound starts from,
+    and its lowest vertex u (all rows below u are empty) has the smallest
+    uncovered edge, to u's lowest neighbor. These are costs only: which
+    nodes are visited, in what order, and what prune sees follow from the
+    rules above.
     """
     residual = list(adj)
     chosen: list[Clique] = []
-
-    def rec(u: int) -> Iterator[list[Clique]]:
-        for cl in options(residual, u, lowest_bit(residual[u])):
-            mask = 0
-            for a in cl:
-                mask |= 1 << a
-            for a in cl:
-                residual[a] &= ~mask
-            chosen.append(cl)
-            free = reduce(or_, residual)
-            if prune is None or not prune(len(chosen) + _cliques_needed(residual, free)):
-                if free:
-                    yield from rec(lowest_bit(free))
+    stack: list[tuple[Iterator[Clique], int, list[int]]] = []
+    while True:
+        free = reduce(or_, residual, 0)
+        if prune is None or not prune(len(chosen) + _cliques_needed(residual, free)):
+            if not free:
+                yield chosen
+            else:
+                u = (free & -free).bit_length() - 1
+                row = residual[u]
+                v = (row & -row).bit_length() - 1
+                if row & residual[v]:
+                    stack.append((iter(options(residual, u, v)), len(chosen), residual.copy()))
                 else:
-                    yield chosen
-            chosen.pop()
-            for a in cl:
-                residual[a] |= mask ^ (1 << a)
-
-    free = reduce(or_, residual, 0)
-    if prune is None or not prune(_cliques_needed(residual, free)):
-        if free:
-            yield from rec(lowest_bit(free))
+                    residual[u] = row ^ 1 << v
+                    residual[v] ^= 1 << u
+                    chosen.append((u, v))
+                    continue
+        # Back up to the deepest branching node with an option left.
+        while stack:
+            rest, depth, saved = stack[-1]
+            cl = next(rest, None)
+            if cl is not None:
+                break
+            stack.pop()
         else:
-            yield chosen
+            return
+        residual[:] = saved
+        del chosen[depth:]
+        mask = 0
+        for a in cl:
+            mask |= 1 << a
+        for a in cl:
+            residual[a] &= ~mask
+        chosen.append(cl)
 
 
 def _min_distinct(
@@ -524,10 +537,14 @@ def _min_distinct(
                 keys[v] |= 1 << k
         cost = len(chosen) + len(iso) + n - len(set(keys))
         if cost < budget:
-            budget = cost
-            extras = sorted(v for group in _group_equal(keys) for v in group[1:])
-            best = chosen + iso + [(v,) for v in extras]
-    return best
+            budget, best, best_keys = cost, chosen.copy(), keys
+    if best is None:
+        return None
+    # Every vertex whose key an earlier vertex already has gets a trivial
+    # clique, in vertex order.
+    seen: set[int] = set()
+    extras = [(v,) for v, key in enumerate(best_keys) if key in seen or seen.add(key)]
+    return best + iso + extras
 
 
 def _incidence(n: int, cliques: Iterable[Clique]) -> list[tuple[int, ...]]:

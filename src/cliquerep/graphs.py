@@ -8,7 +8,6 @@ verification sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations, compress, permutations
 from typing import Iterable, Iterator
 
@@ -27,6 +26,23 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 class GraphParseError(ValueError):
     """Text input does not encode a graph in the expected format."""
+
+
+class _cached:
+    """A property computed on first access and stored in the instance
+    __dict__, which later lookups find first. Unlike functools.cached_property
+    before Python 3.12, it takes no lock."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -50,7 +66,7 @@ class Graph:
             if not 0 <= u < v < self.n:
                 raise ValueError(f"edge {e!r} out of range for n={self.n}")
 
-    @cached_property
+    @_cached
     def adj(self) -> tuple[int, ...]:
         """Neighbor bitmasks: bit v of adj[u] is set iff {u, v} is an edge."""
         masks = [0] * self.n

@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from multiprocessing import get_context
 from typing import Iterable, Iterator
 
 from .decompose import (
@@ -155,8 +154,13 @@ def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
     best = _min_distinct(g.adj, _cliques_through_edge, budget)
     if best is None:
         raise RuntimeError("search exhausted without meeting the quarter-square budget")
-    witness = CliquePartition.from_cliques(g, best)
-    sets = tuple(frozenset(ks) for ks in _incidence(g.n, witness.cliques))
+    # Element k is the k-th clique in sorted order. The search yields each
+    # clique as a sorted tuple, so sorting the list is CliquePartition's order.
+    members: list[list[int]] = [[] for _ in range(g.n)]
+    for k, cl in enumerate(sorted(best)):
+        for v in cl:
+            members[v].append(k)
+    sets = tuple(map(frozenset, members))
     if len(set(sets)) < g.n:
         raise RuntimeError("the minimum witness has duplicate sets")
     return len(best), SetRepresentation(g, sets, len(best))
@@ -319,6 +323,9 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
         chunks = nworkers * 4
         bounds = [total * i // chunks for i in range(chunks + 1)]
         jobs = [(n, bounds[i], bounds[i + 1]) for i in range(chunks)]
+        # Imported here: at module level it is a quarter of the CLI's start-up.
+        from multiprocessing import get_context
+
         with get_context().Pool(nworkers) as pool:
             parts = pool.starmap(_sweep_range, jobs)
     bound = quarter_square(n)

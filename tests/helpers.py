@@ -258,6 +258,29 @@ def reference_validate_representation(
     return out
 
 
+def reference_edge_partitions(g: Graph):
+    """Every partition of g's edges into cliques, as lists of sorted tuples,
+    by plain recursion without a bound: branch on the smallest uncovered
+    edge (u, v) over every clique of uncovered edges through it, largest
+    first and lexicographic within a size, one branch per clique, forced
+    edges included."""
+
+    def rec(residual: frozenset, chosen: list):
+        if not residual:
+            yield list(chosen)
+            return
+        u, v = min(residual)
+        common = [w for w in range(g.n)
+                  if (min(u, w), max(u, w)) in residual and (min(v, w), max(v, w)) in residual]
+        for size in range(len(common), -1, -1):
+            for extra in combinations(common, size):
+                if all(pair in residual for pair in combinations(extra, 2)):
+                    cl = (u, v) + extra
+                    yield from rec(residual - set(combinations(cl, 2)), chosen + [cl])
+
+    yield from rec(frozenset(g.edges), [])
+
+
 def has_triangle(g: Graph) -> bool:
     for u, v in sorted(g.edges):
         if g.adj[u] & g.adj[v]:

@@ -674,3 +674,33 @@ class TestUsage:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: out of memory\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["partition", "--method", "greedy"], ["partition", "--method", "erdos"],
+        ["represent", "--method", "greedy"], ["represent", "--method", "erdos"],
+        ["verify", "partition"], ["verify", "greedy"],
+    ])
+    def test_vertex_count_beyond_an_index_is_one_error_line(self, tmp_path, capsys, argv):
+        # No list of 10^20 entries can exist, so each command fails before
+        # allocating anything.
+        n = 10**20
+        path = tmp_path / "huge.el"
+        path.write_text(f"n={n}\n0 1\n")
+        artifact = tmp_path / "huge.json"
+        ordered = argv[1] == "greedy"
+        artifact.write_text(json.dumps({"n": n, "ordered": ordered, "cliques": [[0, 1]]}))
+        args = argv[:1] + [str(path)] + argv[1:]
+        if argv[0] == "verify":
+            args = argv + [str(path), str(artifact)]
+        assert run(args) == 2
+        assert capsys.readouterr() == ("", "error: input too large for this machine\n")
+
+    def test_importing_the_cli_leaves_out_multiprocessing(self):
+        # Only a pooled sweep needs it, and it is a large share of start-up.
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cliquerep.cli; print('multiprocessing' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")

@@ -32,7 +32,7 @@ from cliquerep import (
     validate_partition,
     validate_representation,
 )
-from cliquerep import oracle
+from cliquerep import decompose, oracle
 from cliquerep.decompose import _cliques_needed, _vertex_order
 from helpers import (
     brute_cp,
@@ -40,6 +40,7 @@ from helpers import (
     graphs,
     has_triangle,
     random_graph,
+    reference_edge_partitions,
     reference_rs_bound,
     reference_sweep,
     sparse_random_graph,
@@ -103,8 +104,14 @@ def dense_panel(count):
 class TestCliquesNeededBound:
     #: Branching nodes (calls of the options callback) of
     #: min_clique_partition on the first dense panel graphs. With the
-    #: "one more clique" bound they were 334065, 73290 and 125139.
-    NODES = [6657, 3230, 2450]
+    #: "one more clique" bound they were 334065, 73290 and 125139, and
+    #: 6657, 3230 and 2450 while forced edges still called options.
+    NODES = [5113, 2465, 1833]
+
+    #: Bound evaluations (calls of _cliques_needed), one per node visited
+    #: below the root and one at the root, on the same graphs; taking
+    #: forced edges without branching must not change them.
+    BOUND_CALLS = [28462, 11932, 9606]
 
     #: min_clique_partition witnesses on the same graphs, recorded under
     #: the "one more clique" bound: a stronger bound must not change them.
@@ -118,9 +125,12 @@ class TestCliquesNeededBound:
     ]
 
     #: Branching nodes of min_distinct_representation over all 1024
-    #: labeled 5-vertex graphs, and the sha256 of its results there, one
-    #: json.dumps([value, witness], sort_keys=True) per graph in mask order.
-    OMEGA_NODES = 3660
+    #: labeled 5-vertex graphs (3660 while forced edges still called
+    #: options), its bound evaluations there, and the sha256 of its results
+    #: there, one json.dumps([value, witness], sort_keys=True) per graph in
+    #: mask order.
+    OMEGA_NODES = 808
+    OMEGA_BOUND_CALLS = 5707
     OMEGA_DIGEST = "11bf6b99acd19dbce9d3b2d5a5573dc55fb22d86d5e50feb1d79451eba99351c"
 
     @pytest.fixture
@@ -136,20 +146,36 @@ class TestCliquesNeededBound:
         monkeypatch.setattr(oracle, "_cliques_through_edge", counting)
         return calls
 
-    def test_branching_nodes_are_pinned(self, option_calls):
-        nodes = []
+    @pytest.fixture
+    def bound_calls(self, monkeypatch):
+        """Counts calls of _cliques_needed, one per node the search visits."""
+        calls = [0]
+        needed = decompose._cliques_needed
+
+        def counting(residual, free=None):
+            calls[0] += 1
+            return needed(residual, free)
+
+        monkeypatch.setattr(decompose, "_cliques_needed", counting)
+        return calls
+
+    def test_branching_nodes_and_bound_calls_are_pinned(self, option_calls, bound_calls):
+        nodes, bounds = [], []
         for g in dense_panel(len(self.NODES)):
-            option_calls[0] = 0
+            option_calls[0] = bound_calls[0] = 0
             min_clique_partition(g)
             nodes.append(option_calls[0])
+            bounds.append(bound_calls[0])
         assert nodes == self.NODES
+        assert bounds == self.BOUND_CALLS
 
-    def test_omega_nodes_and_witnesses_are_pinned(self, option_calls):
+    def test_omega_nodes_and_witnesses_are_pinned(self, option_calls, bound_calls):
         digest = hashlib.sha256()
         for g in enumerate_labeled_graphs(5):
             value, witness = min_distinct_representation(g)
             digest.update(json.dumps([value, witness.to_json()], sort_keys=True).encode())
         assert option_calls[0] == self.OMEGA_NODES
+        assert bound_calls[0] == self.OMEGA_BOUND_CALLS
         assert digest.hexdigest() == self.OMEGA_DIGEST
 
     @pytest.mark.slow
@@ -160,7 +186,7 @@ class TestCliquesNeededBound:
         start = time.perf_counter()
         value, witness = min_clique_partition(g)
         assert time.perf_counter() - start < 60
-        assert option_calls[0] == 311268
+        assert option_calls[0] == 230373
         assert value == 8
         assert witness.cliques == ((0, 1), (0, 2, 3, 4, 5, 6, 7, 8, 9), (1, 3), (1, 4),
                                    (1, 5), (1, 6), (1, 7), (1, 9))
@@ -216,6 +242,13 @@ class TestAllCliquePartitions:
         assert len(parts) == 16
         assert hashlib.sha256(json.dumps(parts).encode()).hexdigest() == (
             "b017ff3f115fc12ba6bb336b0a79602542c274181921ec8830ec14ab1166aef8")
+
+    @given(graphs(max_n=7))
+    @settings(max_examples=60, deadline=None)
+    def test_same_sequence_as_the_unpruned_reference(self, g):
+        iso = [(v,) for v in range(g.n) if g.adj[v] == 0]
+        expected = [tuple(sorted(chosen + iso)) for chosen in reference_edge_partitions(g)]
+        assert [p.cliques for p in all_clique_partitions(g)] == expected
 
     def test_extra_trivial_variants(self):
         g = path_graph(2)
