@@ -689,9 +689,10 @@ class TestUsage:
         artifact = tmp_path / "huge.json"
         ordered = argv[1] == "greedy"
         artifact.write_text(json.dumps({"n": n, "ordered": ordered, "cliques": [[0, 1]]}))
-        args = argv[:1] + [str(path)] + argv[1:]
         if argv[0] == "verify":
             args = argv + [str(path), str(artifact)]
+        else:
+            args = argv[:1] + [str(path)] + argv[1:]
         assert run(args) == 2
         assert capsys.readouterr() == ("", "error: input too large for this machine\n")
 
