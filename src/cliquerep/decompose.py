@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from itertools import combinations
-from operator import or_
+from itertools import chain, combinations
+from operator import attrgetter, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .graphs import Edge, Graph, bits, lowest_bit
@@ -177,7 +177,12 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
                 common &= residual[grow]
             for i in members:
                 residual[i] &= ~mask
-            sequence.append(tuple(sorted(map(order.__getitem__, members))))
+            # Members ascend: start's residual neighbors all lie above it and
+            # each growth step takes the lowest bit left. A seeded run maps
+            # them back to the original labels and sorts.
+            if seed is not None:
+                members = sorted(map(order.__getitem__, members))
+            sequence.append(tuple(members))
     sequence.extend(isolated)
     return GreedyDecomposition(g, tuple(sequence))
 
@@ -185,18 +190,19 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
 def _check_shape(
     vertices: frozenset[int], i: int, cl: Clique, seen: set[Clique], out: list[Violation]
 ) -> bool:
-    """Append the findings on clique i itself (empty, vertices out of range,
-    repeated vertices, a repeat of an earlier clique) to out; False when its
-    vertex pairs cannot be checked. vertices is frozenset(range(n)); a clique
-    of distinct members, all in it, costs one intersection. Every clique
-    goes into seen: one equal to a misshapen clique is misshapen too."""
+    """Append the findings on clique i itself (empty, members that are not
+    in vertices, repeated vertices, a repeat of an earlier clique) to out;
+    False when its vertex pairs cannot be checked. vertices is
+    frozenset(range(n)); a clique of distinct members, all in it, costs one
+    intersection. Every clique goes into seen: one equal to a misshapen
+    clique is misshapen too."""
     count = len(seen)
     seen.add(cl)
     if not cl or len(vertices.intersection(cl)) != len(cl):
         if not cl:
             out.append(Violation("empty_clique", position=i))
             return False
-        bad = [v for v in cl if not 0 <= v < len(vertices)]
+        bad = [v for v in cl if v not in vertices]
         if bad:
             out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
             return False
@@ -263,7 +269,8 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     Reports adjacent pairs covered a number of times other than once,
     non-adjacent pairs covered at all, members that are not cliques,
     duplicate cliques, and isolated vertices lacking a trivial clique.
-    Costs O(n + sum of |clique|^2) time plus sorting each clique and the findings.
+    Costs O((n + sum of |clique|) * ceil(n/64)) word operations, the order
+    of building g.adj, plus one step per finding and sorting the findings.
     """
     out: list[Violation] = []
     # g.adj first: for an n too large to hold it fails at once, where the
@@ -271,15 +278,24 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     adj = g.adj
     vertices = frozenset(range(g.n))
     seen: set[Clique] = set()
-    counts: dict[Edge, int] = {}
+    # A vertex equal to an int without being one (1.0, a numpy integer)
+    # counts as that int, as in the shape check; bit shifts need the int.
+    exact = all(map(int.__instancecheck__, chain.from_iterable(p.cliques)))
+    positions: list[int] = []
+    cliques: list[Clique] = []
     for i, cl in enumerate(p.cliques):
-        if not _check_shape(vertices, i, cl, seen, out):
-            continue
-        for pair in combinations(sorted(cl), 2):
-            counts[pair] = counts.get(pair, 0) + 1
-            if pair not in g.edges:
-                out.append(Violation("not_a_clique", position=i, pair=pair))
-    bad = _miscovered(g, counts)
+        if _check_shape(vertices, i, cl, seen, out):
+            positions.append(i)
+            cliques.append(cl if exact else tuple(map(int, cl)))
+    bad = _miscovered(g, *_pair_cover(g.n, cliques))
+    if not all(adjacent for _, _, adjacent in bad):
+        # Some clique holds a non-adjacent pair. Each clique's findings
+        # stay together and in clique order: the sort by position is stable.
+        for i, cl in zip(positions, cliques):
+            mask = sum(1 << v for v in cl)
+            out.extend(Violation("not_a_clique", position=i, pair=(u, w))
+                       for u in sorted(cl) for w in bits(mask & ~adj[u] >> u + 1 << u + 1))
+        out.sort(key=attrgetter("position"))
     out.extend(Violation("miscovered_edge", pair=pair, observed=c, expected=1)
                for pair, c, adjacent in bad if adjacent)
     out.extend(Violation("covered_nonedge", pair=pair, observed=c, expected=0)
@@ -290,12 +306,45 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     return out
 
 
-def _miscovered(g: Graph, counts: dict[Edge, int]) -> list[tuple[Edge, int, int]]:
-    """(pair, count, adjacency) for every pair whose count (absent: 0) is not
-    its adjacency in g, pairs ascending; O(m + len(counts)) plus the sort."""
-    bad = [(pair, counts[pair], 0) for pair in counts.keys() - g.edges]
-    bad += [(pair, c, 1) for pair, c in counts.items() if c != 1 and pair in g.edges]
-    bad += [(pair, 0, 1) for pair in g.edges.difference(counts)]
+def _pair_cover(n: int, groups: Iterable[Sequence[int]]) -> tuple[list[int], dict[Edge, int]]:
+    """For groups of distinct vertices (cliques, or an element's members):
+    cover[v], the mask of the vertices sharing a group with v, and the
+    number of groups on each pair u < w shared by two or more. Each group
+    ORs its member mask, minus the member, into each member's cover mask:
+    O(sum of |group| * ceil(n/64)) word operations."""
+    cover = [0] * n
+    repeats: dict[Edge, int] = {}
+    for members in groups:
+        mask = 0
+        for v in members:
+            mask |= 1 << v
+        for v in members:
+            add = mask ^ 1 << v
+            twice = cover[v] & add
+            if twice:
+                for w in bits(twice >> v + 1 << v + 1):
+                    repeats[v, w] = repeats.get((v, w), 1) + 1
+            cover[v] |= add
+    return cover, repeats
+
+
+def _miscovered(
+    g: Graph, cover: list[int], repeats: dict[Edge, int]
+) -> list[tuple[Edge, int, int]]:
+    """(pair, count, adjacency) for every pair whose count is not its
+    adjacency in g, pairs ascending, from _pair_cover's result: one XOR of
+    cover[u] against g.adj[u] per vertex, O(n * ceil(n/64)) word
+    operations, plus one step per finding and the sort."""
+    adj = g.adj
+    bad = [(pair, c, 1) for pair, c in repeats.items() if adj[pair[0]] >> pair[1] & 1]
+    for u, c in enumerate(cover):
+        diff = (c ^ adj[u]) >> u + 1
+        if diff:
+            for w in bits(diff << u + 1):
+                if c >> w & 1:
+                    bad.append(((u, w), repeats.get((u, w), 1), 0))
+                else:
+                    bad.append(((u, w), 0, 1))
     return sorted(bad)
 
 
@@ -359,19 +408,20 @@ def erdos_partition(g: Graph) -> CliquePartition:
         for u, w in matches:
             adj[u] &= ~(1 << w)
             adj[w] &= ~(1 << u)
-            cliques.append((x, u, w))
+            cliques.append(tuple(sorted((x, u, w))))
         alive &= ~(1 << x)
         for u in bits(nbr_mask):
             if not used >> u & 1:
-                cliques.append((x, u))
+                cliques.append((x, u) if x < u else (u, x))
             adj[u] &= ~(1 << x)
             by_degree[deg[u]] &= ~(1 << u)
             deg[u] = adj[u].bit_count()
             by_degree[deg[u]] |= 1 << u
     labels = list(bits(alive))
     local = tuple(sum(1 << j for j, w in enumerate(labels) if adj[v] >> w & 1) for v in labels)
-    cliques.extend([labels[v] for v in cl] for cl in _erdos_base_local(local))
-    return CliquePartition.from_cliques(g, cliques)
+    cliques.extend(tuple(sorted(labels[v] for v in cl)) for cl in _erdos_base_local(local))
+    cliques.sort()
+    return CliquePartition(g, tuple(cliques))
 
 
 @lru_cache(maxsize=None)

@@ -10,7 +10,6 @@ elements that appear nowhere else, which never disturbs an intersection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .decompose import (
     CliquePartition,
@@ -20,9 +19,10 @@ from .decompose import (
     _group_equal,
     _incidence,
     _miscovered,
+    _pair_cover,
     validate_partition,
 )
-from .graphs import Edge, Graph
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ def validate_representation(
     empty sets, element ids outside 0..ground_size-1, unused element ids,
     and, when require_distinct is set, every duplicate class. Intersections
     are counted over each element's members, out-of-range ids included, in
-    O(n + ground_size + sum of |members|^2) time plus sorting each set and
-    the findings; the sum is m for a valid representation.
+    O((n + ground_size + sum of |set|) * ceil(n/64)) word operations, the
+    order of building g.adj, plus sorting each set and the findings.
     """
     if len(r.sets) != g.n:
         return [Violation("size_mismatch", observed=len(r.sets), expected=g.n)]
@@ -162,12 +162,8 @@ def validate_representation(
     for e in range(r.ground_size):
         if e not in members:
             out.append(Violation("unused_element", element=e))
-    counts: dict[Edge, int] = {}
-    for vs in members.values():
-        for pair in combinations(vs, 2):
-            counts[pair] = counts.get(pair, 0) + 1
     out.extend(Violation("wrong_intersection", pair=pair, observed=c, expected=adjacent)
-               for pair, c, adjacent in _miscovered(g, counts))
+               for pair, c, adjacent in _miscovered(g, *_pair_cover(g.n, members.values())))
     if require_distinct:
         for cls in distinctness(r).classes:
             if len(cls) > 1:
