@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from itertools import chain, combinations
+from itertools import chain
 from operator import attrgetter, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -187,31 +187,36 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
     return GreedyDecomposition(g, tuple(sequence))
 
 
-def _check_shape(
-    vertices: frozenset[int], i: int, cl: Clique, seen: set[Clique], out: list[Violation]
-) -> bool:
-    """Append the findings on clique i itself (empty, members that are not
-    in vertices, repeated vertices, a repeat of an earlier clique) to out;
-    False when its vertex pairs cannot be checked. vertices is
-    frozenset(range(n)); a clique of distinct members, all in it, costs one
-    intersection. Every clique goes into seen: one equal to a misshapen
-    clique is misshapen too."""
-    count = len(seen)
-    seen.add(cl)
-    if not cl or len(vertices.intersection(cl)) != len(cl):
-        if not cl:
-            out.append(Violation("empty_clique", position=i))
-            return False
-        bad = [v for v in cl if v not in vertices]
-        if bad:
-            out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
-            return False
-        if len(set(cl)) != len(cl):
-            out.append(Violation("repeated_vertex", position=i, vertices=cl))
-            return False
-    if len(seen) == count:
-        out.append(Violation("duplicate_clique", position=i, vertices=cl))
-    return True
+def _shaped(
+    n: int, cliques: Sequence[Clique], seen: set[Clique], out: list[Violation]
+) -> Iterator[tuple[int, Clique]]:
+    """(position, clique) for each clique whose vertex pairs can be checked,
+    members as ints. The findings on each clique itself (empty, members
+    that are not vertices, repeated vertices, a repeat of an earlier
+    clique) go to out before it is yielded, so a caller's findings on it
+    follow them. A member equal to an int without being one (1.0, a numpy
+    integer) counts as that vertex; bit shifts need the int. A clique of
+    distinct members, all vertices, costs one intersection. Every clique
+    goes into seen: one equal to a misshapen clique is misshapen too."""
+    vertices = frozenset(range(n))
+    exact = all(map(int.__instancecheck__, chain.from_iterable(cliques)))
+    for i, cl in enumerate(cliques):
+        count = len(seen)
+        seen.add(cl)
+        if not cl or len(vertices.intersection(cl)) != len(cl):
+            if not cl:
+                out.append(Violation("empty_clique", position=i))
+                continue
+            bad = [v for v in cl if v not in vertices]
+            if bad:
+                out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
+                continue
+            if len(set(cl)) != len(cl):
+                out.append(Violation("repeated_vertex", position=i, vertices=cl))
+                continue
+        if len(seen) == count:
+            out.append(Violation("duplicate_clique", position=i, vertices=cl))
+        yield i, cl if exact else tuple(map(int, cl))
 
 
 def _extension(adj: Sequence[int], clique: Clique) -> int | None:
@@ -230,35 +235,33 @@ def validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     duplicate cliques, non-adjacent pairs, pairs covered twice, and a witness
     vertex whenever the clique was not maximal in its residual. Edges never
     covered and isolated vertices without a trivial clique are reported at
-    the end.
+    the end. The residual is one neighbour bitmask per vertex: costs
+    O((n + sum of |clique|) * ceil(n/64)) word operations plus one step per
+    finding.
     """
     out: list[Violation] = []
-    residual = list(g.adj)
-    vertices = frozenset(range(g.n))
+    adj = g.adj
+    residual = list(adj)
     seen: set[Clique] = set()
-    for i, cl in enumerate(d.sequence):
-        if not _check_shape(vertices, i, cl, seen, out):
-            continue
-        ok_pairs = []
-        for u, v in combinations(sorted(cl), 2):
-            if not g.has_edge(u, v):
-                out.append(Violation("not_a_clique", position=i, pair=(u, v)))
-            elif not residual[u] >> v & 1:
-                out.append(Violation("double_cover", position=i, pair=(u, v)))
-            else:
-                ok_pairs.append((u, v))
+    for i, cl in _shaped(g.n, d.sequence, seen, out):
+        mask = 0
+        for v in cl:
+            mask |= 1 << v
+        for u in sorted(cl):
+            for v in bits(mask & ~residual[u] >> u + 1 << u + 1):
+                kind = "double_cover" if adj[u] >> v & 1 else "not_a_clique"
+                out.append(Violation(kind, position=i, pair=(u, v)))
         witness = _extension(residual, cl)
         if witness is not None:
             out.append(Violation("not_maximal", position=i, vertex=witness))
-        for u, v in ok_pairs:
-            residual[u] &= ~(1 << v)
-            residual[v] &= ~(1 << u)
+        for v in cl:
+            residual[v] &= ~mask
     for u in range(g.n):
         rest = residual[u] >> (u + 1) << (u + 1)
         for v in bits(rest):
             out.append(Violation("uncovered_edge", pair=(u, v)))
     for v in range(g.n):
-        if g.adj[v] == 0 and (v,) not in seen:
+        if adj[v] == 0 and (v,) not in seen:
             out.append(Violation("isolated_vertex_uncovered", vertex=v))
     return out
 
@@ -276,22 +279,13 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     # g.adj first: for an n too large to hold it fails at once, where the
     # vertex set would fill memory one vertex at a time.
     adj = g.adj
-    vertices = frozenset(range(g.n))
     seen: set[Clique] = set()
-    # A vertex equal to an int without being one (1.0, a numpy integer)
-    # counts as that int, as in the shape check; bit shifts need the int.
-    exact = all(map(int.__instancecheck__, chain.from_iterable(p.cliques)))
-    positions: list[int] = []
-    cliques: list[Clique] = []
-    for i, cl in enumerate(p.cliques):
-        if _check_shape(vertices, i, cl, seen, out):
-            positions.append(i)
-            cliques.append(cl if exact else tuple(map(int, cl)))
-    bad = _miscovered(g, *_pair_cover(g.n, cliques))
+    checked = list(_shaped(g.n, p.cliques, seen, out))
+    bad = _miscovered(g, *_pair_cover(g.n, [cl for _, cl in checked]))
     if not all(adjacent for _, _, adjacent in bad):
         # Some clique holds a non-adjacent pair. Each clique's findings
         # stay together and in clique order: the sort by position is stable.
-        for i, cl in zip(positions, cliques):
+        for i, cl in checked:
             mask = sum(1 << v for v in cl)
             out.extend(Violation("not_a_clique", position=i, pair=(u, w))
                        for u in sorted(cl) for w in bits(mask & ~adj[u] >> u + 1 << u + 1))

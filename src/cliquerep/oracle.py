@@ -156,11 +156,7 @@ def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
         raise RuntimeError("search exhausted without meeting the quarter-square budget")
     # Element k is the k-th clique in sorted order. The search yields each
     # clique as a sorted tuple, so sorting the list is CliquePartition's order.
-    members: list[list[int]] = [[] for _ in range(g.n)]
-    for k, cl in enumerate(sorted(best)):
-        for v in cl:
-            members[v].append(k)
-    sets = tuple(map(frozenset, members))
+    sets = tuple(map(frozenset, _incidence(g.n, sorted(best))))
     if len(set(sets)) < g.n:
         raise RuntimeError("the minimum witness has duplicate sets")
     return len(best), SetRepresentation(g, sets, len(best))

@@ -110,7 +110,9 @@ def partition_from_representation(r: SetRepresentation) -> CliquePartition:
     problems = validate_representation(r.host, r)
     if problems:
         raise ValueError(f"invalid representation: {problems[0].to_json()}")
-    return CliquePartition.from_cliques(r.host, set(_induced_sets(r)))
+    # Valid, so every element id is in range: element k's members are
+    # the vertices whose sets hold k.
+    return CliquePartition.from_cliques(r.host, set(_incidence(r.ground_size, r.sets)))
 
 
 def augment_to_distinct(r: SetRepresentation) -> SetRepresentation:
@@ -170,11 +172,3 @@ def validate_representation(
                 out.append(Violation("duplicate_sets", vertices=cls))
     return out
 
-
-def _induced_sets(r: SetRepresentation) -> list[tuple[int, ...]]:
-    members: list[list[int]] = [[] for _ in range(r.ground_size)]
-    for v, s in enumerate(r.sets):
-        for e in s:
-            if 0 <= e < r.ground_size:
-                members[e].append(v)
-    return [tuple(vs) for vs in members]

@@ -207,6 +207,36 @@ def reference_validate_partition(g: Graph, p: CliquePartition) -> list[Violation
     return out
 
 
+def reference_validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
+    """validate_greedy the direct way: replay the sequence pair by pair
+    against the set of residual edges, with the lowest outside vertex joined
+    to every member by a residual edge as the not-maximal witness."""
+    out: list[Violation] = []
+    seen: set[Clique] = set()
+    residual = set(g.edges)
+    for i, cl in enumerate(d.sequence):
+        if not reference_check_shape(g.n, i, cl, seen, out):
+            continue
+        ok_pairs = []
+        for u, v in combinations(sorted(cl), 2):
+            if not g.has_edge(u, v):
+                out.append(Violation("not_a_clique", position=i, pair=(u, v)))
+            elif (u, v) not in residual:
+                out.append(Violation("double_cover", position=i, pair=(u, v)))
+            else:
+                ok_pairs.append((u, v))
+        witness = next((w for w in range(g.n) if w not in cl and all(
+            (min(w, x), max(w, x)) in residual for x in cl)), None)
+        if witness is not None:
+            out.append(Violation("not_maximal", position=i, vertex=witness))
+        residual.difference_update(ok_pairs)
+    out.extend(Violation("uncovered_edge", pair=pair) for pair in sorted(residual))
+    for v in range(g.n):
+        if g.adj[v] == 0 and (v,) not in seen:
+            out.append(Violation("isolated_vertex_uncovered", vertex=v))
+    return out
+
+
 def reference_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     """check_rs_bound on a valid sequence the direct way: for each 2-clique,
     scan the whole sequence for the other cliques touching it."""
