@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
 from itertools import chain
-from operator import attrgetter, or_
+from operator import attrgetter, mul, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .graphs import Edge, Graph, bits, lowest_bit
@@ -272,15 +272,55 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     Reports adjacent pairs covered a number of times other than once,
     non-adjacent pairs covered at all, members that are not cliques,
     duplicate cliques, and isolated vertices lacking a trivial clique.
-    Costs O((n + sum of |clique|) * ceil(n/64)) word operations, the order
-    of building g.adj, plus one step per finding and sorting the findings.
+
+    One pass first tests for an exact cover (_covers_exactly): distinct,
+    non-empty cliques of distinct vertices given as exact ints, sum C(k, 2)
+    = |E| pairs over their sizes k, and for every vertex v the OR of the
+    masks of the cliques through v equal to adj[v] | 1 << v. The OR test
+    makes the covered pairs exactly the edges and puts every vertex in some
+    clique, an isolated one in its trivial clique; the count then covers no
+    edge twice. A valid partition so costs two ORs per member plus one
+    compare per vertex. Only otherwise is every clique walked for findings,
+    in O((n + sum of |clique|) * ceil(n/64)) word operations, the order of
+    building g.adj, plus one step per finding and sorting the findings.
     """
+    return [] if _covers_exactly(g, p.cliques) else _partition_findings(g, p.cliques)
+
+
+def _covers_exactly(g: Graph, cliques: Sequence[Clique]) -> bool:
+    """Whether cliques is a valid partition of g with every member an
+    exact int, by the test validate_partition describes. The count comes
+    first, from the sizes alone, so a missing or extra clique fails before
+    any member is read. A member that only equals its vertex (1.0, True, a
+    numpy integer) makes this False; the walk decides those."""
+    n = g.n
+    sizes = list(map(len, cliques))
+    if (sum(map(mul, sizes, sizes)) - sum(sizes) != 2 * len(g.edges) or not all(sizes)
+            or len(set(cliques)) != len(cliques)):
+        return False
+    cover = [0] * n
+    for cl in cliques:
+        mask = 0
+        for v in cl:
+            if type(v) is not int or not 0 <= v < n:
+                return False
+            mask |= 1 << v
+        if mask.bit_count() != len(cl):
+            return False
+        for v in cl:
+            cover[v] |= mask
+    return cover == [a | 1 << v for v, a in enumerate(g.adj)]
+
+
+def _partition_findings(g: Graph, cliques: Sequence[Clique]) -> list[Violation]:
+    """validate_partition's findings on a clique sequence, positions as in
+    the sequence, found by walking every clique."""
     out: list[Violation] = []
     # g.adj first: for an n too large to hold it fails at once, where the
     # vertex set would fill memory one vertex at a time.
     adj = g.adj
     seen: set[Clique] = set()
-    checked = list(_shaped(g.n, p.cliques, seen, out))
+    checked = list(_shaped(g.n, cliques, seen, out))
     bad = _miscovered(g, *_pair_cover(g.n, [cl for _, cl in checked]))
     if not all(adjacent for _, _, adjacent in bad):
         # Some clique holds a non-adjacent pair. Each clique's findings
@@ -298,6 +338,20 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
         if adj[v] == 0 and (v,) not in seen:
             out.append(Violation("isolated_vertex_uncovered", vertex=v))
     return out
+
+
+def _partition_cliques(g: Graph, cliques: Sequence[Clique]) -> Sequence[Clique]:
+    """cliques, with every member an int, when they form a valid partition
+    of g as validate_partition decides; else ValueError naming the first
+    finding, positions as in the sequence. A valid sequence that fails
+    _covers_exactly has a member that only equals its vertex: only then
+    are the members mapped through int."""
+    if _covers_exactly(g, cliques):
+        return cliques
+    problems = _partition_findings(g, cliques)
+    if problems:
+        raise ValueError(f"invalid partition: {problems[0].to_json()}")
+    return tuple(tuple(map(int, cl)) for cl in cliques)
 
 
 def _pair_cover(n: int, groups: Iterable[Sequence[int]]) -> tuple[list[int], dict[Edge, int]]:

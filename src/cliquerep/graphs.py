@@ -174,7 +174,10 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     """
     if not 0 <= mask < 1 << (n * (n - 1) // 2):
         raise ValueError(f"mask {mask} out of range for n={n}")
-    return Graph(n, frozenset(_mask_pairs(n, mask)))
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    # Pairs of combinations(range(n), 2) are valid edges by construction.
+    return Graph._checked(n, frozenset(_mask_pairs(n, mask)))
 
 
 def edge_bitmask(g: Graph) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .decompose import (
@@ -25,6 +25,7 @@ from .decompose import (
     _group_equal,
     _incidence,
     _min_distinct,
+    _partition_cliques,
     _vertex_order,
     erdos_partition,
     greedy_decomposition,
@@ -166,10 +167,8 @@ def check_lemma6(g: Graph, p: CliquePartition) -> list[Violation]:
     """For every pair of vertices with identical clique-incidence sets:
     their one shared clique must be maximal in g, and neither vertex may
     appear in any other clique. Returns counterexamples (expected empty)."""
-    problems = validate_partition(g, p)
-    if problems:
-        raise ValueError(f"invalid partition: {problems[0].to_json()}")
-    keys = _incidence(g.n, p.cliques)
+    cliques = _partition_cliques(g, p.cliques)
+    keys = _incidence(g.n, cliques)
     out: list[Violation] = []
     for members in sorted(_group_equal(keys), key=lambda m: keys[m[0]]):
         key = keys[members[0]]
@@ -178,7 +177,7 @@ def check_lemma6(g: Graph, p: CliquePartition) -> list[Violation]:
                 out.append(Violation("multi_membership", pair=(u, v),
                                      observed=len(key), expected=1))
                 continue
-            shared = p.cliques[key[0]]
+            shared = cliques[key[0]]
             witness = _extension(g.adj, shared)
             if witness is not None:
                 out.append(Violation("not_maximal", pair=(u, v),
@@ -194,12 +193,16 @@ def check_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     problems = validate_greedy(g, d)
     if problems:
         raise ValueError(f"invalid decomposition: {problems[0].to_json()}")
+    sequence = d.sequence
+    if any(type(v) is not int for v in chain.from_iterable(sequence)):
+        # Valid, so each member equals its vertex: count it as that int.
+        sequence = tuple(tuple(map(int, cl)) for cl in sequence)
     # A valid sequence has no repeated clique and puts the edge {x, y} in
     # clique j alone, so the other cliques touching x or y are those through
     # x plus those through y, less clique j counted once at each.
-    cliques_at = [len(ks) for ks in _incidence(g.n, d.sequence)]
+    cliques_at = [len(ks) for ks in _incidence(g.n, sequence)]
     out: list[Violation] = []
-    for j, cl in enumerate(d.sequence):
+    for j, cl in enumerate(sequence):
         if len(cl) != 2:
             continue
         x, y = cl

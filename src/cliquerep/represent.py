@@ -20,7 +20,7 @@ from .decompose import (
     _incidence,
     _miscovered,
     _pair_cover,
-    validate_partition,
+    _partition_cliques,
 )
 from .graphs import Graph
 
@@ -83,20 +83,15 @@ def representation_from_partition(
 
     For an unordered partition, elements follow the stored lexicographic
     clique order; for a greedy decomposition, sequence positions. The ground
-    size equals the number of cliques. Invalid partitions are rejected; the
-    intersection property of the output then follows from the partition's.
+    size equals the number of cliques. Invalid partitions are rejected; a
+    greedy sequence is checked in sequence order, so the position an error
+    names is the bad clique's element. The intersection property of the
+    output then follows from the partition's.
     """
-    host = p.host
-    if isinstance(p, GreedyDecomposition):
-        cliques = p.sequence
-        problems = validate_partition(host, p.as_partition())
-    else:
-        cliques = p.cliques
-        problems = validate_partition(host, p)
-    if problems:
-        raise ValueError(f"invalid partition: {problems[0].to_json()}")
-    sets = tuple(frozenset(ks) for ks in _incidence(host.n, cliques))
-    return SetRepresentation(host, sets, len(cliques))
+    cliques = p.sequence if isinstance(p, GreedyDecomposition) else p.cliques
+    cliques = _partition_cliques(p.host, cliques)
+    sets = tuple(frozenset(ks) for ks in _incidence(p.host.n, cliques))
+    return SetRepresentation(p.host, sets, len(cliques))
 
 
 def partition_from_representation(r: SetRepresentation) -> CliquePartition:

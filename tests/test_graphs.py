@@ -321,6 +321,8 @@ class TestEnumeration:
             assert edge_bitmask(graph_from_bitmask(4, mask)) == mask
         with pytest.raises(ValueError):
             graph_from_bitmask(3, 8)
+        with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -1$"):
+            graph_from_bitmask(-1, 0)
 
     def test_bitmask_round_trip_larger(self):
         rnd = random.Random(3)

@@ -86,6 +86,15 @@ class TestForwardMap:
         with pytest.raises(ValueError, match="invalid partition"):
             representation_from_partition(bad)
 
+    def test_invalid_sequence_names_the_element(self):
+        # Clique 1 of the sequence, element 1, is not a clique; sorted, it
+        # would come first.
+        d = GreedyDecomposition(path_graph(3), ((1, 2), (0, 2)))
+        with pytest.raises(ValueError) as err:
+            representation_from_partition(d)
+        assert str(err.value) == (
+            "invalid partition: {'kind': 'not_a_clique', 'position': 1, 'pair': [0, 2]}")
+
     @given(partitions())
     @settings(max_examples=60)
     def test_ground_size_equals_clique_count(self, p):

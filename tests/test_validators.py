@@ -1,7 +1,9 @@
 """validate_partition, validate_representation and validate_greedy against
 the direct algorithms in helpers.py, finding for finding and in order, on
-valid and tampered artifacts; vertices equal to an int without being one;
-and their cost on a large sparse graph and on one large clique."""
+valid and tampered artifacts and on partitions at the edges of
+validate_partition's exact-cover check; vertices equal to an int without
+being one, through the validators and the steps that follow them; and
+their cost on a large sparse graph and on one large clique."""
 
 import random
 import time
@@ -16,6 +18,8 @@ from cliquerep import (
     GreedyDecomposition,
     SetRepresentation,
     augment_to_distinct,
+    check_lemma6,
+    check_rs_bound,
     complete_graph,
     erdos_partition,
     graph,
@@ -151,11 +155,54 @@ class TestSameFindingsAsTheReference:
             assert_same_findings(rng, random_graph(rng, n, p))
 
 
+# Each partition passes or fails the exact-cover check on one condition.
+EXACT_COVER_EDGES = {
+    # Σ C(|C|, 2) = |E|, but (0, 1) is covered twice and (2, 3) not at all.
+    "double_and_missed": (graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]),
+                          ((0, 1), (0, 1, 2))),
+    # The covered pairs are exactly E, one pair too many times.
+    "edge_inside_triangle": (complete_graph(3), ((0, 1), (0, 1, 2))),
+    # Vertex 3 is isolated and has no trivial clique.
+    "isolated_uncovered": (graph(4, [(0, 1), (1, 2)]), ((0, 1), (1, 2))),
+    # A trivial clique on a vertex with edges is allowed.
+    "extra_trivial": (path_graph(3), ((0, 1), (1,), (1, 2))),
+    # Neither a repeated trivial clique nor an empty one changes the count
+    # or the cover masks.
+    "repeated_trivial": (path_graph(3), ((0, 1), (1,), (1,), (1, 2))),
+    "empty_clique": (path_graph(3), ((0, 1), (), (1, 2))),
+    # (0, True) equals (0, 1): a duplicate clique.
+    "true_beside_one": (path_graph(3), ((0, True), (0, 1), (1, 2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_COVER_EDGES))
+def test_exact_cover_edges_match_the_reference(case):
+    g, cliques = EXACT_COVER_EDGES[case]
+    p = CliquePartition(g, cliques)
+    got = [v.to_json() for v in validate_partition(g, p)]
+    assert got == [v.to_json() for v in reference_validate_partition(g, p)]
+    assert (got == []) == (case == "extra_trivial")
+
+
+def assert_steps_take_members_as_ints(g, cliques):
+    """The steps that validate and then use a partition or a sequence give
+    the result they give for the same cliques with members mapped to int."""
+    ints = tuple(tuple(map(int, cl)) for cl in cliques)
+    want = representation_from_partition(CliquePartition(g, ints))
+    assert representation_from_partition(CliquePartition(g, cliques)) == want
+    assert representation_from_partition(GreedyDecomposition(g, cliques)) == want
+    assert check_lemma6(g, CliquePartition(g, cliques)) == check_lemma6(
+        g, CliquePartition(g, ints))
+    assert check_rs_bound(g, GreedyDecomposition(g, cliques)) == check_rs_bound(
+        g, GreedyDecomposition(g, ints))
+
+
 @pytest.mark.parametrize("cliques", [((0, 1.0), (1, 2)), ((0, True), (True, 2))])
 def test_vertices_equal_to_an_int_count_as_that_vertex(cliques):
     g = graph(3, [(0, 1), (1, 2)])
     assert validate_partition(g, CliquePartition(g, cliques)) == []
     assert validate_greedy(g, GreedyDecomposition(g, cliques)) == []
+    assert_steps_take_members_as_ints(g, cliques)
 
 
 def test_numpy_integer_vertices_past_the_int64_shift_range():
@@ -164,6 +211,7 @@ def test_numpy_integer_vertices_past_the_int64_shift_range():
     cliques = tuple((np.int64(v), np.int64(v + 1)) for v in range(69))
     assert validate_partition(g, CliquePartition(g, cliques)) == []
     assert validate_greedy(g, GreedyDecomposition(g, cliques)) == []
+    assert_steps_take_members_as_ints(g, cliques)
 
 
 def test_a_member_equal_to_no_vertex_is_a_bad_vertex():
