@@ -187,19 +187,31 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
     return GreedyDecomposition(g, tuple(sequence))
 
 
+def _int_cliques(cliques: Sequence[Clique]) -> Sequence[Clique]:
+    """cliques itself when every member is an exact int, else a copy with
+    every member mapped through int. For cliques whose members all equal
+    vertices: one equal to an int without being one (1.0, True, a numpy
+    integer) counts as that vertex, and bit shifts and indexing need the
+    int."""
+    if {*map(type, chain.from_iterable(cliques))} <= {int}:
+        return cliques
+    return tuple(tuple(map(int, cl)) for cl in cliques)
+
+
 def _shaped(
     n: int, cliques: Sequence[Clique], seen: set[Clique], out: list[Violation]
-) -> Iterator[tuple[int, Clique]]:
+) -> list[tuple[int, Clique]]:
     """(position, clique) for each clique whose vertex pairs can be checked,
-    members as ints. The findings on each clique itself (empty, members
-    that are not vertices, repeated vertices, a repeat of an earlier
-    clique) go to out before it is yielded, so a caller's findings on it
-    follow them. A member equal to an int without being one (1.0, a numpy
-    integer) counts as that vertex; bit shifts need the int. A clique of
-    distinct members, all vertices, costs one intersection. Every clique
-    goes into seen: one equal to a misshapen clique is misshapen too."""
+    members as ints (_int_cliques). The findings on each clique itself
+    (empty, members that are not vertices, repeated vertices, a repeat of
+    an earlier clique) go to out in clique order; a caller that adds its
+    own findings per position sorts out by position, stably, to put them
+    after these. A clique of distinct members, all vertices, costs one
+    intersection. Every clique goes into seen: one equal to a misshapen
+    clique is misshapen too."""
     vertices = frozenset(range(n))
-    exact = all(map(int.__instancecheck__, chain.from_iterable(cliques)))
+    positions: list[int] = []
+    kept: list[Clique] = []
     for i, cl in enumerate(cliques):
         count = len(seen)
         seen.add(cl)
@@ -216,7 +228,9 @@ def _shaped(
                 continue
         if len(seen) == count:
             out.append(Violation("duplicate_clique", position=i, vertices=cl))
-        yield i, cl if exact else tuple(map(int, cl))
+        positions.append(i)
+        kept.append(cl)
+    return list(zip(positions, _int_cliques(kept)))
 
 
 def _extension(adj: Sequence[int], clique: Clique) -> int | None:
@@ -256,6 +270,8 @@ def validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
             out.append(Violation("not_maximal", position=i, vertex=witness))
         for v in cl:
             residual[v] &= ~mask
+    # Each clique's own findings, then the replay's on it, in clique order.
+    out.sort(key=attrgetter("position"))
     for u in range(g.n):
         rest = residual[u] >> (u + 1) << (u + 1)
         for v in bits(rest):
@@ -320,7 +336,7 @@ def _partition_findings(g: Graph, cliques: Sequence[Clique]) -> list[Violation]:
     # vertex set would fill memory one vertex at a time.
     adj = g.adj
     seen: set[Clique] = set()
-    checked = list(_shaped(g.n, cliques, seen, out))
+    checked = _shaped(g.n, cliques, seen, out)
     bad = _miscovered(g, *_pair_cover(g.n, [cl for _, cl in checked]))
     if not all(adjacent for _, _, adjacent in bad):
         # Some clique holds a non-adjacent pair. Each clique's findings
@@ -351,7 +367,7 @@ def _partition_cliques(g: Graph, cliques: Sequence[Clique]) -> Sequence[Clique]:
     problems = _partition_findings(g, cliques)
     if problems:
         raise ValueError(f"invalid partition: {problems[0].to_json()}")
-    return tuple(tuple(map(int, cl)) for cl in cliques)
+    return _int_cliques(cliques)
 
 
 def _pair_cover(n: int, groups: Iterable[Sequence[int]]) -> tuple[list[int], dict[Edge, int]]:
@@ -408,8 +424,10 @@ def erdos_partition(g: Graph) -> CliquePartition:
     rather than assume), remove those edges, and cover x's edges with r
     triangles plus single edges. The remaining base graph (n <= 4) is solved
     by exhaustive search for a minimum partition with the distinctness
-    property. Trivial cliques created for vertices isolated at inner steps
-    are kept: the distinctness property can depend on them.
+    property, memoized on the survivors and their neighbour masks in the
+    original labels (_erdos_base), so a base graph seen before costs one
+    lookup. Trivial cliques created for vertices isolated at inner steps are
+    kept: the distinctness property can depend on them.
     """
     if g.n < 1:
         raise ValueError("need at least one vertex")
@@ -465,11 +483,22 @@ def erdos_partition(g: Graph) -> CliquePartition:
             by_degree[deg[u]] &= ~(1 << u)
             deg[u] = adj[u].bit_count()
             by_degree[deg[u]] |= 1 << u
-    labels = list(bits(alive))
-    local = tuple(sum(1 << j for j, w in enumerate(labels) if adj[v] >> w & 1) for v in labels)
-    cliques.extend(tuple(sorted(labels[v] for v in cl)) for cl in _erdos_base_local(local))
+    cliques.extend(_erdos_base(alive, tuple(adj[v] for v in bits(alive))))
     cliques.sort()
     return CliquePartition(g, tuple(cliques))
+
+
+@lru_cache(maxsize=4096)
+def _erdos_base(alive: int, adj: tuple[int, ...]) -> tuple[Clique, ...]:
+    """_erdos_base_local's partition of the base graph on the survivors in
+    alive, with adj their neighbour masks in the original labels, mapped
+    back to those labels as sorted cliques. Every deleted vertex has left
+    its neighbours' masks, so the key determines the base graph. Memoized
+    in a bounded cache: a sweep at n <= 7 has at most C(7, 4) * 64 = 2,240
+    keys, and a large graph makes one call."""
+    labels = list(bits(alive))
+    local = tuple(sum(1 << j for j, w in enumerate(labels) if m >> w & 1) for m in adj)
+    return tuple(tuple(sorted(labels[v] for v in cl)) for cl in _erdos_base_local(local))
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .decompose import (
@@ -24,6 +24,7 @@ from .decompose import (
     _extension,
     _group_equal,
     _incidence,
+    _int_cliques,
     _min_distinct,
     _partition_cliques,
     _vertex_order,
@@ -193,10 +194,8 @@ def check_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     problems = validate_greedy(g, d)
     if problems:
         raise ValueError(f"invalid decomposition: {problems[0].to_json()}")
-    sequence = d.sequence
-    if any(type(v) is not int for v in chain.from_iterable(sequence)):
-        # Valid, so each member equals its vertex: count it as that int.
-        sequence = tuple(tuple(map(int, cl)) for cl in sequence)
+    # Valid, so each member equals its vertex: count it as that int.
+    sequence = _int_cliques(d.sequence)
     # A valid sequence has no repeated clique and puts the edge {x, y} in
     # clique j alone, so the other cliques touching x or y are those through
     # x plus those through y, less clique j counted once at each.
@@ -217,8 +216,8 @@ def check_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
 
 def _worker_count(chunks: int) -> int:
     """Processes a sweep of `chunks` minimum-size mask ranges may use:
-    CLIQUEREP_THREADS, else every CPU, clamped to min(cpu_count, chunks) and
-    at least 1."""
+    CLIQUEREP_THREADS, which must be a positive integer, else every CPU,
+    clamped to min(cpu_count, chunks) and at least 1."""
     cpus = os.cpu_count() or 1
     workers = cpus
     env = os.environ.get(THREADS_ENV)
@@ -226,9 +225,9 @@ def _worker_count(chunks: int) -> int:
         try:
             workers = int(env)
         except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV} must be a positive integer, got {env!r}"
-            ) from None
+            workers = 0
+        if workers < 1:
+            raise ValueError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
     return max(1, min(workers, cpus, chunks))
 
 
@@ -265,14 +264,19 @@ def _sweep_range(
             max_cliques = count
         if count > bound:
             violations.append(BoundViolation(mask, "erdos", "erdos_cliques", count, bound))
-        oversize = max((len(c) for c in p.cliques), default=0)
+        oversize = max(map(len, p.cliques), default=0)
         if oversize > 3:
             violations.append(BoundViolation(mask, "erdos", "erdos_clique_size", oversize, 3))
         problems = validate_partition(g, p)
         if problems:
             violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
                                              len(problems), 0))
-        duplicates = sum(len(group) - 1 for group in _group_equal(_incidence(n, p.cliques)))
+        # Incidence sets as clique-position bitmasks, as in _min_distinct.
+        keys = [0] * n
+        for k, cl in enumerate(p.cliques):
+            for v in cl:
+                keys[v] |= 1 << k
+        duplicates = n - len(set(keys))
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))

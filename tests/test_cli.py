@@ -649,6 +649,13 @@ class TestUsage:
         capsys.readouterr()
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_thread_count_must_be_positive(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("CLIQUEREP_THREADS", value)
+        assert run(["sweep", "--n", "4"]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: CLIQUEREP_THREADS must be a positive integer, got {value!r}\n")
+
     def test_help_exits_zero(self, capsys):
         code = run(["--help"])
         capsys.readouterr()

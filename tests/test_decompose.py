@@ -353,6 +353,19 @@ class TestErdosPartition:
             erdos_partition(g)
         assert 0 < decompose._erdos_base_local.cache_info().currsize <= 1 + 2 + 8 + 64
 
+    def test_labeled_base_cache_is_bounded_and_order_free(self):
+        # A labeled key at n=5 is 4 of the 5 vertices plus a subset of the
+        # 6 pairs among them, so one pass fills at most 5 * 64 entries.
+        base = decompose._erdos_base
+        assert base.cache_info().maxsize is not None
+        base.cache_clear()
+        for g in enumerate_labeled_graphs(5):
+            erdos_partition(g)
+        assert 0 < base.cache_info().currsize <= 5 * 64
+        base.cache_clear()
+        for g in reversed(list(enumerate_labeled_graphs(5))):
+            assert erdos_partition(g).cliques == reference_erdos(g), g.edges
+
     #: (n, mask) -> erdos_partition cliques, recorded before the search
     #: kernel was shared, for every base graph whose result changes when the
     #: triangles through an edge are tried before the edge itself.

@@ -393,6 +393,21 @@ class TestExhaustiveBoundCheck:
         assert report.max_cliques_seen == max_cliques
         assert report.max_elements_seen == max_elements
 
+    def test_erdos_invalid_and_distinctness_are_reported(self, monkeypatch):
+        # The real construction never breaches these checks. On this graph
+        # the stand-in leaves edge {2, 3} uncovered (one finding) and gives
+        # 0, 1 one incidence set and 2, 3 another: 4 vertices, 2 distinct sets.
+        target = graph(4, [(0, 1), (2, 3)])
+        real = oracle.erdos_partition
+        monkeypatch.setattr(oracle, "erdos_partition", lambda g: (
+            CliquePartition(g, ((0, 1),)) if g.edges == target.edges else real(g)))
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        mask = edge_bitmask(target)
+        assert exhaustive_bound_check(4, [None]).violations == (
+            oracle.BoundViolation(mask, "erdos", "erdos_invalid", 1, 0),
+            oracle.BoundViolation(mask, "erdos", "erdos_distinctness", 4 - 2, 0),
+        )
+
     def test_relabel_mask_matches_graph_relabeling(self):
         order = _vertex_order(6, 7)
         for mask in range(0, 1 << 15, 97):
@@ -406,8 +421,10 @@ class TestExhaustiveBoundCheck:
         assert oracle._worker_count(8) == min(cpus, 8)
         assert oracle._worker_count(0) == 1
         assert oracle._worker_count(512) == min(cpus, 512)
-        monkeypatch.setenv("CLIQUEREP_THREADS", "-3")
-        assert oracle._worker_count(8) == 1
+        for bad in ("-3", "0"):
+            monkeypatch.setenv("CLIQUEREP_THREADS", bad)
+            with pytest.raises(ValueError, match="must be a positive integer"):
+                oracle._worker_count(8)
         monkeypatch.delenv("CLIQUEREP_THREADS")
         assert oracle._worker_count(512) == min(cpus, 512)
 
