@@ -95,9 +95,6 @@ class GreedyDecomposition:
     host: Graph
     sequence: tuple[Clique, ...]
 
-    def as_partition(self) -> CliquePartition:
-        return CliquePartition.from_cliques(self.host, self.sequence)
-
     def to_json(self) -> dict:
         return {
             "n": self.host.n,
@@ -490,28 +487,23 @@ def erdos_partition(g: Graph) -> CliquePartition:
 
 @lru_cache(maxsize=4096)
 def _erdos_base(alive: int, adj: tuple[int, ...]) -> tuple[Clique, ...]:
-    """_erdos_base_local's partition of the base graph on the survivors in
-    alive, with adj their neighbour masks in the original labels, mapped
-    back to those labels as sorted cliques. Every deleted vertex has left
-    its neighbours' masks, so the key determines the base graph. Memoized
-    in a bounded cache: a sweep at n <= 7 has at most C(7, 4) * 64 = 2,240
-    keys, and a large graph makes one call."""
-    labels = list(bits(alive))
-    local = tuple(sum(1 << j for j, w in enumerate(labels) if m >> w & 1) for m in adj)
-    return tuple(tuple(sorted(labels[v] for v in cl)) for cl in _erdos_base_local(local))
+    """Minimum partition of the base graph on the <= 4 survivors in alive
+    into cliques of <= 3 vertices with pairwise-distinct incidence sets, as
+    sorted cliques in the original labels; adj holds the survivors'
+    neighbour masks in those labels. Every deleted vertex has left its
+    neighbours' masks, so the key determines the base graph. Memoized in a
+    bounded cache: a sweep at n <= 7 has at most C(7, 4) * 64 = 2,240 keys,
+    and a large graph makes one call.
 
-
-@lru_cache(maxsize=None)
-def _erdos_base_local(adj: tuple[int, ...]) -> tuple[Clique, ...]:
-    """Minimum partition of an n <= 4 graph on local vertices 0..n-1 into
-    cliques of <= 3 vertices with pairwise-distinct incidence sets; memoized
-    on the adjacency tuple, of which there are at most 75.
-
-    The budget |E| + n + 1 exceeds the cost of every partition, so it never
-    prunes and the first cheapest partition in branching order wins.
+    The search runs on local labels 0..k-1. Its budget |E| + k + 1 exceeds
+    the cost of every partition, so it never prunes and the first cheapest
+    partition in branching order wins.
     """
-    budget = sum(m.bit_count() for m in adj) // 2 + len(adj) + 1
-    return tuple(_min_distinct(adj, _edge_or_triangles, budget))
+    labels = list(bits(alive))
+    local = [sum(1 << j for j, w in enumerate(labels) if m >> w & 1) for m in adj]
+    budget = sum(m.bit_count() for m in local) // 2 + len(local) + 1
+    found = _min_distinct(local, _edge_or_triangles, budget)
+    return tuple(tuple(sorted(labels[v] for v in cl)) for cl in found)
 
 
 def _edge_or_triangles(residual: list[int], u: int, v: int) -> list[Clique]:
@@ -543,10 +535,10 @@ def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[Clique]:
     return found
 
 
-def _cliques_needed(residual: Sequence[int], free: int | None = None) -> int:
+def _cliques_needed(residual: Sequence[int], free: int) -> int:
     """A lower bound on the number of cliques in any partition of the edges
     of residual (symmetric neighbor bitmasks); free is the mask of its
-    non-isolated vertices, the OR of its rows, and is computed if omitted.
+    non-isolated vertices, the OR of its rows.
 
     Takes a greedy independent set I of the non-isolated vertices and adds,
     for each v in I, the size of a greedy independent set of v's neighbors.
@@ -554,8 +546,6 @@ def _cliques_needed(residual: Sequence[int], free: int | None = None) -> int:
     clique holds two vertices of I, so the counts add up.
     """
     need = 0
-    if free is None:
-        free = reduce(or_, residual, 0)
     while free:
         low = free & -free
         nbrs = residual[low.bit_length() - 1]

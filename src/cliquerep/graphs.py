@@ -84,11 +84,6 @@ class Graph:
         object.__setattr__(g, "edges", edges)
         return g
 
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self.edges
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
 

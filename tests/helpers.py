@@ -28,7 +28,6 @@ from cliquerep import (
     distinctness,
     validate_partition,
 )
-from cliquerep.decompose import _erdos_base_local
 from cliquerep.graphs import bits
 
 
@@ -39,6 +38,15 @@ def graphs(draw, min_n=0, max_n=7):
     n = draw(st.integers(min_n, max_n))
     m = n * (n - 1) // 2
     return graph_from_bitmask(n, draw(st.integers(0, (1 << m) - 1)))
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return (min(u, v), max(u, v)) in g.edges
+
+
+def as_partition(d: GreedyDecomposition) -> CliquePartition:
+    """The cliques of a greedy sequence as an unordered partition."""
+    return CliquePartition.from_cliques(d.host, d.sequence)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -154,7 +162,9 @@ def reference_erdos(g: Graph) -> tuple[Clique, ...]:
         low = (1 << x) - 1
         adj = [(m & low) | (m >> (x + 1)) << x for v, m in enumerate(adj) if v != x]
         labels = labels[:x] + labels[x + 1:]
-    cliques.extend(tuple(labels[v] for v in cl) for cl in _erdos_base_local(tuple(adj)))
+    # On at most 4 vertices erdos_partition runs only its base case.
+    base = graph(len(adj), [(u, v) for u, m in enumerate(adj) for v in bits(m) if u < v])
+    cliques.extend(tuple(labels[v] for v in cl) for cl in erdos_partition(base).cliques)
     return tuple(sorted(tuple(sorted(c)) for c in cliques))
 
 
@@ -192,7 +202,7 @@ def reference_validate_partition(g: Graph, p: CliquePartition) -> list[Violation
             continue
         for u, v in combinations(sorted(cl), 2):
             counts[(u, v)] = counts.get((u, v), 0) + 1
-            if not g.has_edge(u, v):
+            if not has_edge(g, u, v):
                 out.append(Violation("not_a_clique", position=i, pair=(u, v)))
     for u, v in sorted(g.edges):
         c = counts.get((u, v), 0)
@@ -219,7 +229,7 @@ def reference_validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violatio
             continue
         ok_pairs = []
         for u, v in combinations(sorted(cl), 2):
-            if not g.has_edge(u, v):
+            if not has_edge(g, u, v):
                 out.append(Violation("not_a_clique", position=i, pair=(u, v)))
             elif (u, v) not in residual:
                 out.append(Violation("double_cover", position=i, pair=(u, v)))
@@ -277,7 +287,7 @@ def reference_validate_representation(
         if e not in used:
             out.append(Violation("unused_element", element=e))
     for u, v in combinations(range(g.n), 2):
-        want = 1 if g.has_edge(u, v) else 0
+        want = 1 if has_edge(g, u, v) else 0
         got = len(r.sets[u] & r.sets[v])
         if got != want:
             out.append(Violation("wrong_intersection", pair=(u, v), observed=got, expected=want))
@@ -357,7 +367,7 @@ def brute_omega(g: Graph, max_ground: int = 5) -> int | None:
     distinct non-empty subsets of a k-element ground set, k ascending.
     Returns None when no family of size <= max_ground works."""
     pair_target = {
-        (u, v): (1 if g.has_edge(u, v) else 0)
+        (u, v): (1 if has_edge(g, u, v) else 0)
         for u, v in combinations(range(g.n), 2)
     }
     if g.n == 0:

@@ -31,7 +31,7 @@ from cliquerep import (
     representation_from_partition,
     validate_partition,
 )
-from helpers import random_graph
+from helpers import as_partition, random_graph
 
 FIXED_SEEDS = tuple(range(1, 11))
 SWEEP_NS = (4, 5, 6)
@@ -188,7 +188,7 @@ def test_criterion_7_duplicate_pair_clique_maximality(fuzz_corpus):
                 exhaustive += 1
     for i, g, seed in fuzz_corpus:
         if i % 2 == 0:
-            p = greedy_decomposition(g, seed).as_partition()
+            p = as_partition(greedy_decomposition(g, seed))
         else:
             p = erdos_partition(g)
         violations += len(check_lemma6(g, p))

@@ -1,5 +1,6 @@
 """The public names and settable values of the API, pinned so that a new
-name, parameter, field or option shows up as a diff of this file."""
+name, parameter, field, option, method or property shows up as a diff of
+this file."""
 
 import dataclasses
 import inspect
@@ -65,6 +66,20 @@ PARAMETERS = {
     "validate_representation": ["g", "r", "require_distinct"],
 }
 
+#: Public attributes each public class defines beyond its fields: methods,
+#: class methods and properties.
+METHODS = {
+    "BoundReport": ["bound", "to_json"],
+    "BoundViolation": ["to_json"],
+    "CliquePartition": ["from_cliques", "from_json", "to_json"],
+    "DistinctnessReport": [],
+    "Graph": ["adj"],
+    "GraphParseError": [],
+    "GreedyDecomposition": ["from_json", "to_json"],
+    "SetRepresentation": ["from_json", "to_json"],
+    "Violation": ["to_json"],
+}
+
 
 def test_public_parameters_are_pinned():
     found = {}
@@ -77,3 +92,13 @@ def test_public_parameters_are_pinned():
 
 def test_public_names_are_pinned():
     assert sorted(cliquerep.__all__) == NAMES
+
+
+def test_public_methods_are_pinned():
+    found = {}
+    for name in cliquerep.__all__:
+        cls = getattr(cliquerep, name)
+        if isinstance(cls, type):
+            fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+            found[name] = sorted(k for k in vars(cls) if not k.startswith("_") and k not in fields)
+    assert found == METHODS

@@ -25,7 +25,7 @@ from cliquerep import (
 )
 from cliquerep import decompose, exhaustive_bound_check
 from cliquerep.decompose import _vertex_order
-from helpers import graphs, reference_erdos, reference_greedy, sparse_random_graph
+from helpers import as_partition, graphs, reference_erdos, reference_greedy, sparse_random_graph
 
 
 #: A greedy seed: None for the lexicographic run.
@@ -100,7 +100,7 @@ class TestGreedy:
     def test_always_valid(self, g, seed):
         d = greedy_decomposition(g, seed)
         assert validate_greedy(g, d) == []
-        assert validate_partition(g, d.as_partition()) == []
+        assert validate_partition(g, as_partition(d)) == []
 
     @given(graphs(), seeds)
     def test_deterministic(self, g, seed):
@@ -306,12 +306,19 @@ class TestErdosPartition:
         assert all(len(c) == 2 for c in p.cliques)
 
     def test_k4_matches_brute_force_minimum(self):
-        k4 = complete_graph(4)
-        p = erdos_partition(k4)
-        assert validate_partition(k4, p) == []
-        assert all(len(c) <= 3 for c in p.cliques)
-        assert condition_one_holds(p)
-        assert len(p.cliques) == _brute_min_small_partition(k4) == 4
+        # K4 and every other graph with n <= 4 runs the base case alone: its
+        # search must find the minimum on each of the 1 + 2 + 8 + 64 of them
+        checked = 0
+        for n in range(1, 5):
+            for g in enumerate_labeled_graphs(n):
+                p = erdos_partition(g)
+                assert validate_partition(g, p) == []
+                assert all(len(c) <= 3 for c in p.cliques)
+                assert condition_one_holds(p)
+                assert len(p.cliques) == _brute_min_small_partition(g), g.edges
+                checked += 1
+        assert checked == 75
+        assert len(erdos_partition(complete_graph(4)).cliques) == 4
 
     def test_empty_graph_on_4(self):
         p = erdos_partition(empty_graph(4))
@@ -347,11 +354,6 @@ class TestErdosPartition:
             assert all(len(c) <= 3 for c in p.cliques)
             assert len(p.cliques) <= quarter_square(4)
             assert condition_one_holds(p)
-
-    def test_base_cases_are_memoized_on_at_most_75_inputs(self):
-        for g in enumerate_labeled_graphs(5):
-            erdos_partition(g)
-        assert 0 < decompose._erdos_base_local.cache_info().currsize <= 1 + 2 + 8 + 64
 
     def test_labeled_base_cache_is_bounded_and_order_free(self):
         # A labeled key at n=5 is 4 of the 5 vertices plus a subset of the

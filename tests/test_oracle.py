@@ -3,7 +3,9 @@ import json
 import os
 import random
 import time
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,11 @@ def dense_panel(count):
     return [graph(10, sorted(rng.sample(pairs, 36))) for _ in range(count)]
 
 
+def cliques_needed(adj):
+    """_cliques_needed on a whole graph: its non-isolated vertices are free."""
+    return _cliques_needed(adj, reduce(or_, adj, 0))
+
+
 class TestCliquesNeededBound:
     #: Branching nodes (calls of the options callback) of
     #: min_clique_partition on the first dense panel graphs. With the
@@ -152,7 +159,7 @@ class TestCliquesNeededBound:
         calls = [0]
         needed = decompose._cliques_needed
 
-        def counting(residual, free=None):
+        def counting(residual, free):
             calls[0] += 1
             return needed(residual, free)
 
@@ -210,15 +217,15 @@ class TestCliquesNeededBound:
         value = min(len(p.cliques) for p in all_clique_partitions(g))
         assert min_clique_partition(g)[0] == value
         isolated = sum(1 for m in g.adj if m == 0)
-        assert _cliques_needed(g.adj) <= value - isolated
+        assert cliques_needed(g.adj) <= value - isolated
 
     def test_bound_on_known_graphs(self):
         # K_n: one clique; K_{a,b}: all a*b edges, since I is one side and
         # every neighborhood is independent; C5: I = {0, 2}, two edges each
-        assert _cliques_needed(complete_graph(6).adj) == 1
-        assert _cliques_needed(complete_bipartite(3, 4).adj) == 12
-        assert _cliques_needed(cycle_graph(5).adj) == 4
-        assert _cliques_needed(empty_graph(4).adj) == 0
+        assert cliques_needed(complete_graph(6).adj) == 1
+        assert cliques_needed(complete_bipartite(3, 4).adj) == 12
+        assert cliques_needed(cycle_graph(5).adj) == 4
+        assert cliques_needed(empty_graph(4).adj) == 0
 
 
 class TestAllCliquePartitions:

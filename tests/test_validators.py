@@ -31,6 +31,7 @@ from cliquerep import (
     validate_representation,
 )
 from helpers import (
+    as_partition,
     graphs,
     random_graph,
     reference_validate_greedy,
@@ -43,7 +44,7 @@ from helpers import (
 def valid_partition(rng: random.Random, g: Graph) -> CliquePartition:
     if rng.random() < 0.5:
         return erdos_partition(g)
-    return greedy_decomposition(g, rng.randrange(2**32)).as_partition()
+    return as_partition(greedy_decomposition(g, rng.randrange(2**32)))
 
 
 def tamper_partition(rng: random.Random, p: CliquePartition) -> CliquePartition:
@@ -236,7 +237,7 @@ def test_linear_on_a_large_sparse_graph():
     g = sparse_random_graph(random.Random(6), n, 3 / n)
     d = greedy_decomposition(g)
     r = augment_to_distinct(representation_from_partition(d))
-    p = d.as_partition()
+    p = as_partition(d)
     for check in (lambda: validate_partition(g, p),
                   lambda: validate_representation(g, r, require_distinct=True)):
         start = time.perf_counter()
