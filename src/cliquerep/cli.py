@@ -223,10 +223,11 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph, args.format)
     doc = _load_json(args.artifact)
-    if args.kind == "partition":
-        problems = validate_partition(g, CliquePartition.from_json(doc, g))
-    elif args.kind == "greedy":
-        problems = validate_greedy(g, GreedyDecomposition.from_json(doc, g))
+    if args.kind != "representation":
+        # File order, members sorted, so positions index the artifact's cliques.
+        d = GreedyDecomposition.from_json(doc, g)
+        problems = (validate_greedy(g, d) if args.kind == "greedy"
+                    else validate_partition(g, CliquePartition(g, d.sequence)))
     else:
         rep = SetRepresentation.from_json(doc, g)
         problems = validate_representation(g, rep, require_distinct=args.require_distinct)

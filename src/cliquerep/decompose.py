@@ -287,15 +287,17 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     duplicate cliques, and isolated vertices lacking a trivial clique.
 
     One pass first tests for an exact cover (_covers_exactly): distinct,
-    non-empty cliques of distinct vertices given as exact ints, sum C(k, 2)
-    = |E| pairs over their sizes k, and for every vertex v the OR of the
-    masks of the cliques through v equal to adj[v] | 1 << v. The OR test
-    makes the covered pairs exactly the edges and puts every vertex in some
-    clique, an isolated one in its trivial clique; the count then covers no
-    edge twice. A valid partition so costs two ORs per member plus one
-    compare per vertex. Only otherwise is every clique walked for findings,
-    in O((n + sum of |clique|) * ceil(n/64)) word operations, the order of
-    building g.adj, plus one step per finding and sorting the findings.
+    non-empty cliques of vertices given as exact ints, sum C(k, 2) = |E|
+    pairs over their sizes k, and for every vertex v the OR of the masks of
+    the cliques through v equal to adj[v] | 1 << v. The OR test makes the
+    covered pairs exactly the edges and puts every vertex in some clique,
+    an isolated one in its trivial clique; the count then covers no edge
+    twice and leaves no room for a repeated member, whose clique covers
+    fewer than C(k, 2) pairs. A valid partition so costs two ORs per member
+    plus one compare per vertex. Only otherwise is every clique walked for
+    findings, in O((n + sum of |clique|) * ceil(n/64)) word operations, the
+    order of building g.adj, plus one step per finding and sorting the
+    findings.
     """
     return [] if _covers_exactly(g, p.cliques) else _partition_findings(g, p.cliques)
 
@@ -318,8 +320,6 @@ def _covers_exactly(g: Graph, cliques: Sequence[Clique]) -> bool:
             if type(v) is not int or not 0 <= v < n:
                 return False
             mask |= 1 << v
-        if mask.bit_count() != len(cl):
-            return False
         for v in cl:
             cover[v] |= mask
     return cover == [a | 1 << v for v, a in enumerate(g.adj)]
@@ -334,7 +334,7 @@ def _partition_findings(g: Graph, cliques: Sequence[Clique]) -> list[Violation]:
     adj = g.adj
     seen: set[Clique] = set()
     checked = _shaped(g.n, cliques, seen, out)
-    bad = _miscovered(g, *_pair_cover(g.n, [cl for _, cl in checked]))
+    bad = _miscovered(g, (cl for _, cl in checked))
     if not all(adjacent for _, _, adjacent in bad):
         # Some clique holds a non-adjacent pair. Each clique's findings
         # stay together and in clique order: the sort by position is stable.
@@ -367,13 +367,16 @@ def _partition_cliques(g: Graph, cliques: Sequence[Clique]) -> Sequence[Clique]:
     return _int_cliques(cliques)
 
 
-def _pair_cover(n: int, groups: Iterable[Sequence[int]]) -> tuple[list[int], dict[Edge, int]]:
-    """For groups of distinct vertices (cliques, or an element's members):
-    cover[v], the mask of the vertices sharing a group with v, and the
-    number of groups on each pair u < w shared by two or more. Each group
-    ORs its member mask, minus the member, into each member's cover mask:
-    O(sum of |group| * ceil(n/64)) word operations."""
-    cover = [0] * n
+def _miscovered(g: Graph, groups: Iterable[Sequence[int]]) -> list[tuple[Edge, int, int]]:
+    """(pair, count, adjacency) for every pair u < w whose count, the
+    number of groups (of distinct vertices: cliques, or an element's
+    members) holding both, is not its adjacency in g, pairs ascending. Each
+    group ORs its member mask, minus the member, into each member's cover
+    mask, counting the pairs already there; one XOR of cover[u] against
+    g.adj[u] per vertex finds the rest. O((n + sum of |group|) * ceil(n/64))
+    word operations, plus one step per finding and the sort."""
+    adj = g.adj
+    cover = [0] * g.n
     repeats: dict[Edge, int] = {}
     for members in groups:
         mask = 0
@@ -386,17 +389,6 @@ def _pair_cover(n: int, groups: Iterable[Sequence[int]]) -> tuple[list[int], dic
                 for w in bits(twice >> v + 1 << v + 1):
                     repeats[v, w] = repeats.get((v, w), 1) + 1
             cover[v] |= add
-    return cover, repeats
-
-
-def _miscovered(
-    g: Graph, cover: list[int], repeats: dict[Edge, int]
-) -> list[tuple[Edge, int, int]]:
-    """(pair, count, adjacency) for every pair whose count is not its
-    adjacency in g, pairs ascending, from _pair_cover's result: one XOR of
-    cover[u] against g.adj[u] per vertex, O(n * ceil(n/64)) word
-    operations, plus one step per finding and the sort."""
-    adj = g.adj
     bad = [(pair, c, 1) for pair, c in repeats.items() if adj[pair[0]] >> pair[1] & 1]
     for u, c in enumerate(cover):
         diff = (c ^ adj[u]) >> u + 1

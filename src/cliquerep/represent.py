@@ -19,7 +19,6 @@ from .decompose import (
     _group_equal,
     _incidence,
     _miscovered,
-    _pair_cover,
     _partition_cliques,
 )
 from .graphs import Graph
@@ -160,7 +159,7 @@ def validate_representation(
         if e not in members:
             out.append(Violation("unused_element", element=e))
     out.extend(Violation("wrong_intersection", pair=pair, observed=c, expected=adjacent)
-               for pair, c, adjacent in _miscovered(g, *_pair_cover(g.n, members.values())))
+               for pair, c, adjacent in _miscovered(g, members.values()))
     if require_distinct:
         for cls in distinctness(r).classes:
             if len(cls) > 1:

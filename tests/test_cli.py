@@ -38,6 +38,7 @@ from cliquerep import (
     validate_partition,
     validate_representation,
 )
+from cliquerep import cli
 from cliquerep.cli import _print_rows, run
 from helpers import graphs, random_graph
 
@@ -137,15 +138,18 @@ class TestPartition:
         assert p.to_json() == doc
 
     def test_dot_matches_clique_order(self, tmp_path, capsys):
-        run(["partition", write_k3_el(tmp_path), "--method", "greedy"])
-        doc = json.loads(capsys.readouterr().out)
-        run(["partition", write_k3_el(tmp_path), "--method", "greedy",
-             "--output", "dot"])
-        dot = capsys.readouterr().out
-        assert dot.startswith("graph cliques {")
-        for k, cl in enumerate(doc["cliques"]):
-            if len(cl) > 1:
-                assert f'label="c{k}"' in dot
+        # The pin graph's isolated vertex gets a trivial clique.
+        for path in (write_k3_el(tmp_path), write_pin_graph(tmp_path)):
+            run(["partition", path, "--method", "greedy"])
+            doc = json.loads(capsys.readouterr().out)
+            run(["partition", path, "--method", "greedy", "--output", "dot"])
+            dot = capsys.readouterr().out
+            assert dot.startswith("graph cliques {")
+            for k, cl in enumerate(doc["cliques"]):
+                if len(cl) > 1:
+                    assert f'label="c{k}"' in dot
+                else:
+                    assert f'  {cl[0]} [color=' in dot and f'xlabel="c{k}"' in dot
 
     def test_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(complete_graph(3))))
@@ -240,14 +244,27 @@ class TestVerify:
         assert code == 1
         assert capsys.readouterr().out == invalid_report([
             {"kind": "empty_clique", "position": 0},
-            {"kind": "not_a_clique", "pair": [0, 3], "position": 3},
-            {"kind": "bad_vertex", "position": 4, "vertex": 7},
-            {"kind": "repeated_vertex", "position": 5, "vertices": [1, 1]},
-            {"kind": "duplicate_clique", "position": 7, "vertices": [2, 3]},
+            {"kind": "bad_vertex", "position": 1, "vertex": 7},
+            {"kind": "repeated_vertex", "position": 2, "vertices": [1, 1]},
+            {"kind": "duplicate_clique", "position": 4, "vertices": [2, 3]},
+            {"kind": "not_a_clique", "pair": [0, 3], "position": 5},
             {"expected": 1, "kind": "miscovered_edge", "observed": 0, "pair": [1, 2]},
             {"expected": 1, "kind": "miscovered_edge", "observed": 2, "pair": [2, 3]},
             {"expected": 0, "kind": "covered_nonedge", "observed": 1, "pair": [0, 3]},
             {"kind": "isolated_vertex_uncovered", "vertex": 4},
+        ])
+
+    def test_partition_positions_index_the_artifact(self, tmp_path, capsys):
+        # [3, 1] is entry 3 of the file and entry 2 once the cliques are sorted.
+        path = tmp_path / "p4.el"
+        path.write_text(to_edge_list(path_graph(4)))
+        art = tmp_path / "p.json"
+        art.write_text(json.dumps({"n": 4, "ordered": False,
+                                   "cliques": [[2, 3], [1, 2], [0, 1], [3, 1]]}))
+        assert run(["verify", "partition", str(path), str(art)]) == 1
+        assert capsys.readouterr().out == invalid_report([
+            {"kind": "not_a_clique", "pair": [1, 3], "position": 3},
+            {"expected": 0, "kind": "covered_nonedge", "observed": 1, "pair": [1, 3]},
         ])
 
     def test_every_representation_violation_kind_is_pinned(self, tmp_path, capsys):
@@ -373,6 +390,24 @@ class TestOracle:
             code = run(["oracle", quantity, str(path)])
             assert code == 0
             assert json.loads(capsys.readouterr().out) == expected, (quantity, name)
+
+    def test_dot_output(self, tmp_path, capsys):
+        nodes = ["  0;", "  1;", "  2;", "  3;"]
+        expected = {
+            "cp": ["graph cliques {", *nodes,
+                   '  0 -- 2 [label="c0", color="#1b9e77"];',
+                   '  0 -- 3 [label="c1", color="#d95f02"];',
+                   '  1 -- 2 [label="c2", color="#7570b3"];',
+                   '  1 -- 3 [label="c3", color="#e7298a"];', "}"],
+            "omega": ["graph sets {",
+                      '  0 [label="0: {0,1}"];', '  1 [label="1: {2,3}"];',
+                      '  2 [label="2: {0,2}"];', '  3 [label="3: {1,3}"];',
+                      '  0 -- 2 [label="e0"];', '  0 -- 3 [label="e1"];',
+                      '  1 -- 2 [label="e2"];', '  1 -- 3 [label="e3"];', "}"],
+        }
+        for quantity, lines in expected.items():
+            assert run(["oracle", quantity, write_k22_g6(tmp_path), "--output", "dot"]) == 0
+            assert capsys.readouterr() == ("\n".join(lines) + "\n", "")
 
     def test_budget_exceeded(self, tmp_path, capsys):
         path = tmp_path / "big.el"
@@ -507,7 +542,9 @@ class TestJsonBytes:
         broken = CliquePartition(g, p.cliques[1:] + ((0, 0), (), p.cliques[-1]))
         tampered = SetRepresentation(g, r.sets[1:] + r.sets[:1], r.ground_size + 1)
         check = {
-            "partition": lambda doc: validate_partition(g, CliquePartition.from_json(doc, g)),
+            # The artifact's cliques in file order, members sorted.
+            "partition": lambda doc: validate_partition(g, CliquePartition(
+                g, tuple(tuple(sorted(c)) for c in doc["cliques"]))),
             "greedy": lambda doc: validate_greedy(g, GreedyDecomposition.from_json(doc, g)),
             "representation": lambda doc: validate_representation(
                 g, SetRepresentation.from_json(doc, g)),
@@ -669,7 +706,7 @@ class TestUsage:
         assert code == 2
         assert "line 2" in err
 
-    def test_out_of_memory_is_one_error_line(self, tmp_path):
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         # A 1 GB address-space cap makes the vertex-order list for n = 10^12
         # fail at once, so the test never touches real memory.
         path = tmp_path / "huge.el"
@@ -681,6 +718,12 @@ class TestUsage:
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", b"error: out of memory\n")
+        # The same in process, where a line trace of the suite sees the handler.
+        def exhausted(g, seed=None):
+            raise MemoryError
+        monkeypatch.setattr(cli, "greedy_decomposition", exhausted)
+        assert run(["partition", write_k3_el(tmp_path), "--method", "greedy"]) == 2
+        assert capsys.readouterr() == ("", "error: out of memory\n")
 
     @pytest.mark.parametrize("argv", [
         ["partition", "--method", "greedy"], ["partition", "--method", "erdos"],
@@ -705,10 +748,14 @@ class TestUsage:
 
     def test_importing_the_cli_leaves_out_multiprocessing(self):
         # Only a pooled sweep needs it, and it is a large share of start-up.
+        # Every other module it loads is the standard library's or its own:
+        # -S keeps site hooks from loading third-party modules beforehand.
         env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
         proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, cliquerep.cli; print('multiprocessing' in sys.modules)"],
+            [sys.executable, "-S", "-c",
+             "import sys, cliquerep.cli; print('multiprocessing' in sys.modules); "
+             "print(sorted(m for m in sys.modules if m != '__main__' and m.split('.')[0] "
+             "not in (*sys.stdlib_module_names, 'cliquerep')))"],
             env=env, capture_output=True, text=True, timeout=60,
         )
-        assert (proc.returncode, proc.stdout) == (0, "False\n")
+        assert (proc.returncode, proc.stdout) == (0, "False\n[]\n")

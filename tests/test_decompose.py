@@ -484,11 +484,14 @@ class TestJsonRoundTrip:
 
     def test_rejects_bad_schema(self):
         k3 = complete_graph(3)
-        for doc in (
-            [],
-            {"n": 3, "cliques": [[0]]},
-            {"n": 3, "ordered": 1, "cliques": []},
-            {"n": 3, "ordered": False, "cliques": [[0, "x"]]},
+        for doc, message in (
+            ([], "artifact must be a JSON object"),
+            ({"n": 3, "cliques": [[0]]}, "artifact is missing the 'ordered' key"),
+            ({"n": 3, "ordered": 1, "cliques": []}, "artifact 'ordered' must be a boolean"),
+            ({"n": 3, "ordered": False, "cliques": {}}, "artifact 'cliques' must be an array"),
+            ({"n": 3, "ordered": False, "cliques": [[0, "x"]]},
+             "each clique must be an array of integers"),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as exc:
                 CliquePartition.from_json(doc, k3)
+            assert str(exc.value) == message

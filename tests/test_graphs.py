@@ -67,6 +67,12 @@ class TestGraphType:
     def test_rejects_unnormalized_edge(self):
         with pytest.raises(ValueError):
             Graph(3, frozenset({(2, 1)}))
+        with pytest.raises(ValueError, match=r"^edge \(0, 1, 2\) is not a pair$"):
+            Graph(3, frozenset({(0, 1, 2)}))
+
+    def test_cycles_need_three_vertices(self):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            cycle_graph(2)
 
     def test_builder_normalizes_and_rejects_loops(self):
         g = graph(3, [(2, 0), (0, 1)])

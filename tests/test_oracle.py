@@ -410,10 +410,17 @@ class TestExhaustiveBoundCheck:
             CliquePartition(g, ((0, 1),)) if g.edges == target.edges else real(g)))
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
         mask = edge_bitmask(target)
-        assert exhaustive_bound_check(4, [None]).violations == (
+        report = exhaustive_bound_check(4, [None])
+        assert report.violations == (
             oracle.BoundViolation(mask, "erdos", "erdos_invalid", 1, 0),
             oracle.BoundViolation(mask, "erdos", "erdos_distinctness", 4 - 2, 0),
         )
+        assert report.to_json()["violations"] == [
+            {"graph": mask, "strategy": "erdos", "check": "erdos_invalid",
+             "observed": 1, "bound": 0},
+            {"graph": mask, "strategy": "erdos", "check": "erdos_distinctness",
+             "observed": 2, "bound": 0},
+        ]
 
     def test_relabel_mask_matches_graph_relabeling(self):
         order = _vertex_order(6, 7)
@@ -510,6 +517,17 @@ class TestRsBoundCheck:
         bad = GreedyDecomposition(k3, ((0, 1), (1, 2), (0, 2)))
         with pytest.raises(ValueError, match="invalid decomposition"):
             check_rs_bound(k3, bad)
+
+    def test_finding_on_an_unvalidated_sequence(self, monkeypatch):
+        # No valid sequence breaches the bound. With validation patched out,
+        # K3 as its three edges has every edge touching two other cliques.
+        monkeypatch.setattr(oracle, "validate_greedy", lambda g, d: [])
+        k3 = complete_graph(3)
+        edges = ((0, 1), (0, 2), (1, 2))
+        found = check_rs_bound(k3, GreedyDecomposition(k3, edges))
+        assert [v.to_json() for v in found] == [
+            {"kind": "rs_bound", "position": j, "pair": list(e), "observed": 2, "expected": 1}
+            for j, e in enumerate(edges)]
 
     def test_degree_one_pair_exempt(self):
         g = graph(2, [(0, 1)])

@@ -292,6 +292,7 @@ class TestJson:
         p3 = path_graph(3)
         for doc in (
             {"n": 3, "sets": [[0], [0], [0]]},
+            {"n": 3, "ground_size": "1", "sets": [[0], [0], [0]]},
             {"n": 2, "ground_size": 1, "sets": [[0], [0], [0]]},
             {"n": 3, "ground_size": -1, "sets": [[0], [0], [0]]},
             {"n": 3, "ground_size": 1, "sets": [[0], [0]]},

@@ -171,6 +171,9 @@ EXACT_COVER_EDGES = {
     # or the cover masks.
     "repeated_trivial": (path_graph(3), ((0, 1), (1,), (1,), (1, 2))),
     "empty_clique": (path_graph(3), ((0, 1), (), (1, 2))),
+    # Σ C(|C|, 2) = |E| and every vertex is covered, but (0, 0, 1) holds
+    # one pair where its size counts three, so (0, 2) and (1, 2) are missed.
+    "repeated_member": (complete_graph(3), ((0, 0, 1), (2,))),
     # (0, True) equals (0, 1): a duplicate clique.
     "true_beside_one": (path_graph(3), ((0, True), (0, 1), (1, 2))),
 }
