@@ -418,8 +418,6 @@ def erdos_partition(g: Graph) -> CliquePartition:
     lookup. Trivial cliques created for vertices isolated at inner steps are
     kept: the distinctness property can depend on them.
     """
-    if g.n < 1:
-        raise ValueError("need at least one vertex")
     # Vertices keep their labels and a deleted vertex is cleared from its
     # neighbors' masks. by_degree[d] holds the survivors of degree d, so the
     # lowest bit of the first non-empty one is the minimum-degree survivor
@@ -562,46 +560,54 @@ def _edge_partitions(
     the residual cliques through it, each edge partition is yielded exactly
     once. When u and v have no common residual neighbor, options must return
     exactly [(u, v)], as _cliques_through_edge and _edge_or_triangles do:
-    such a forced edge is taken without calling it. A node whose prune(need)
-    holds is cut: a branching node before it branches, a leaf before it is
-    yielded, so every yielded partition passes prune. need is the fewest
-    cliques any completion below the node can have: the cliques chosen so
-    far plus _cliques_needed(residual), which is 0 at a leaf. Without prune
-    the bound is never computed. The yielded list is the live search state,
-    valid until the next step, and is extended by copying.
+    such a forced edge is taken without calling it. A node is the root or a
+    branching option, followed by its whole run of forced smallest edges.
+    prune(need) is evaluated once per node, at the end of its run, and a
+    node where it holds is cut: a branching node before it branches, a leaf
+    before it is yielded, so every yielded partition passes prune. need is
+    the fewest cliques any completion below the node can have: the cliques
+    chosen so far plus _cliques_needed(residual), which is 0 at a leaf. A
+    run does not branch, so a cut that its middle would allow is only
+    delayed to its end. Without prune the bound is never computed. The
+    yielded list is the live search state, valid until the next step, and
+    is extended by copying.
 
     The search is one loop in one frame, with an explicit stack of the
     branching nodes: each keeps its remaining options, the number of
-    cliques chosen above it and a copy of its residual, which is restored
-    before its next option is taken. Each node scans the residual once: the
-    OR of its rows is the non-isolated vertex mask the bound starts from,
-    and its lowest vertex u (all rows below u are empty) has the smallest
-    uncovered edge, to u's lowest neighbor. These are costs only: which
-    nodes are visited, in what order, and what prune sees follow from the
-    rules above.
+    cliques chosen above it, and a copy of its residual and of free, which
+    are restored before its next option is taken. free, the non-isolated
+    vertex mask the bound starts from, is the OR of the rows at the root
+    and loses a vertex when its row empties. Its lowest vertex u (all rows
+    below u are empty) has the smallest uncovered edge, to u's lowest
+    neighbor. These are costs only: which nodes are visited, in what order,
+    and what prune sees follow from the rules above.
     """
     residual = list(adj)
+    free = reduce(or_, residual, 0)
     chosen: list[Clique] = []
-    stack: list[tuple[Iterator[Clique], int, list[int]]] = []
+    stack: list[tuple[Iterator[Clique], int, list[int], int]] = []
     while True:
-        free = reduce(or_, residual, 0)
+        while free:
+            u = (free & -free).bit_length() - 1
+            row = residual[u]
+            v = (row & -row).bit_length() - 1
+            if row & residual[v]:
+                break
+            residual[u] = row = row ^ 1 << v
+            residual[v] ^= 1 << u
+            if not row:
+                free ^= 1 << u
+            if not residual[v]:
+                free ^= 1 << v
+            chosen.append((u, v))
         if prune is None or not prune(len(chosen) + _cliques_needed(residual, free)):
             if not free:
                 yield chosen
             else:
-                u = (free & -free).bit_length() - 1
-                row = residual[u]
-                v = (row & -row).bit_length() - 1
-                if row & residual[v]:
-                    stack.append((iter(options(residual, u, v)), len(chosen), residual.copy()))
-                else:
-                    residual[u] = row ^ 1 << v
-                    residual[v] ^= 1 << u
-                    chosen.append((u, v))
-                    continue
+                stack.append((iter(options(residual, u, v)), len(chosen), residual.copy(), free))
         # Back up to the deepest branching node with an option left.
         while stack:
-            rest, depth, saved = stack[-1]
+            rest, depth, saved, free = stack[-1]
             cl = next(rest, None)
             if cl is not None:
                 break
@@ -615,6 +621,8 @@ def _edge_partitions(
             mask |= 1 << a
         for a in cl:
             residual[a] &= ~mask
+            if not residual[a]:
+                free ^= 1 << a
         chosen.append(cl)
 
 

@@ -217,6 +217,35 @@ def reference_validate_partition(g: Graph, p: CliquePartition) -> list[Violation
     return out
 
 
+def reference_lemma6(g: Graph, cliques) -> list[Violation]:
+    """Lemma 6 tested directly on the cliques, which are not validated:
+    group the vertices by their sets of clique positions; in each group of
+    two or more, the shared set must be one clique (then it is each
+    member's only clique), and that clique must be maximal in g, so no
+    outside vertex is adjacent to all of it. One finding per pair of a
+    group: multi_membership when the shared set is not one clique,
+    not_maximal naming the lowest extending vertex otherwise."""
+    cliques = [tuple(cl) for cl in cliques]
+    groups: dict[frozenset[int], list[int]] = {}
+    for v in range(g.n):
+        key = frozenset(k for k, cl in enumerate(cliques) if v in cl)
+        groups.setdefault(key, []).append(v)
+    out: list[Violation] = []
+    for key, members in sorted(groups.items(), key=lambda item: sorted(item[0])):
+        for u, v in combinations(members, 2):
+            if len(key) != 1:
+                out.append(Violation("multi_membership", pair=(u, v),
+                                     observed=len(key), expected=1))
+                continue
+            shared = cliques[min(key)]
+            outside = [x for x in range(g.n) if x not in shared
+                       and all(has_edge(g, x, y) for y in shared)]
+            if outside:
+                out.append(Violation("not_maximal", pair=(u, v),
+                                     vertices=shared, vertex=outside[0]))
+    return out
+
+
 def reference_validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     """validate_greedy the direct way: replay the sequence pair by pair
     against the set of residual edges, with the lowest outside vertex joined

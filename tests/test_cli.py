@@ -11,7 +11,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cliquerep
@@ -91,6 +91,25 @@ class TestPartition:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0
         assert validate_partition(g, CliquePartition.from_json(doc, g)) == []
+
+    @pytest.mark.parametrize("method", ["greedy", "erdos"])
+    def test_zero_vertices(self, tmp_path, capsys, method):
+        el = tmp_path / "z.el"
+        el.write_text("n=0\n")
+        docs = []
+        for argv in (["partition"], ["represent"], ["represent", "--augment"]):
+            code = run([argv[0], str(el), "--method", method, *argv[1:]])
+            assert code == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        ordered = method == "greedy"
+        assert docs == [{"n": 0, "ordered": ordered, "cliques": []},
+                        {"n": 0, "ground_size": 0, "sets": []},
+                        {"n": 0, "ground_size": 0, "sets": []}]
+        (tmp_path / "p.json").write_text(json.dumps(docs[0]))
+        kind = "greedy" if ordered else "partition"
+        code = run(["verify", kind, str(el), str(tmp_path / "p.json")])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {"valid": True, "violations": []}
 
     def test_erdos_rejects_strategy_flags(self, tmp_path, capsys):
         code = run(["partition", write_k3_el(tmp_path), "--method", "erdos",
@@ -507,10 +526,8 @@ class TestJsonBytes:
     """Every JSON document on stdout is byte for byte
     json.dumps(doc, indent=2, sort_keys=True) plus a newline."""
 
-    # The erdos partition needs a vertex.
     @pytest.mark.parametrize("name, argv", [
         (name, argv) for name in sorted(JSON_GRAPHS) for argv in CONSTRUCTIONS
-        if name != "n0" or "erdos" not in argv
     ], ids=lambda x: x if isinstance(x, str) else " ".join(x))
     def test_constructions(self, name, argv):
         g = JSON_GRAPHS[name]
@@ -522,7 +539,6 @@ class TestJsonBytes:
     @given(graphs(max_n=40), st.sampled_from(CONSTRUCTIONS))
     @settings(max_examples=60)
     def test_constructions_on_random_graphs(self, g, argv):
-        assume(g.n > 0 or "erdos" not in argv)
         code, out = run_on_text([argv[0], "-", "--format", "edgelist", *argv[1:]],
                                 to_edge_list(g))
         assert code == 0

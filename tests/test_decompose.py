@@ -325,9 +325,8 @@ class TestErdosPartition:
         assert p.cliques == ((0,), (1,), (2,), (3,))
         assert len(p.cliques) == 4 == quarter_square(4)
 
-    def test_zero_vertices_rejected(self):
-        with pytest.raises(ValueError):
-            erdos_partition(empty_graph(0))
+    def test_zero_vertices_give_the_empty_partition(self):
+        assert erdos_partition(empty_graph(0)).cliques == ()
 
     def test_single_vertex(self):
         assert erdos_partition(empty_graph(1)).cliques == ((0,),)

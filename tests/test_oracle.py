@@ -43,6 +43,7 @@ from helpers import (
     has_triangle,
     random_graph,
     reference_edge_partitions,
+    reference_lemma6,
     reference_rs_bound,
     reference_sweep,
     sparse_random_graph,
@@ -111,14 +112,17 @@ def cliques_needed(adj):
 class TestCliquesNeededBound:
     #: Branching nodes (calls of the options callback) of
     #: min_clique_partition on the first dense panel graphs. With the
-    #: "one more clique" bound they were 334065, 73290 and 125139, and
-    #: 6657, 3230 and 2450 while forced edges still called options.
-    NODES = [5113, 2465, 1833]
+    #: "one more clique" bound they were 334065, 73290 and 125139, 6657,
+    #: 3230 and 2450 while forced edges still called options, and 5113,
+    #: 2465 and 1833 while the bound was evaluated after every forced edge
+    #: (a cut inside a forced run is now delayed to the run's end).
+    NODES = [5152, 2484, 1838]
 
     #: Bound evaluations (calls of _cliques_needed), one per node visited,
-    #: the root included, on the same graphs; taking forced edges without
-    #: branching must not change them.
-    BOUND_CALLS = [28462, 11932, 9606]
+    #: the root included, on the same graphs. A node ends with its run of
+    #: forced edges, so the bound is evaluated once per run; it was 28462,
+    #: 11932 and 9606 while every forced edge was a node of its own.
+    BOUND_CALLS = [27023, 11227, 9010]
 
     #: min_clique_partition witnesses on the same graphs, recorded under
     #: the "one more clique" bound: a stronger bound must not change them.
@@ -133,11 +137,11 @@ class TestCliquesNeededBound:
 
     #: Branching nodes of min_distinct_representation over all 1024
     #: labeled 5-vertex graphs (3660 while forced edges still called
-    #: options), its bound evaluations there, and the sha256 of its results
-    #: there, one json.dumps([value, witness], sort_keys=True) per graph in
-    #: mask order.
+    #: options), its bound evaluations there (5707 with one per forced
+    #: edge), and the sha256 of its results there, one json.dumps([value,
+    #: witness], sort_keys=True) per graph in mask order.
     OMEGA_NODES = 808
-    OMEGA_BOUND_CALLS = 5707
+    OMEGA_BOUND_CALLS = 2855
     OMEGA_DIGEST = "11bf6b99acd19dbce9d3b2d5a5573dc55fb22d86d5e50feb1d79451eba99351c"
 
     @pytest.fixture
@@ -199,7 +203,8 @@ class TestCliquesNeededBound:
         start = time.perf_counter()
         value, witness = min_clique_partition(g)
         assert time.perf_counter() - start < 60
-        assert option_calls[0] == 230373
+        # 230373 while the bound was evaluated after every forced edge
+        assert option_calls[0] == 231032
         assert value == 8
         assert witness.cliques == ((0, 1), (0, 2, 3, 4, 5, 6, 7, 8, 9), (1, 3), (1, 4),
                                    (1, 5), (1, 6), (1, 7), (1, 9))
@@ -226,6 +231,34 @@ class TestCliquesNeededBound:
         assert cliques_needed(complete_bipartite(3, 4).adj) == 12
         assert cliques_needed(cycle_graph(5).adj) == 4
         assert cliques_needed(empty_graph(4).adj) == 0
+
+
+class TestWitnessIdentity:
+    """sha256 digests of the search's outputs on every small labeled graph,
+    in mask order. Node and bound counts may move when the kernel's costs
+    change; these may not."""
+
+    def test_min_clique_partition_on_every_n6_graph(self):
+        # one json.dumps([value, cliques]) per graph
+        digest = hashlib.sha256()
+        for g in enumerate_labeled_graphs(6):
+            value, witness = min_clique_partition(g)
+            digest.update(json.dumps([value, witness.to_json()["cliques"]]).encode())
+        assert digest.hexdigest() == (
+            "37a5b4efc01410335ed9bcab3eb9b14c411cb5ea75a5e245fb2a0fa291c67b2f")
+
+    def test_all_clique_partitions_in_order_up_to_n5(self):
+        # one json.dumps of the yielded partitions' clique lists per graph
+        digest = hashlib.sha256()
+        at_n5 = 0
+        for n in range(6):
+            for g in enumerate_labeled_graphs(n):
+                parts = [p.to_json()["cliques"] for p in all_clique_partitions(g)]
+                at_n5 += len(parts) if n == 5 else 0
+                digest.update(json.dumps(parts).encode())
+        assert at_n5 == 2625
+        assert digest.hexdigest() == (
+            "b940637bf004356d5826fc67417f3c5049b17d909c59f2abfa0ba35a047928b8")
 
 
 class TestAllCliquePartitions:
@@ -492,6 +525,7 @@ class TestLemma6Check:
         for n in range(1, 5):
             for g in enumerate_labeled_graphs(n):
                 for p in all_clique_partitions(g, extra_trivial=True):
+                    assert reference_lemma6(g, p.cliques) == []
                     assert check_lemma6(g, p) == []
 
     def test_exhaustive_n5(self):
@@ -499,7 +533,19 @@ class TestLemma6Check:
         # extra-free partitions cover every duplicate pair that can occur.
         for g in enumerate_labeled_graphs(5):
             for p in all_clique_partitions(g):
+                assert reference_lemma6(g, p.cliques) == []
                 assert check_lemma6(g, p) == []
+
+    def test_reference_reports_both_kinds_on_non_partitions(self):
+        # The reference does not validate, so covers that are not
+        # partitions show what it would report: on K4, 0 and 1 share two
+        # cliques; on K3, the edge {0, 1} extends by 2.
+        k4 = complete_graph(4)
+        assert [v.to_json() for v in reference_lemma6(k4, [(0, 1, 2), (0, 1, 3), (2, 3)])] == [
+            {"kind": "multi_membership", "pair": [0, 1], "observed": 2, "expected": 1}]
+        k3 = complete_graph(3)
+        assert [v.to_json() for v in reference_lemma6(k3, [(0, 1)])] == [
+            {"kind": "not_maximal", "pair": [0, 1], "vertices": [0, 1], "vertex": 2}]
 
 
 class TestRsBoundCheck:
