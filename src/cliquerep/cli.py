@@ -25,7 +25,7 @@ from .decompose import (
     validate_greedy,
     validate_partition,
 )
-from .graphs import Graph, GraphParseError, parse_edge_list, parse_graph6
+from .graphs import Graph, parse_edge_list, parse_graph6
 from .oracle import (
     exhaustive_bound_check,
     min_clique_partition,
@@ -272,7 +272,7 @@ def run(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except (GraphParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

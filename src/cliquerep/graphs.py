@@ -109,6 +109,8 @@ def complete_graph(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with one side on 0..a-1 and the other on a..a+b-1."""
+    if a < 0 or b < 0:
+        raise ValueError(f"part sizes must be non-negative, got {a} and {b}")
     return Graph(a + b, frozenset((u, v) for u in range(a) for v in range(a, a + b)))
 
 
@@ -167,10 +169,10 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     convention is used by edge_bitmask, _relabel_mask,
     enumerate_labeled_graphs, and canonical_form.
     """
-    if not 0 <= mask < 1 << (n * (n - 1) // 2):
-        raise ValueError(f"mask {mask} out of range for n={n}")
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
+    if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
+        raise ValueError(f"mask {mask} out of range for n={n}")
     # Pairs of combinations(range(n), 2) are valid edges by construction.
     return Graph._checked(n, frozenset(_mask_pairs(n, mask)))
 

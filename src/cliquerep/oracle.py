@@ -39,10 +39,9 @@ from .represent import (
     representation_from_partition,
 )
 
-#: Search budgets, chosen so every verification run finishes in minutes on
-#: one machine.
+#: Search budgets, chosen so every run finishes in minutes on one machine.
+#: CP_MAX_N caps both exact searches, cp and omega, which share one kernel.
 CP_MAX_N = 10
-OMEGA_MAX_N = 6
 SWEEP_MIN_N = 4
 SWEEP_MAX_N = 7
 
@@ -148,8 +147,8 @@ def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
     search is pruned against the quarter-square budget, which the witness is
     known to meet.
     """
-    if g.n > OMEGA_MAX_N:
-        raise ValueError(f"n={g.n} exceeds the n<={OMEGA_MAX_N} search budget")
+    if g.n > CP_MAX_N:
+        raise ValueError(f"n={g.n} exceeds the n<={CP_MAX_N} search budget")
     budget = quarter_square(g.n) + 1 if g.n >= 4 else len(g.edges) + g.n + 1
     best = _min_distinct(g.adj, _cliques_through_edge, budget)
     if best is None:
@@ -207,8 +206,7 @@ def _worker_count(chunks: int) -> int:
     """Processes a sweep of `chunks` minimum-size mask ranges may use:
     CLIQUEREP_THREADS, which must be a positive integer, else every CPU,
     clamped to min(cpu_count, chunks) and at least 1."""
-    cpus = os.cpu_count() or 1
-    workers = cpus
+    workers = cpus = os.cpu_count() or 1
     env = os.environ.get(THREADS_ENV)
     if env:
         try:

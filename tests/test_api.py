@@ -4,8 +4,11 @@ this file."""
 
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import cliquerep
+from cliquerep import graphs, oracle
 
 NAMES = [
     "BoundReport", "BoundViolation", "Clique", "CliquePartition", "DistinctnessReport",
@@ -80,6 +83,11 @@ METHODS = {
     "Violation": ["to_json"],
 }
 
+#: Module-level size caps and floors of the exhaustive machinery, so a cap
+#: change is a diff of this file.
+BUDGETS = {"CP_MAX_N": 10, "SWEEP_MIN_N": 4, "SWEEP_MAX_N": 7, "ENUMERATION_MAX_N": 7,
+           "CANONICAL_MAX_N": 8, "GRAPH6_MAX_N": 62}
+
 
 def test_public_parameters_are_pinned():
     found = {}
@@ -102,3 +110,12 @@ def test_public_methods_are_pinned():
             fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
             found[name] = sorted(k for k in vars(cls) if not k.startswith("_") and k not in fields)
     assert found == METHODS
+
+
+def test_budgets_are_pinned_and_named_in_the_readme():
+    found = {name: value for module in (graphs, oracle) for name, value in vars(module).items()
+             if re.fullmatch(r"[A-Z0-9_]+_(MAX|MIN)_N", name) and type(value) is int}
+    assert found == BUDGETS
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Search budgets\n", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"\b[A-Z0-9_]+_(?:MAX|MIN)_N\b", section)) == set(BUDGETS)

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -73,6 +74,11 @@ class TestGraphType:
     def test_cycles_need_three_vertices(self):
         with pytest.raises(ValueError, match="at least 3 vertices"):
             cycle_graph(2)
+
+    def test_bipartite_parts_are_non_negative(self):
+        for a, b in ((-1, 3), (3, -1)):
+            with pytest.raises(ValueError, match=rf"^part sizes must be non-negative, got {a} and {b}$"):
+                complete_bipartite(a, b)
 
     def test_builder_normalizes_and_rejects_loops(self):
         g = graph(3, [(2, 0), (0, 1)])
@@ -325,10 +331,25 @@ class TestEnumeration:
     def test_bitmask_round_trip(self):
         for mask in (0, 1, 37, 63):
             assert edge_bitmask(graph_from_bitmask(4, mask)) == mask
-        with pytest.raises(ValueError):
-            graph_from_bitmask(3, 8)
+        assert edge_bitmask(graph_from_bitmask(3, 7)) == 7
+        for n, mask in ((3, 8), (3, -1), (0, 1)):
+            with pytest.raises(ValueError, match=rf"^mask {mask} out of range for n={n}$"):
+                graph_from_bitmask(n, mask)
         with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -1$"):
             graph_from_bitmask(-1, 0)
+
+    def test_bitmask_range_check_builds_no_big_int(self):
+        # The range check must not build 1 << (n(n-1)/2): that int is 26.7 MB
+        # at n=20000, and a huge negative n would ask for far more.
+        tracemalloc.start()
+        try:
+            assert graph_from_bitmask(20000, 0).n == 20000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(ValueError, match="^vertex count must be non-negative"):
+            graph_from_bitmask(-10**6, 0)
 
     def test_bitmask_round_trip_larger(self):
         rnd = random.Random(3)

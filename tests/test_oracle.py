@@ -50,6 +50,15 @@ from helpers import (
 )
 
 
+@pytest.mark.parametrize("search", [min_clique_partition, min_distinct_representation],
+                         ids=["cp", "omega"])
+def test_budget(search):
+    # Both exact searches share one cap.
+    cap = oracle.CP_MAX_N
+    with pytest.raises(ValueError, match=rf"^n={cap + 1} exceeds the n<={cap} search budget$"):
+        search(empty_graph(cap + 1))
+
+
 class TestMinCliquePartition:
     def test_complete_graph(self):
         value, witness = min_clique_partition(complete_graph(4))
@@ -72,10 +81,6 @@ class TestMinCliquePartition:
         value, witness = min_clique_partition(g)
         assert value == 3
         assert witness.cliques == ((0, 1), (2,), (3,))
-
-    def test_budget(self):
-        with pytest.raises(ValueError, match="budget"):
-            min_clique_partition(empty_graph(11))
 
     def test_petersen(self):
         # triangle-free and 3-regular, so the minimum is one clique per edge
@@ -209,6 +214,20 @@ class TestCliquesNeededBound:
         assert witness.cliques == ((0, 1), (0, 2, 3, 4, 5, 6, 7, 8, 9), (1, 3), (1, 4),
                                    (1, 5), (1, 6), (1, 7), (1, 9))
 
+    @pytest.mark.slow
+    def test_worst_known_n10_graph_within_the_omega_budget(self, option_calls):
+        # The same graph, the slowest cp graph, under min_distinct_representation.
+        g = graph(10, [e for e in complete_graph(10).edges if e not in ((1, 2), (1, 8))])
+        start = time.perf_counter()
+        value, witness = min_distinct_representation(g)
+        assert time.perf_counter() - start < 60
+        assert option_calls[0] == 232311
+        assert value == 9
+        assert witness.to_json() == {
+            "n": 10, "ground_size": 9,
+            "sets": [[0, 1], [0, 2, 3, 4, 5, 6, 7], [1], [1, 2], [1, 3], [1, 4], [1, 5],
+                     [1, 6], [1, 8], [1, 7]]}
+
     def test_witnesses_are_pinned(self):
         for g, cliques in zip(dense_panel(len(self.WITNESSES)), self.WITNESSES):
             value, witness = min_clique_partition(g)
@@ -338,16 +357,17 @@ class TestMinDistinctRepresentation:
                 assert validate_representation(g, witness, require_distinct=True) == []
                 assert witness.ground_size == value
 
-    def test_budget(self):
-        with pytest.raises(ValueError, match="budget"):
-            min_distinct_representation(empty_graph(7))
-
     def test_chain_cp_le_omega_le_bound(self):
-        for n in (4, 5):
-            for g in enumerate_labeled_graphs(n):
-                cp_value, _ = min_clique_partition(g)
-                omega_value, _ = min_distinct_representation(g)
-                assert cp_value <= omega_value <= quarter_square(n)
+        samples = [(n, g) for n in (4, 5) for g in enumerate_labeled_graphs(n)]
+        # Past the exhaustive range: 30 seeded G(n, p) each at n = 7, 8, with
+        # p from 0.1 to 1, so the last few are nearly complete.
+        for n in (7, 8):
+            rng = random.Random(f"chain:{n}")
+            samples += [(n, random_graph(rng, n, 0.1 + 0.9 * i / 29)) for i in range(30)]
+        for n, g in samples:
+            cp_value, _ = min_clique_partition(g)
+            omega_value, _ = min_distinct_representation(g)
+            assert cp_value <= omega_value <= quarter_square(n)
 
     def test_cp_le_omega_below_four(self):
         # the quarter-square cap starts at n=4; the cp <= omega half does not
