@@ -485,14 +485,12 @@ def _erdos_base(alive: int, adj: tuple[int, ...]) -> tuple[Clique, ...]:
     bounded cache: a sweep at n <= 7 has at most C(7, 4) * 64 = 2,240 keys,
     and a large graph makes one call.
 
-    The search runs on local labels 0..k-1. Its budget |E| + k + 1 exceeds
-    the cost of every partition, so it never prunes and the first cheapest
+    The search runs on local labels 0..k-1, and the first cheapest
     partition in branching order wins.
     """
     labels = list(bits(alive))
     local = [sum(1 << j for j, w in enumerate(labels) if m >> w & 1) for m in adj]
-    budget = sum(m.bit_count() for m in local) // 2 + len(local) + 1
-    found = _min_distinct(local, _edge_or_triangles, budget)
+    found = _min_distinct(local, _edge_or_triangles)
     return tuple(tuple(sorted(labels[v] for v in cl)) for cl in found)
 
 
@@ -629,10 +627,8 @@ def _edge_partitions(
 def _min_distinct(
     adj: Sequence[int],
     options: Callable[[list[int], int, int], list[Clique]],
-    budget: int,
-) -> list[Clique] | None:
-    """Cheapest clique partition of adj with pairwise-distinct incidence
-    sets that uses fewer than budget cliques, or None if there is none.
+) -> list[Clique]:
+    """Cheapest clique partition of adj with pairwise-distinct incidence sets.
 
     Searches the edge partitions that options allows. A completed edge
     partition is charged one trivial clique per isolated vertex plus one per
@@ -646,7 +642,9 @@ def _min_distinct(
     # Incidence keys are clique-position bitmasks; isolated vertices start
     # from distinct negative keys, so only the others can repeat a key.
     start = [0 if m else ~v for v, m in enumerate(adj)]
-    best: list[Clique] | None = None
+    # No partition costs more than |E| + n (a clique per edge, a trivial
+    # clique per vertex), so the first leaf found beats this budget.
+    budget = sum(m.bit_count() for m in adj) // 2 + n + 1
     for chosen in _edge_partitions(adj, options, lambda need: need + len(iso) >= budget):
         keys = start.copy()
         for k, cl in enumerate(chosen):
@@ -655,8 +653,6 @@ def _min_distinct(
         cost = len(chosen) + len(iso) + n - len(set(keys))
         if cost < budget:
             budget, best, best_keys = cost, chosen.copy(), keys
-    if best is None:
-        return None
     # Every vertex whose key an earlier vertex already has gets a trivial
     # clique, in vertex order.
     seen: set[int] = set()

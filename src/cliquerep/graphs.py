@@ -57,12 +57,17 @@ class Graph:
     edges: frozenset[Edge]
 
     def __post_init__(self) -> None:
+        # Exactly int: a bool or a numpy integer would reach the bit masks.
+        if type(self.n) is not int:
+            raise ValueError(f"vertex count must be an int, got {self.n!r}")
         if self.n < 0:
             raise ValueError(f"vertex count must be non-negative, got {self.n}")
         for e in self.edges:
             if len(e) != 2:
                 raise ValueError(f"edge {e!r} is not a pair")
             u, v = e
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge {e!r} has an endpoint that is not an int")
             if not 0 <= u < v < self.n:
                 raise ValueError(f"edge {e!r} out of range for n={self.n}")
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .decompose import (
@@ -24,7 +23,6 @@ from .decompose import (
     _incidence,
     _int_cliques,
     _min_distinct,
-    _partition_cliques,
     _vertex_order,
     erdos_partition,
     greedy_decomposition,
@@ -32,7 +30,7 @@ from .decompose import (
     validate_greedy,
     validate_partition,
 )
-from .graphs import Graph, _relabel_mask, degree, graph_from_bitmask
+from .graphs import ENUMERATION_MAX_N, Graph, _relabel_mask, degree, graph_from_bitmask
 from .represent import (
     SetRepresentation,
     augment_to_distinct,
@@ -42,8 +40,8 @@ from .represent import (
 #: Search budgets, chosen so every run finishes in minutes on one machine.
 #: CP_MAX_N caps both exact searches, cp and omega, which share one kernel.
 CP_MAX_N = 10
+#: Sweeps cover SWEEP_MIN_N <= n <= ENUMERATION_MAX_N.
 SWEEP_MIN_N = 4
-SWEEP_MAX_N = 7
 
 THREADS_ENV = "CLIQUEREP_THREADS"
 #: Every sweep worker gets at least this many masks, so small sweeps run
@@ -118,22 +116,17 @@ def min_clique_partition(g: Graph) -> tuple[int, CliquePartition]:
     return len(witness.cliques), witness
 
 
-def all_clique_partitions(g: Graph, extra_trivial: bool = False) -> Iterator[CliquePartition]:
+def all_clique_partitions(g: Graph) -> Iterator[CliquePartition]:
     """Every clique partition of g, deterministically.
 
     Branches on the smallest uncovered edge over all residual cliques
     containing it, so each edge partition is produced exactly once; isolated
-    vertices carry their forced trivial cliques. With extra_trivial, every
-    variant with additional trivial cliques on non-isolated vertices is
-    produced as well. Exhaustive, so meant for small n only.
+    vertices carry their forced trivial cliques, and no other vertex gets
+    one. Exhaustive, so meant for small n only.
     """
     iso = [(v,) for v in range(g.n) if g.adj[v] == 0]
-    non_iso = [v for v in range(g.n) if g.adj[v]]
-    sizes = range(len(non_iso) + 1) if extra_trivial else (0,)
     for chosen in _edge_partitions(g.adj, _cliques_through_edge):
-        for size in sizes:
-            for extra in combinations(non_iso, size):
-                yield CliquePartition.from_cliques(g, chosen + iso + [(v,) for v in extra])
+        yield CliquePartition.from_cliques(g, chosen + iso)
 
 
 def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
@@ -143,35 +136,19 @@ def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
     without touching any pairwise intersection, so the minimum is found by
     searching clique partitions and charging, per completed partition, one
     trivial clique for each isolated vertex plus one for each extra member
-    of a group of vertices with identical incidence sets. For n >= 4 the
-    search is pruned against the quarter-square budget, which the witness is
-    known to meet.
+    of a group of vertices with identical incidence sets. The search starts
+    from a budget that every partition beats, so it never assumes the
+    floor(n^2/4) bound that the tests check it against.
     """
     if g.n > CP_MAX_N:
         raise ValueError(f"n={g.n} exceeds the n<={CP_MAX_N} search budget")
-    budget = quarter_square(g.n) + 1 if g.n >= 4 else len(g.edges) + g.n + 1
-    best = _min_distinct(g.adj, _cliques_through_edge, budget)
-    if best is None:
-        raise RuntimeError("search exhausted without meeting the quarter-square budget")
+    best = _min_distinct(g.adj, _cliques_through_edge)
     # Element k is the k-th clique in sorted order. The search yields each
     # clique as a sorted tuple, so sorting the list is CliquePartition's order.
     sets = tuple(map(frozenset, _incidence(g.n, sorted(best))))
     if len(set(sets)) < g.n:
         raise RuntimeError("the minimum witness has duplicate sets")
     return len(best), SetRepresentation(g, sets, len(best))
-
-
-def check_lemma6(g: Graph, p: CliquePartition) -> list[Violation]:
-    """For every pair of vertices with identical clique-incidence sets,
-    their one shared clique must be maximal in g and neither may appear in
-    any other clique. Validity implies both, so this returns [] or raises
-    ValueError on an invalid partition. Every vertex lies in some clique,
-    and u, v with the same two or more cliques would have {u, v} covered
-    twice. So their shared clique C is u's only clique, and a vertex x
-    outside C adjacent to all of C would put the edge {u, x} in a clique
-    through u, which is C."""
-    _partition_cliques(g, p.cliques)
-    return []
 
 
 def check_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
@@ -298,8 +275,8 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     results merge in bitmask order, so the report is identical regardless
     of worker count.
     """
-    if not SWEEP_MIN_N <= n <= SWEEP_MAX_N:
-        raise ValueError(f"sweeps support {SWEEP_MIN_N} <= n <= {SWEEP_MAX_N}, got {n}")
+    if not SWEEP_MIN_N <= n <= ENUMERATION_MAX_N:
+        raise ValueError(f"sweeps support {SWEEP_MIN_N} <= n <= {ENUMERATION_MAX_N}, got {n}")
     seeds = tuple(seeds)
     if not seeds:
         raise ValueError("a sweep needs at least one greedy seed (None for lexicographic)")

@@ -224,7 +224,14 @@ def reference_lemma6(g: Graph, cliques) -> list[Violation]:
     member's only clique), and that clique must be maximal in g, so no
     outside vertex is adjacent to all of it. One finding per pair of a
     group: multi_membership when the shared set is not one clique,
-    not_maximal naming the lowest extending vertex otherwise."""
+    not_maximal naming the lowest extending vertex otherwise.
+
+    On a valid partition it always returns [], which is why the library has
+    no lemma 6 check of its own. Every vertex lies in some clique, and u, v
+    with the same two or more cliques would have {u, v} covered twice. So
+    their shared clique C is u's only clique, and a vertex x outside C
+    adjacent to all of C would put the edge {u, x} in a clique through u,
+    which is C."""
     cliques = [tuple(cl) for cl in cliques]
     groups: dict[frozenset[int], list[int]] = {}
     for v in range(g.n):
@@ -244,6 +251,16 @@ def reference_lemma6(g: Graph, cliques) -> list[Violation]:
                 out.append(Violation("not_maximal", pair=(u, v),
                                      vertices=shared, vertex=outside[0]))
     return out
+
+
+def with_extra_trivial(g: Graph, partitions):
+    """Each partition, then its variants with extra trivial cliques on
+    non-isolated vertices, smallest sets of them first."""
+    non_iso = [v for v in range(g.n) if g.adj[v]]
+    for p in partitions:
+        for size in range(len(non_iso) + 1):
+            for extra in combinations(non_iso, size):
+                yield CliquePartition.from_cliques(g, p.cliques + tuple((v,) for v in extra))
 
 
 def reference_validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:

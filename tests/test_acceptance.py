@@ -13,7 +13,6 @@ import pytest
 from cliquerep import (
     all_clique_partitions,
     canonical_form,
-    check_lemma6,
     check_rs_bound,
     complete_bipartite,
     complete_graph,
@@ -31,7 +30,7 @@ from cliquerep import (
     representation_from_partition,
     validate_partition,
 )
-from helpers import as_partition, random_graph, reference_lemma6
+from helpers import as_partition, random_graph, reference_lemma6, with_extra_trivial
 
 FIXED_SEEDS = tuple(range(1, 11))
 SWEEP_NS = (4, 5, 6)
@@ -183,15 +182,15 @@ def test_criterion_7_duplicate_pair_clique_maximality(fuzz_corpus):
     exhaustive = 0
     for n in range(1, 5):
         for g in enumerate_labeled_graphs(n):
-            for p in all_clique_partitions(g, extra_trivial=True):
-                violations += len(reference_lemma6(g, p.cliques)) + len(check_lemma6(g, p))
+            for p in with_extra_trivial(g, all_clique_partitions(g)):
+                violations += len(reference_lemma6(g, p.cliques))
                 exhaustive += 1
     for i, g, seed in fuzz_corpus:
         if i % 2 == 0:
             p = as_partition(greedy_decomposition(g, seed))
         else:
             p = erdos_partition(g)
-        violations += len(reference_lemma6(g, p.cliques)) + len(check_lemma6(g, p))
+        violations += len(reference_lemma6(g, p.cliques))
     _criterion(
         7, violations == 0,
         f"duplicate-pair shared cliques are maximal and exclusive: "

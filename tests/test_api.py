@@ -2,6 +2,7 @@
 name, parameter, field, option, method or property shows up as a diff of
 this file."""
 
+import ast
 import dataclasses
 import inspect
 import re
@@ -14,7 +15,7 @@ NAMES = [
     "BoundReport", "BoundViolation", "Clique", "CliquePartition", "DistinctnessReport",
     "Edge", "Graph", "GraphParseError", "GreedyDecomposition", "SetRepresentation",
     "Violation", "all_clique_partitions", "augment_to_distinct", "canonical_form",
-    "check_lemma6", "check_rs_bound", "complete_bipartite", "complete_graph",
+    "check_rs_bound", "complete_bipartite", "complete_graph",
     "cycle_graph", "degree", "distinctness", "edge_bitmask", "empty_graph",
     "enumerate_labeled_graphs", "erdos_partition", "exhaustive_bound_check", "graph",
     "graph_from_bitmask", "greedy_decomposition", "induced_subgraph",
@@ -35,10 +36,9 @@ PARAMETERS = {
     "SetRepresentation": ["host", "sets", "ground_size"],
     "Violation": ["kind", "position", "pair", "vertex", "vertices", "element",
                   "observed", "expected"],
-    "all_clique_partitions": ["g", "extra_trivial"],
+    "all_clique_partitions": ["g"],
     "augment_to_distinct": ["r"],
     "canonical_form": ["g"],
-    "check_lemma6": ["g", "p"],
     "check_rs_bound": ["g", "d"],
     "complete_bipartite": ["a", "b"],
     "complete_graph": ["n"],
@@ -85,7 +85,7 @@ METHODS = {
 
 #: Module-level size caps and floors of the exhaustive machinery, so a cap
 #: change is a diff of this file.
-BUDGETS = {"CP_MAX_N": 10, "SWEEP_MIN_N": 4, "SWEEP_MAX_N": 7, "ENUMERATION_MAX_N": 7,
+BUDGETS = {"CP_MAX_N": 10, "SWEEP_MIN_N": 4, "ENUMERATION_MAX_N": 7,
            "CANONICAL_MAX_N": 8, "GRAPH6_MAX_N": 62}
 
 
@@ -119,3 +119,20 @@ def test_budgets_are_pinned_and_named_in_the_readme():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## Search budgets\n", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"\b[A-Z0-9_]+_(?:MAX|MIN)_N\b", section)) == set(BUDGETS)
+
+
+def test_every_import_is_used():
+    # A removal that leaves its imports behind shows up here.
+    unused = []
+    for path in sorted(Path(cliquerep.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []

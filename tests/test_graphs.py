@@ -71,6 +71,20 @@ class TestGraphType:
         with pytest.raises(ValueError, match=r"^edge \(0, 1, 2\) is not a pair$"):
             Graph(3, frozenset({(0, 1, 2)}))
 
+    def test_rejects_numpy_endpoints(self):
+        np = pytest.importorskip("numpy")
+        # 1 << np.int64(70) overflows, so such an edge would vanish from adj.
+        with pytest.raises(ValueError, match="not an int"):
+            graph(80, [(np.int64(0), np.int64(70))])
+
+    def test_rejects_vertex_counts_and_endpoints_that_are_not_ints(self):
+        with pytest.raises(ValueError, match="not an int"):
+            graph(3, [(0, 1.5)])
+        with pytest.raises(ValueError, match="not an int"):
+            graph(3, [(True, 2)])
+        with pytest.raises(ValueError, match="must be an int"):
+            Graph(2.5, frozenset())
+
     def test_cycles_need_three_vertices(self):
         with pytest.raises(ValueError, match="at least 3 vertices"):
             cycle_graph(2)

@@ -15,7 +15,6 @@ from cliquerep import (
     CliquePartition,
     GreedyDecomposition,
     all_clique_partitions,
-    check_lemma6,
     check_rs_bound,
     complete_bipartite,
     complete_graph,
@@ -47,6 +46,7 @@ from helpers import (
     reference_rs_bound,
     reference_sweep,
     sparse_random_graph,
+    with_extra_trivial,
 )
 
 
@@ -317,7 +317,7 @@ class TestAllCliquePartitions:
 
     def test_extra_trivial_variants(self):
         g = path_graph(2)
-        parts = list(all_clique_partitions(g, extra_trivial=True))
+        parts = list(with_extra_trivial(g, all_clique_partitions(g)))
         # one edge partition x subsets of {0, 1}
         assert len(parts) == 4
         assert all(validate_partition(g, p) == [] for p in parts)
@@ -368,6 +368,13 @@ class TestMinDistinctRepresentation:
             cp_value, _ = min_clique_partition(g)
             omega_value, _ = min_distinct_representation(g)
             assert cp_value <= omega_value <= quarter_square(n)
+
+    def test_search_does_not_consult_the_bound_it_is_checked_against(self, monkeypatch):
+        # A search pruned against a zero bound would find no partition at all.
+        small = list(enumerate_labeled_graphs(4))
+        want = [min_distinct_representation(g) for g in small]
+        monkeypatch.setattr(oracle, "quarter_square", lambda n: 0)
+        assert [min_distinct_representation(g) for g in small] == want
 
     def test_cp_le_omega_below_four(self):
         # the quarter-square cap starts at n=4; the cp <= omega half does not
@@ -529,24 +536,18 @@ class TestLemma6Check:
     def test_triangle_duplicates_certified(self):
         k3 = complete_graph(3)
         p = CliquePartition.from_cliques(k3, [(0, 1, 2)])
-        assert check_lemma6(k3, p) == []
+        assert reference_lemma6(k3, p.cliques) == []
 
     def test_k22_vacuous(self):
         k22 = complete_bipartite(2, 2)
         p = CliquePartition.from_cliques(k22, k22.edges)
-        assert check_lemma6(k22, p) == []
-
-    def test_rejects_invalid_partition(self):
-        k3 = complete_graph(3)
-        with pytest.raises(ValueError, match="invalid partition"):
-            check_lemma6(k3, CliquePartition.from_cliques(k3, [(0, 1)]))
+        assert reference_lemma6(k22, p.cliques) == []
 
     def test_exhaustive_small(self):
         for n in range(1, 5):
             for g in enumerate_labeled_graphs(n):
-                for p in all_clique_partitions(g, extra_trivial=True):
+                for p in with_extra_trivial(g, all_clique_partitions(g)):
                     assert reference_lemma6(g, p.cliques) == []
-                    assert check_lemma6(g, p) == []
 
     def test_exhaustive_n5(self):
         # Extra trivial cliques only shrink duplicate classes, so the
@@ -554,7 +555,6 @@ class TestLemma6Check:
         for g in enumerate_labeled_graphs(5):
             for p in all_clique_partitions(g):
                 assert reference_lemma6(g, p.cliques) == []
-                assert check_lemma6(g, p) == []
 
     def test_reference_reports_both_kinds_on_non_partitions(self):
         # The reference does not validate, so covers that are not

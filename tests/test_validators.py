@@ -18,7 +18,6 @@ from cliquerep import (
     GreedyDecomposition,
     SetRepresentation,
     augment_to_distinct,
-    check_lemma6,
     check_rs_bound,
     complete_graph,
     erdos_partition,
@@ -195,8 +194,6 @@ def assert_steps_take_members_as_ints(g, cliques):
     want = representation_from_partition(CliquePartition(g, ints))
     assert representation_from_partition(CliquePartition(g, cliques)) == want
     assert representation_from_partition(GreedyDecomposition(g, cliques)) == want
-    assert check_lemma6(g, CliquePartition(g, cliques)) == check_lemma6(
-        g, CliquePartition(g, ints))
     assert check_rs_bound(g, GreedyDecomposition(g, cliques)) == check_rs_bound(
         g, GreedyDecomposition(g, ints))
 
