@@ -113,20 +113,24 @@ def _infer_format(path: str) -> str:
     raise ValueError(f"cannot infer format from {path!r}; pass --format")
 
 
+def _read_text(path: str) -> str:
+    """The text of path, or of standard input for "-", less one leading
+    byte-order mark."""
+    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    return text.removeprefix("\ufeff")
+
+
 def _load_graph(path: str, fmt: str | None) -> Graph:
-    if path == "-":
-        if fmt is None:
-            raise ValueError("reading a graph from stdin needs --format")
-        text = sys.stdin.read()
-    else:
-        text = Path(path).read_text()
-        if fmt is None:
-            fmt = _infer_format(path)
+    if path == "-" and fmt is None:
+        raise ValueError("reading a graph from stdin needs --format")
+    text = _read_text(path)
+    if fmt is None:
+        fmt = _infer_format(path)
     return parse_graph6(text) if fmt == "graph6" else parse_edge_list(text)
 
 
 def _load_json(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    text = _read_text(path)
     try:
         return json.loads(text)
     except RecursionError:
@@ -221,6 +225,8 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.graph == args.artifact == "-":
+        raise ValueError("the graph and the artifact cannot both be read from stdin")
     g = _load_graph(args.graph, args.format)
     doc = _load_json(args.artifact)
     if args.kind != "representation":

@@ -23,6 +23,7 @@ from .decompose import (
     _incidence,
     _int_cliques,
     _min_distinct,
+    _partition_cliques,
     _vertex_order,
     erdos_partition,
     greedy_decomposition,
@@ -31,11 +32,7 @@ from .decompose import (
     validate_partition,
 )
 from .graphs import ENUMERATION_MAX_N, Graph, _relabel_mask, degree, graph_from_bitmask
-from .represent import (
-    SetRepresentation,
-    augment_to_distinct,
-    representation_from_partition,
-)
+from .represent import SetRepresentation
 
 #: Search budgets, chosen so every run finishes in minutes on one machine.
 #: CP_MAX_N caps both exact searches, cp and omega, which share one kernel.
@@ -195,6 +192,17 @@ def _worker_count(chunks: int) -> int:
     return max(1, min(workers, cpus, chunks))
 
 
+def _duplicates(n: int, cliques: Iterable[Clique]) -> int:
+    """The vertices whose incidence set, as a clique-position bitmask (as
+    in _min_distinct), an earlier vertex already has: the fresh elements
+    augment_to_distinct would attach."""
+    keys = [0] * n
+    for k, cl in enumerate(cliques):
+        for v in cl:
+            keys[v] |= 1 << k
+    return n - len(set(keys))
+
+
 def _sweep_range(
     n: int, lo: int, hi: int
 ) -> tuple[int, int, list[tuple[int, str, int]], list[BoundViolation]]:
@@ -217,11 +225,11 @@ def _sweep_range(
             findings.append((mask, "greedy_cliques", nontrivial))
         if total > bound:
             findings.append((mask, "greedy_cliques_with_trivial", total))
-        aug = augment_to_distinct(representation_from_partition(d))
-        if aug.ground_size > max_elements:
-            max_elements = aug.ground_size
-        if aug.ground_size > bound:
-            findings.append((mask, "augmented_elements", aug.ground_size))
+        elements = total + _duplicates(n, _partition_cliques(g, d.sequence))
+        if elements > max_elements:
+            max_elements = elements
+        if elements > bound:
+            findings.append((mask, "augmented_elements", elements))
         p = erdos_partition(g)
         count = len(p.cliques)
         if count > max_cliques:
@@ -235,12 +243,7 @@ def _sweep_range(
         if problems:
             violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
                                              len(problems), 0))
-        # Incidence sets as clique-position bitmasks, as in _min_distinct.
-        keys = [0] * n
-        for k, cl in enumerate(p.cliques):
-            for v in cl:
-                keys[v] |= 1 << k
-        duplicates = n - len(set(keys))
+        duplicates = _duplicates(n, p.cliques)
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))
@@ -253,12 +256,16 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     Per graph and greedy seed (at least one; None for lexicographic): run the
     greedy decomposition and compare both its non-trivial clique count and
     its full length (trivial cliques included) against floor(n^2/4), then
-    build the augmented representation and compare its ground size against
-    the same bound. Per graph: run the edge/triangle partition and check its
-    size, its <= 3 clique widths, its validity, and the distinctness of its
-    incidence sets. max_cliques_seen is the largest clique count seen across
-    greedy runs and edge/triangle partitions. The report names each run
-    "lex" or "random:<seed>".
+    compare the ground size of its augmented representation,
+    augment_to_distinct(representation_from_partition(d)).ground_size,
+    against the same bound. That size is counted without building either:
+    the run is validated as a partition, raising the ValueError the
+    transform would, and its length gains one element per vertex whose set
+    of clique positions an earlier vertex already has. Per graph: run the
+    edge/triangle partition and check its size, its <= 3 clique widths, its
+    validity, and the distinctness of its incidence sets. max_cliques_seen
+    is the largest clique count seen across greedy runs and edge/triangle
+    partitions. The report names each run "lex" or "random:<seed>".
 
     Only the lexicographic greedy is run, once per graph. A seeded run uses
     the same procedure under its vertex order, so its run on g is the

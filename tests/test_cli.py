@@ -349,6 +349,17 @@ class TestVerify:
         assert doc["violations"] == [{"kind": "unused_element", "element": 1},
                                      {"kind": "unused_element", "element": 2}]
 
+    @pytest.mark.parametrize("kind", ["partition", "representation", "greedy"])
+    def test_graph_and_artifact_both_on_stdin(self, capsys, monkeypatch, kind):
+        # The graph read would take all of stdin and leave the artifact none.
+        stdin = io.StringIO(to_graph6(complete_graph(3)))
+        monkeypatch.setattr("sys.stdin", stdin)
+        code = run(["verify", kind, "-", "-", "--format", "graph6"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: the graph and the artifact cannot both be read from stdin\n")
+        assert stdin.tell() == 0
+
     def test_mismatched_n(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 4, "ordered": False, "cliques": []}))
@@ -645,6 +656,42 @@ class TestOptimizedInterpreter:
             plain, optimized = [(p.returncode, p.stdout, p.stderr) for p in outs]
             assert plain == optimized, argv
             assert plain[0] == code and plain[1] != b"", argv
+
+
+class TestByteOrderMark:
+    """One leading U+FEFF, as some editors write, is dropped from every
+    input, file or stdin, before it is parsed."""
+
+    G = graph(5, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    TEXT = {"edgelist": to_edge_list(G), "graph6": to_graph6(G) + "\n"}
+    ARTIFACT = json.dumps(greedy_decomposition(G).to_json())
+
+    @pytest.mark.parametrize("fmt, name", [("edgelist", "g.el"), ("graph6", "g.g6")])
+    def test_graph_file(self, tmp_path, fmt, name):
+        path = tmp_path / name
+        outs = []
+        for prefix in ("", "\ufeff"):
+            path.write_text(prefix + self.TEXT[fmt])
+            outs.append(run_on_text(["partition", str(path), "--method", "greedy"], ""))
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+    @pytest.mark.parametrize("fmt", ["edgelist", "graph6"])
+    def test_graph_on_stdin(self, fmt):
+        argv = ["represent", "-", "--format", fmt, "--method", "erdos"]
+        plain, marked = (run_on_text(argv, prefix + self.TEXT[fmt]) for prefix in ("", "\ufeff"))
+        assert plain == marked and plain[0] == 0
+
+    def test_artifact_file_and_stdin(self, tmp_path):
+        graph_path = tmp_path / "g.el"
+        graph_path.write_text(to_edge_list(self.G))
+        art = tmp_path / "a.json"
+        outs = []
+        for prefix in ("", "\ufeff"):
+            art.write_text(prefix + self.ARTIFACT)
+            outs.append(run_on_text(["verify", "greedy", str(graph_path), str(art)], ""))
+            outs.append(run_on_text(["verify", "greedy", str(graph_path), "-"],
+                                    prefix + self.ARTIFACT))
+        assert outs == [(0, dumped({"valid": True, "violations": []}))] * 4
 
 
 @pytest.mark.parametrize("subcommand", ["partition", "represent"])

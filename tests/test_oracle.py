@@ -460,6 +460,30 @@ class TestExhaustiveBoundCheck:
         assert report.max_cliques_seen == max_cliques
         assert report.max_elements_seen == max_elements
 
+    def test_every_element_count_matches_the_transforms(self, monkeypatch):
+        # Below any count, so every greedy run on every graph reports its
+        # augmented_elements; the reference builds each one with
+        # augment_to_distinct(representation_from_partition(d)).
+        seeds = (None, 1, 2, 3)
+        monkeypatch.setattr(oracle, "quarter_square", lambda n: -1)
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        report = exhaustive_bound_check(5, seeds)
+        max_cliques, max_elements, violations = reference_sweep(5, seeds, -1)
+        counts = [v for v in report.violations if v.check == "augmented_elements"]
+        assert len(counts) == 1024 * len(seeds)
+        assert report.violations == tuple(violations)
+        assert (report.max_cliques_seen, report.max_elements_seen) == (max_cliques, max_elements)
+
+    def test_every_greedy_run_is_validated(self, monkeypatch):
+        # The stand-in drops the greedy run's edge {2, 3} on one graph.
+        target = graph(4, [(0, 1), (2, 3)])
+        real = oracle.greedy_decomposition
+        monkeypatch.setattr(oracle, "greedy_decomposition", lambda g: (
+            GreedyDecomposition(g, ((0, 1),)) if g.edges == target.edges else real(g)))
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        with pytest.raises(ValueError, match="^invalid partition"):
+            exhaustive_bound_check(4, [None])
+
     def test_erdos_invalid_and_distinctness_are_reported(self, monkeypatch):
         # The real construction never breaches these checks. On this graph
         # the stand-in leaves edge {2, 3} uncovered (one finding) and gives
