@@ -25,7 +25,7 @@ from .decompose import (
     validate_greedy,
     validate_partition,
 )
-from .graphs import Graph, parse_edge_list, parse_graph6
+from .graphs import Graph, bits, parse_edge_list, parse_graph6
 from .oracle import (
     exhaustive_bound_check,
     min_clique_partition,
@@ -114,9 +114,10 @@ def _infer_format(path: str) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The text of path, or of standard input for "-", less one leading
+    """The text of path, decoded as UTF-8 whatever the locale, or of
+    standard input for "-", in its own encoding, less one leading
     byte-order mark."""
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return text.removeprefix("\ufeff")
 
 
@@ -194,10 +195,12 @@ def _representation_dot(g: Graph, rep: SetRepresentation) -> str:
     for v in range(g.n):
         body = ",".join(str(e) for e in sorted(rep.sets[v]))
         lines.append(f'  {v} [label="{v}: {{{body}}}"];')
-    for u, v in sorted(g.edges):
-        shared = sorted(rep.sets[u] & rep.sets[v])
-        label = ",".join(f"e{e}" for e in shared)
-        lines.append(f'  {u} -- {v} [label="{label}"];')
+    # Edges ascending, read off the neighbour masks.
+    for u, row in enumerate(g.adj):
+        for v in bits(row >> u + 1 << u + 1):
+            shared = sorted(rep.sets[u] & rep.sets[v])
+            label = ",".join(f"e{e}" for e in shared)
+            lines.append(f'  {u} -- {v} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from itertools import chain
+from itertools import chain, compress
 from operator import attrgetter, mul, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .graphs import Edge, Graph, bits, lowest_bit
+from .graphs import Edge, Graph, _bit_flags, bits, lowest_bit
 
 Clique = tuple[int, ...]
 
@@ -155,11 +155,13 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
     if seed is None:
         residual = list(g.adj)  # the lexicographic relabeling is the identity
     else:
-        rank = {v: i for i, v in enumerate(order)}
-        residual = [0] * g.n
-        for u, v in g.edges:
-            residual[rank[u]] |= 1 << rank[v]
-            residual[rank[v]] |= 1 << rank[u]
+        # Vertex order[i] becomes i: its row is the sum, that is the OR,
+        # of its neighbours' new bits.
+        adj = g.adj
+        moved = [0] * g.n
+        for i, v in enumerate(order):
+            moved[v] = 1 << i
+        residual = [sum(compress(moved, _bit_flags(adj[v]))) for v in order]
     isolated = [(order[i],) for i, m in enumerate(residual) if m == 0]
     sequence: list[Clique] = []
     # Residual edges only disappear, so a start left without one is done.
@@ -310,7 +312,8 @@ def _covers_exactly(g: Graph, cliques: Sequence[Clique]) -> bool:
     numpy integer) makes this False; the walk decides those."""
     n = g.n
     sizes = list(map(len, cliques))
-    if (sum(map(mul, sizes, sizes)) - sum(sizes) != 2 * len(g.edges) or not all(sizes)
+    ends = sum(map(int.bit_count, g.adj))  # twice the edge count
+    if (sum(map(mul, sizes, sizes)) - sum(sizes) != ends or not all(sizes)
             or len(set(cliques)) != len(cliques)):
         return False
     cover = [0] * n

@@ -19,6 +19,11 @@ ENUMERATION_MAX_N = 7
 CANONICAL_MAX_N = 8
 #: Short-form graph6 encodes the vertex count in a single header byte.
 GRAPH6_MAX_N = 62
+#: Up to this n the parsers build the neighbour masks as they read, at most
+#: n * n / 8 bytes (2 MB). Beyond it they keep an edge set, so a header
+#: declaring a huge n, or an edge on a huge vertex index, allocates nothing
+#: sized by n before a check that rejects the input.
+_MASKS_UP_TO_N = 4096
 
 _GRAPH6_PREFIX = ">>graph6<<"
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -30,12 +35,13 @@ class GraphParseError(ValueError):
 
 class _cached:
     """A property computed on first access and stored in the instance
-    __dict__, which later lookups find first. Unlike functools.cached_property
-    before Python 3.12, it takes no lock."""
+    __dict__ under name (by default the function's), which later lookups
+    find first. Unlike functools.cached_property before Python 3.12, it
+    takes no lock."""
 
-    def __init__(self, compute):
+    def __init__(self, compute, name=None):
         self.compute = compute
-        self.name = compute.__name__
+        self.name = name or compute.__name__
         self.__doc__ = compute.__doc__
 
     def __get__(self, obj, owner=None):
@@ -51,6 +57,12 @@ class Graph:
 
     No self-loops, no duplicate edges, every endpoint below n. Instances are
     hashable and safe to share between concurrent workers.
+
+    A graph built here keeps its edge set and makes its neighbour masks on
+    the first read of adj. A parser for n up to _MASKS_UP_TO_N instead builds
+    the masks while it checks the input, and the edge set is derived from
+    them when first read. Equality, hashing and repr read the edge set
+    either way.
     """
 
     n: int
@@ -74,11 +86,7 @@ class Graph:
     @_cached
     def adj(self) -> tuple[int, ...]:
         """Neighbor bitmasks: bit v of adj[u] is set iff {u, v} is an edge."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        return _adj_from_pairs(self.n, self.edges)
 
     @classmethod
     def _checked(cls, n: int, edges: frozenset[Edge]) -> "Graph":
@@ -89,8 +97,36 @@ class Graph:
         object.__setattr__(g, "edges", edges)
         return g
 
+    @classmethod
+    def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+        """A Graph from the neighbour masks a parser has built and checked;
+        its edge set is derived from them when first read."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adj=adj)
+        return g
+
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={sorted(self.edges)})"
+
+
+def _adj_from_pairs(n: int, pairs: Iterable[Edge]) -> tuple[int, ...]:
+    """The n neighbour masks of the distinct valid edges in pairs."""
+    masks = [0] * n
+    for u, v in pairs:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return tuple(masks)
+
+
+def _edges_from_adj(g: Graph) -> frozenset[Edge]:
+    """The edge set of a graph from Graph._from_adj: (u, v) for each bit v
+    above u in adj[u]."""
+    return frozenset((u, v) for u, mask in enumerate(g.adj) for v in bits(mask >> u + 1 << u + 1))
+
+
+# Only a graph from _from_adj lacks an edges entry in its __dict__. Set
+# after the class: in its body, a value named edges is the field's default.
+Graph.edges = _cached(_edges_from_adj, "edges")
 
 
 def graph(n: int, edges: Iterable[Iterable[int]] = ()) -> Graph:
@@ -162,9 +198,15 @@ def _pair_position(n: int, u: int, v: int) -> int:
 def _mask_pairs(n: int, mask: int) -> Iterator[Edge]:
     """The pairs of combinations(range(n), 2) whose bit is set in mask.
 
-    One linear pass over the reversed binary digits, mapped to 0/1 bytes:
-    testing mask >> k & 1 for every k would copy the mask once per pair."""
-    return compress(combinations(range(n), 2), bin(mask)[:1:-1].encode().translate(_BIT_BYTES))
+    One linear pass over the mask's bit flags: testing mask >> k & 1 for
+    every k would copy the mask once per pair."""
+    return compress(combinations(range(n), 2), _bit_flags(mask))
+
+
+def _bit_flags(mask: int) -> bytes:
+    """Byte k is bit k of mask, 0 or 1, up to its highest set bit: its
+    reversed binary digits, for itertools.compress."""
+    return bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
 
 
 def graph_from_bitmask(n: int, mask: int) -> Graph:
@@ -179,7 +221,9 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
         raise ValueError(f"mask {mask} out of range for n={n}")
     # Pairs of combinations(range(n), 2) are valid edges by construction.
-    return Graph._checked(n, frozenset(_mask_pairs(n, mask)))
+    if n > _MASKS_UP_TO_N:
+        return Graph._checked(n, frozenset(_mask_pairs(n, mask)))
+    return Graph._from_adj(n, _adj_from_pairs(n, _mask_pairs(n, mask)))
 
 
 def edge_bitmask(g: Graph) -> int:
@@ -260,8 +304,8 @@ def parse_graph6(text: str) -> Graph:
         if not 63 <= ord(ch) <= 126:
             raise GraphParseError(f"byte {1 + i}: character {ch!r} out of range")
     digits = "".join(f"{ord(ch) - 63:06b}" for ch in data)
-    edges = frozenset(compress(_graph6_pairs(n), digits.encode().translate(_BIT_BYTES)))
-    return Graph._checked(n, edges)
+    pairs = compress(_graph6_pairs(n), digits.encode().translate(_BIT_BYTES))
+    return Graph._from_adj(n, _adj_from_pairs(n, pairs))
 
 
 def to_graph6(g: Graph) -> str:
@@ -282,7 +326,9 @@ def parse_edge_list(text: str) -> Graph:
     keeps isolated vertices alive through serialization. One walk over the
     lines checks the header, then per edge line the token count, the
     integers, self-loops, the endpoint range and duplicates, in that order,
-    so the result is not checked a second time.
+    so the result is not checked a second time. For n up to _MASKS_UP_TO_N
+    the walk builds the neighbour masks, which find duplicates, and no
+    edge set; beyond it, it builds the edge set and nothing sized by n.
     """
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
@@ -299,6 +345,7 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphParseError(f"line {lineno}: bad vertex count {line[2:]!r}") from None
     if n < 0:
         raise GraphParseError(f"line {lineno}: negative vertex count")
+    masks = [0] * n if n <= _MASKS_UP_TO_N else None
     edges: set[Edge] = set()
     for lineno, raw in lines:
         parts = raw.split()
@@ -318,11 +365,20 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"line {lineno}: self-loop on vertex {u}")
         if u < 0 or v >= n:
             raise GraphParseError(f"line {lineno}: endpoint out of range for n={n}")
-        count = len(edges)
-        edges.add((u, v))
-        if len(edges) == count:
+        if masks is None:
+            count = len(edges)
+            edges.add((u, v))
+            fresh = len(edges) > count
+        else:
+            row, bit = masks[u], 1 << v
+            fresh = not row & bit
+            masks[u] = row | bit
+            masks[v] |= 1 << u
+        if not fresh:
             raise GraphParseError(f"line {lineno}: duplicate edge {(u, v)}")
-    return Graph._checked(n, frozenset(edges))
+    if masks is None:
+        return Graph._checked(n, frozenset(edges))
+    return Graph._from_adj(n, tuple(masks))
 
 
 def to_edge_list(g: Graph) -> str:

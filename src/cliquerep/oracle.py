@@ -105,7 +105,7 @@ def min_clique_partition(g: Graph) -> tuple[int, CliquePartition]:
     # One clique per edge always completes, so the first partition found
     # beats this starting bound and it prunes nothing.
     best: list[Clique] = []
-    bound = len(g.edges) + 1
+    bound = sum(map(int.bit_count, g.adj)) // 2 + 1
     for chosen in _edge_partitions(g.adj, _cliques_through_edge,
                                    lambda need: need >= bound):
         bound, best = len(chosen), list(chosen)

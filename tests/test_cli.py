@@ -233,6 +233,16 @@ class TestVerify:
         assert code == 0
         assert doc == {"valid": True, "violations": []}
 
+    def test_repeated_member_under_graph6_padding(self, tmp_path, capsys):
+        # "Bc" is the edge {0, 1} on n=3 with 1-bits in its padding; the
+        # partition repeats vertex 0 and still has the size sum of a valid one.
+        graph_path = tmp_path / "g.g6"
+        graph_path.write_text("Bc\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 3, "ordered": False, "cliques": [[0, 1], [0, 0], [2]]}))
+        assert run(["verify", "partition", str(graph_path), str(bad)]) == 1
+        assert json.loads(capsys.readouterr().out)["valid"] is False
+
     def test_greedy_artifact(self, tmp_path, capsys):
         art = tmp_path / "greedy.json"
         art.write_text(json.dumps(
@@ -681,6 +691,21 @@ class TestByteOrderMark:
         plain, marked = (run_on_text(argv, prefix + self.TEXT[fmt]) for prefix in ("", "\ufeff"))
         assert plain == marked and plain[0] == 0
 
+    def test_graph_file_under_an_ascii_locale(self, tmp_path):
+        # Files are read as UTF-8 whatever the locale's encoding.
+        (tmp_path / "plain.el").write_bytes(b"n=3\n0 1\n")
+        (tmp_path / "bom.el").write_bytes(b"\xef\xbb\xbfn=3\n0 1\n")
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent), LC_ALL="C",
+                   PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        plain, marked = (
+            subprocess.run([sys.executable, "-m", "cliquerep.cli", "partition", name,
+                            "--method", "greedy"],
+                           cwd=tmp_path, env=env, capture_output=True, timeout=60)
+            for name in ("plain.el", "bom.el")
+        )
+        assert (marked.returncode, marked.stderr) == (0, b"")
+        assert marked.stdout == plain.stdout != b""
+
     def test_artifact_file_and_stdin(self, tmp_path):
         graph_path = tmp_path / "g.el"
         graph_path.write_text(to_edge_list(self.G))
@@ -787,6 +812,30 @@ class TestUsage:
         monkeypatch.setattr(cli, "greedy_decomposition", exhausted)
         assert run(["partition", write_k3_el(tmp_path), "--method", "greedy"]) == 2
         assert capsys.readouterr() == ("", "error: out of memory\n")
+
+    @pytest.mark.parametrize("text, n", [
+        ("n=1000000000\n0 1\n1 2\n", 10**9),
+        (f"n={10**20}\n0 {10**20 - 1}\n", 10**20),
+    ], ids=["huge-n", "huge-index"])
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "cp", "huge.el"], "error: n={n} exceeds the n<=10 search budget\n"),
+        (["verify", "partition", "huge.el", "small.json"],
+         "error: artifact n=3 does not match graph n={n}\n"),
+    ], ids=["oracle", "verify"])
+    def test_huge_vertex_count_keeps_its_own_error(self, tmp_path, argv, message, text, n):
+        # Parsing allocates nothing sized by n or by an endpoint, so under
+        # the 1 GB cap each command reaches the check that rejects the input
+        # by its header.
+        (tmp_path / "huge.el").write_text(text)
+        (tmp_path / "small.json").write_text('{"n": 3, "ordered": false, "cliques": []}')
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cliquerep.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        )
+        expected = (2, b"", message.format(n=n).encode())
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
     @pytest.mark.parametrize("argv", [
         ["partition", "--method", "greedy"], ["partition", "--method", "erdos"],

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cliquerep import (
     Graph,
     GraphParseError,
+    augment_to_distinct,
     canonical_form,
     complete_bipartite,
     complete_graph,
@@ -18,16 +19,22 @@ from cliquerep import (
     edge_bitmask,
     empty_graph,
     enumerate_labeled_graphs,
+    erdos_partition,
     graph,
     graph_from_bitmask,
+    greedy_decomposition,
     induced_subgraph,
     parse_edge_list,
     parse_graph6,
     path_graph,
+    representation_from_partition,
     to_edge_list,
     to_graph6,
+    validate_partition,
+    validate_representation,
 )
-from helpers import iso_classes_by_permutation, remove_edges
+from cliquerep.graphs import _MASKS_UP_TO_N
+from helpers import iso_classes_by_permutation, random_graph, remove_edges
 
 
 def nx_from_graph6(text: str) -> Graph:
@@ -125,6 +132,11 @@ class TestGraph6:
 
     def test_trailing_data(self):
         assert parse_error("C~~") == "byte 2: unexpected trailing character '~'"
+
+    def test_padding_bits_are_not_edges(self):
+        # The last data byte of "Bc" is 100100: one pair bit, then padding.
+        g = parse_graph6("Bc")
+        assert g.edges == {(0, 1)} and g.adj == (0b10, 0b1, 0)
 
     def test_long_form_rejected(self):
         assert parse_error("~??") == "byte 0: long-form graph6 (n > 62) is not supported"
@@ -255,6 +267,89 @@ class TestEdgeList:
     @given(graphs(max_n=7))
     def test_round_trip(self, g):
         assert parse_edge_list(to_edge_list(g)) == g
+
+    def test_huge_vertex_count_allocates_nothing(self):
+        # Beyond _MASKS_UP_TO_N the parser keeps an edge set, so a header or an
+        # endpoint far beyond memory neither fails nor hides a line error.
+        n = 10**20
+        with pytest.raises(GraphParseError, match="^line 2: self-loop on vertex 0$"):
+            parse_edge_list(f"n={n}\n0 0\n")
+        with pytest.raises(GraphParseError, match="^line 4: duplicate edge"):
+            parse_edge_list(f"n={n}\n0 1\n1 2\n1 0\n")
+        g = parse_edge_list(f"n={n}\n0 1\n")
+        assert g.n == n and g.edges == {(0, 1)}
+        g = parse_edge_list(f"n={n}\n0 {n - 1}\n")
+        assert g.n == n and g.edges == {(0, n - 1)}
+
+    @pytest.mark.parametrize("n", [_MASKS_UP_TO_N, _MASKS_UP_TO_N + 1])
+    def test_either_side_of_the_mask_limit(self, n):
+        edges = [(0, n - 1), (1, 2), (2, n - 1), (n - 2, n - 1)]
+        text = f"n={n}\n" + "".join(f"{v} {u}\n" for u, v in edges)
+        same_graph("adj", parse_edge_list(text), graph(n, edges))
+        with pytest.raises(GraphParseError, match=f"^line 6: duplicate edge \\(0, {n - 1}\\)$"):
+            parse_edge_list(text + f"0 {n - 1}\n")
+        same_graph("adj", graph_from_bitmask(n, 0b101), graph(n, [(0, 1), (0, 3)]))
+
+
+def same_graph(read_first, g: Graph, expected: Graph) -> None:
+    """g, a parsed graph, equals expected, a graph built from its edge set,
+    in every way a caller can see, when read_first is read from g first."""
+    if read_first:
+        getattr(g, read_first)
+    assert g == expected and expected == g
+    assert hash(g) == hash(expected)
+    assert g.edges == expected.edges and g.adj == expected.adj
+    assert repr(g) == repr(expected)
+
+
+@pytest.mark.parametrize("read_first", ["adj", "edges", None])
+class TestParsedGraphsMatchBuiltGraphs:
+    """Parsers build neighbour masks and no edge set; the graphs they return
+    are the graphs graph(n, edges) builds."""
+
+    def test_graph6(self, read_first):
+        rng = random.Random(62)
+        for n in range(63):
+            g = graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < rng.random()])
+            same_graph(read_first, parse_graph6(to_graph6(g)), g)
+
+    def test_edge_list(self, read_first):
+        rng = random.Random(100)
+        for n in range(101):
+            g = graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                          if rng.random() < 0.3])
+            lines = [f"# G({n}, 0.3)", f"n={n}", ""]
+            edges = sorted(g.edges)
+            rng.shuffle(edges)
+            for u, v in edges:
+                lines.append(f"{v} {u}" if rng.random() < 0.5 else f" {u}\t{v} ")
+                if rng.random() < 0.1:
+                    lines.append(rng.choice(["", "# comment", "   "]))
+            text = "\n".join(lines)
+            same_graph(read_first, parse_edge_list(text), g)
+
+    def test_bitmask(self, read_first):
+        rng = random.Random(7)
+        cases = [(4, mask) for mask in range(1 << 6)]
+        cases += [(7, rng.getrandbits(21)) for _ in range(200)]
+        for n, mask in cases:
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            g = graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+            same_graph(read_first, graph_from_bitmask(n, mask), g)
+
+
+class TestParsedGraphsBuildNoEdgeSet:
+    def test_constructions_and_validators_read_only_masks(self):
+        g = parse_edge_list(to_edge_list(random_graph(random.Random(60), 60, 0.5)))
+        for seed in (None, 3):
+            d = greedy_decomposition(g, seed)
+            r = augment_to_distinct(representation_from_partition(d))
+            assert validate_representation(g, r, require_distinct=True) == []
+        p = erdos_partition(g)
+        assert validate_partition(g, p) == []
+        assert validate_representation(g, representation_from_partition(p)) == []
+        assert "edges" not in g.__dict__
 
 
 class TestQueries:
