@@ -113,29 +113,36 @@ def _infer_format(path: str) -> str:
     raise ValueError(f"cannot infer format from {path!r}; pass --format")
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, what: str) -> str:
     """The text of path, decoded as UTF-8 whatever the locale, or of
     standard input for "-", in its own encoding, less one leading
-    byte-order mark."""
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    byte-order mark. A decoding error names the input as what."""
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} is not {exc.encoding.upper()}: {exc}") from None
     return text.removeprefix("\ufeff")
 
 
 def _load_graph(path: str, fmt: str | None) -> Graph:
     if path == "-" and fmt is None:
         raise ValueError("reading a graph from stdin needs --format")
-    text = _read_text(path)
+    text = _read_text(path, "graph input")
     if fmt is None:
         fmt = _infer_format(path)
     return parse_graph6(text) if fmt == "graph6" else parse_edge_list(text)
 
 
 def _load_json(path: str) -> dict:
-    text = _read_text(path)
+    text = _read_text(path, "artifact")
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError("artifact JSON is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"artifact is not valid JSON: {exc}") from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ValueError(f"artifact JSON cannot be read: {exc}") from None
 
 
 def _construct(args: argparse.Namespace, g: Graph) -> GreedyDecomposition | CliquePartition:

@@ -436,44 +436,57 @@ def erdos_partition(g: Graph) -> CliquePartition:
         d = 0
         while not by_degree[d]:
             d += 1
-        x = lowest_bit(by_degree[d])
-        by_degree[d] &= ~(1 << x)
+        # x's bit, set in alive, by_degree[d] and each neighbour's mask:
+        # XOR with it clears it there.
+        xbit = by_degree[d] & -by_degree[d]
+        x = xbit.bit_length() - 1
+        by_degree[d] ^= xbit
+        alive ^= xbit
         nbr_mask = adj[x]
         if nbr_mask == 0:
             cliques.append((x,))
         # r > 0 exactly when every degree exceeds floor(n/2): then pair up
         # 2r of x's neighbors and cover those edges of x with triangles.
+        # The cliques are sorted at the end, so each is added when found.
         r = d - n // 2
         used = 0
-        matches: list[tuple[int, int]] = []
-        for u in bits(nbr_mask):
-            if len(matches) >= r:
-                break
-            if used >> u & 1:
-                continue
-            cand = adj[u] & nbr_mask & ~used & ~(1 << u)
-            if cand:
-                w = lowest_bit(cand)
-                matches.append((u, w))
-                used |= (1 << u) | (1 << w)
-        if len(matches) < r:
-            raise RuntimeError(
-                f"neighborhood pairing stalled at {len(matches)} of {r} edges; "
-                "the minimum-degree guarantee was violated"
-            )
-        for u, w in matches:
-            adj[u] &= ~(1 << w)
-            adj[w] &= ~(1 << u)
-            cliques.append(tuple(sorted((x, u, w))))
-        alive &= ~(1 << x)
-        for u in bits(nbr_mask):
-            if not used >> u & 1:
+        if r > 0:
+            matched = 0
+            rest = nbr_mask
+            while rest and matched < r:
+                ubit = rest & -rest
+                rest ^= ubit
+                if used & ubit:
+                    continue
+                u = ubit.bit_length() - 1
+                # Matched edges leave the masks at once: they join used
+                # vertices only, which cand leaves out.
+                cand = adj[u] & nbr_mask & ~used & ~ubit
+                if cand:
+                    wbit = cand & -cand
+                    w = wbit.bit_length() - 1
+                    adj[u] ^= wbit
+                    adj[w] ^= ubit
+                    used |= ubit | wbit
+                    matched += 1
+                    cliques.append(tuple(sorted((x, u, w))))
+            if matched < r:
+                raise RuntimeError(
+                    f"neighborhood pairing stalled at {matched} of {r} edges; "
+                    "the minimum-degree guarantee was violated"
+                )
+        rest = nbr_mask
+        while rest:
+            ubit = rest & -rest
+            rest ^= ubit
+            u = ubit.bit_length() - 1
+            if not used & ubit:
                 cliques.append((x, u) if x < u else (u, x))
-            adj[u] &= ~(1 << x)
-            by_degree[deg[u]] &= ~(1 << u)
-            deg[u] = adj[u].bit_count()
-            by_degree[deg[u]] |= 1 << u
-    cliques.extend(_erdos_base(alive, tuple(adj[v] for v in bits(alive))))
+            adj[u] ^= xbit
+            by_degree[deg[u]] ^= ubit
+            deg[u] = du = adj[u].bit_count()
+            by_degree[du] |= ubit
+    cliques.extend(_erdos_base(alive, tuple(compress(adj, _bit_flags(alive)))))
     cliques.sort()
     return CliquePartition(g, tuple(cliques))
 

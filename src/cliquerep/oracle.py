@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator
+from itertools import combinations
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from .decompose import (
     Clique,
@@ -203,19 +205,63 @@ def _duplicates(n: int, cliques: Iterable[Clique]) -> int:
     return n - len(set(keys))
 
 
+def _checked_duplicates(g: Graph, cliques: Sequence[Clique]) -> int | None:
+    """_duplicates(g.n, cliques) when cliques pass _covers_exactly's test,
+    else None, from one walk over the cliques that makes the test and
+    builds the keys. None leaves the verdict to the validators: the
+    cliques may be invalid, or valid with a member that only equals its
+    vertex."""
+    n = g.n
+    adj = g.adj
+    sizes = list(map(len, cliques))
+    if (sum(map(mul, sizes, sizes)) - sum(sizes) != sum(map(int.bit_count, adj))
+            or not all(sizes) or len(set(cliques)) != len(cliques)):
+        return None
+    cover = [0] * n
+    keys = [0] * n
+    for k, cl in enumerate(cliques):
+        mask = 0
+        for v in cl:
+            if type(v) is not int or not 0 <= v < n:
+                return None
+            mask |= 1 << v
+        bit = 1 << k
+        for v in cl:
+            cover[v] |= mask
+            keys[v] |= bit
+    if cover != [a | 1 << v for v, a in enumerate(adj)]:
+        return None
+    return n - len(set(keys))
+
+
 def _sweep_range(
     n: int, lo: int, hi: int
 ) -> tuple[int, int, list[tuple[int, str, int]], list[BoundViolation]]:
     """Check masks lo..hi-1. Returns the largest clique and element counts
     seen, the lexicographic greedy findings as (mask, check, observed) and
-    erdos_partition's violations, both in mask order."""
+    erdos_partition's violations, both in mask order.
+
+    Only the graph of lo is built from its mask. Each later graph steps
+    the neighbour masks of the one before: going from mask - 1 to mask
+    toggles the pairs whose bits are set in mask ^ (mask - 1). Each
+    construction is checked and its distinct sets counted in one pass
+    (_checked_duplicates); only one that pass does not accept goes through
+    the validators."""
     bound = quarter_square(n)
     max_cliques = 0
     max_elements = 0
     findings: list[tuple[int, str, int]] = []
     violations: list[BoundViolation] = []
+    pairs = list(combinations(range(n), 2))
+    adj: list[int] = []
     for mask in range(lo, hi):
-        g = graph_from_bitmask(n, mask)
+        if mask == lo:
+            adj = list(graph_from_bitmask(n, lo).adj)
+        else:
+            for u, v in pairs[:(mask ^ (mask - 1)).bit_length()]:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+        g = Graph._from_adj(n, tuple(adj))
         d = greedy_decomposition(g)
         total = len(d.sequence)
         nontrivial = sum(1 for c in d.sequence if len(c) >= 2)
@@ -225,7 +271,10 @@ def _sweep_range(
             findings.append((mask, "greedy_cliques", nontrivial))
         if total > bound:
             findings.append((mask, "greedy_cliques_with_trivial", total))
-        elements = total + _duplicates(n, _partition_cliques(g, d.sequence))
+        duplicates = _checked_duplicates(g, d.sequence)
+        if duplicates is None:
+            duplicates = _duplicates(n, _partition_cliques(g, d.sequence))
+        elements = total + duplicates
         if elements > max_elements:
             max_elements = elements
         if elements > bound:
@@ -239,11 +288,13 @@ def _sweep_range(
         oversize = max(map(len, p.cliques), default=0)
         if oversize > 3:
             violations.append(BoundViolation(mask, "erdos", "erdos_clique_size", oversize, 3))
-        problems = validate_partition(g, p)
-        if problems:
-            violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
-                                             len(problems), 0))
-        duplicates = _duplicates(n, p.cliques)
+        duplicates = _checked_duplicates(g, p.cliques)
+        if duplicates is None:
+            problems = validate_partition(g, p)
+            if problems:
+                violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
+                                                 len(problems), 0))
+            duplicates = _duplicates(n, p.cliques)
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))
@@ -259,13 +310,16 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     compare the ground size of its augmented representation,
     augment_to_distinct(representation_from_partition(d)).ground_size,
     against the same bound. That size is counted without building either:
-    the run is validated as a partition, raising the ValueError the
-    transform would, and its length gains one element per vertex whose set
-    of clique positions an earlier vertex already has. Per graph: run the
+    the run's length gains one element per vertex whose set of clique
+    positions an earlier vertex already has. Per graph: run the
     edge/triangle partition and check its size, its <= 3 clique widths, its
-    validity, and the distinctness of its incidence sets. max_cliques_seen
-    is the largest clique count seen across greedy runs and edge/triangle
-    partitions. The report names each run "lex" or "random:<seed>".
+    validity, and the distinctness of its incidence sets. One pass over a
+    construction's cliques tests that they partition g exactly and counts
+    its distinct sets; a construction that pass does not accept goes
+    through the validators, and an invalid greedy run raises the
+    ValueError the transform would. max_cliques_seen is the largest clique
+    count seen across greedy runs and edge/triangle partitions. The report
+    names each run "lex" or "random:<seed>".
 
     Only the lexicographic greedy is run, once per graph. A seeded run uses
     the same procedure under its vertex order, so its run on g is the
@@ -278,9 +332,10 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     the edge/triangle partition's.
 
     Work is split over bitmask ranges across processes (capped by the
-    CLIQUEREP_THREADS environment variable and by the CPU count); chunk
-    results merge in bitmask order, so the report is identical regardless
-    of worker count.
+    CLIQUEREP_THREADS environment variable and by the CPU count); each
+    range builds its first graph from the mask and reaches every later one
+    by toggling the pairs whose bits change. Chunk results merge in bitmask
+    order, so the report is identical regardless of worker count.
     """
     if not SWEEP_MIN_N <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"sweeps support {SWEEP_MIN_N} <= n <= {ENUMERATION_MAX_N}, got {n}")

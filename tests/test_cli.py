@@ -334,6 +334,40 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == "error: artifact JSON is nested too deeply\n"
 
+    UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+    @pytest.mark.parametrize("graph_bytes, artifact_bytes, err", [
+        (b"\xff\n", b"{}", f"error: graph input is not UTF-8: {UNDECODABLE}\n"),
+        (b"n=3\n0 1\n", b"\xff", f"error: artifact is not UTF-8: {UNDECODABLE}\n"),
+        (b"n=3\n0 1\n", b'{"n": 3, "ordered"',
+         "error: artifact is not valid JSON: Expecting ':' delimiter: line 1 column 19 (char 18)\n"),
+        (b"n=3\n0 1\n", b"",
+         "error: artifact is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"),
+        (b"n=3\n0 1\n", b"[" + b"9" * 5000 + b"]",
+         "error: artifact JSON cannot be read: Exceeds the limit (4300 digits) for integer"
+         " string conversion: value has 5000 digits; use sys.set_int_max_str_digits()"
+         " to increase the limit\n"),
+    ], ids=["graph-not-utf8", "artifact-not-utf8", "truncated-json", "empty-artifact",
+            "long-integer"])
+    def test_undecodable_file_is_named(self, tmp_path, capsys, graph_bytes, artifact_bytes, err):
+        (tmp_path / "g.el").write_bytes(graph_bytes)
+        (tmp_path / "a.json").write_bytes(artifact_bytes)
+        code = run(["verify", "partition", str(tmp_path / "g.el"), str(tmp_path / "a.json")])
+        assert (code, *capsys.readouterr()) == (2, "", err)
+
+    @pytest.mark.parametrize("on_stdin", ["graph", "artifact"])
+    def test_undecodable_stdin_is_named(self, tmp_path, capsys, monkeypatch, on_stdin):
+        (tmp_path / "g.el").write_bytes(b"n=3\n0 1\n")
+        (tmp_path / "a.json").write_bytes(b"{}")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff"), encoding="utf-8"))
+        if on_stdin == "graph":
+            argv, what = ["-", str(tmp_path / "a.json"), "--format", "edgelist"], "graph input"
+        else:
+            argv, what = [str(tmp_path / "g.el"), "-"], "artifact"
+        code = run(["verify", "partition", *argv])
+        assert (code, *capsys.readouterr()) == (
+            2, "", f"error: {what} is not UTF-8: {self.UNDECODABLE}\n")
+
     def test_ground_size_beyond_the_set_entries(self, tmp_path, capsys):
         # an id no set holds is unused, so this can never be valid; reporting
         # two million unused ids one by one took gigabytes

@@ -506,6 +506,59 @@ class TestExhaustiveBoundCheck:
              "observed": 2, "bound": 0},
         ]
 
+    def test_mask_stepping_across_chunk_edges(self, monkeypatch):
+        # A range builds its first graph from the mask and steps the masks
+        # of every later one. Two below the true bound, so every range has
+        # findings and violations to merge.
+        monkeypatch.setattr(oracle, "quarter_square", lambda n: n * n // 4 - 2)
+        real = oracle.greedy_decomposition
+        seen = []
+        monkeypatch.setattr(oracle, "greedy_decomposition",
+                            lambda g: seen.append(g) or real(g))
+        whole = oracle._sweep_range(5, 0, 1024)
+        cuts = (0, 1, 333, 1023, 1024)
+        parts = [oracle._sweep_range(5, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        assert len(seen) == 2 * 1024
+        for i, g in enumerate(seen):
+            want = graph_from_bitmask(5, i % 1024)
+            assert (g.n, g.adj, g.edges) == (want.n, want.adj, want.edges)
+        assert whole[2] and whole[3]
+        assert max(p[0] for p in parts) == whole[0]
+        assert max(p[1] for p in parts) == whole[1]
+        assert [f for p in parts for f in p[2]] == whole[2]
+        assert [v for p in parts for v in p[3]] == whole[3]
+
+    def test_valid_runs_with_int_equal_members_take_the_validators(self, monkeypatch):
+        # Members that only equal their vertices fail the one-pass check, so
+        # every run goes through the validators, which accept it: the report
+        # is unchanged, element counts included, with no erdos_invalid.
+        class Vertex(int):
+            pass
+
+        def members(cliques):
+            return tuple(tuple(True if v == 1 else Vertex(v) for v in cl) for cl in cliques)
+
+        seeds = (None, 1, 2)
+        monkeypatch.setattr(oracle, "quarter_square", lambda n: -1)
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        expected = exhaustive_bound_check(5, seeds)
+        real_greedy, real_erdos = oracle.greedy_decomposition, oracle.erdos_partition
+        monkeypatch.setattr(oracle, "greedy_decomposition", lambda g: GreedyDecomposition(
+            g, members(real_greedy(g).sequence)))
+        monkeypatch.setattr(oracle, "erdos_partition", lambda g: CliquePartition(
+            g, members(real_erdos(g).cliques)))
+        calls = []
+        for name in ("_partition_cliques", "validate_partition"):
+            real = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda g, c, real=real, name=name: (
+                calls.append(name), real(g, c))[1])
+        report = exhaustive_bound_check(5, seeds)
+        assert calls.count("_partition_cliques") == calls.count("validate_partition") == 1024
+        counts = [v for v in report.violations if v.check == "augmented_elements"]
+        assert len(counts) == 1024 * len(seeds)
+        assert "erdos_invalid" not in {v.check for v in report.violations}
+        assert report == expected
+
     def test_relabel_mask_matches_graph_relabeling(self):
         order = _vertex_order(6, 7)
         for mask in range(0, 1 << 15, 97):
