@@ -237,6 +237,8 @@ def _cmd_represent(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.graph == args.artifact == "-":
         raise ValueError("the graph and the artifact cannot both be read from stdin")
+    if args.require_distinct and args.kind != "representation":
+        raise ValueError("--require-distinct applies to verify representation only")
     g = _load_graph(args.graph, args.format)
     doc = _load_json(args.artifact)
     if args.kind != "representation":

@@ -89,15 +89,6 @@ class Graph:
         return _adj_from_pairs(self.n, self.edges)
 
     @classmethod
-    def _checked(cls, n: int, edges: frozenset[Edge]) -> "Graph":
-        """A Graph from parts a parser has already checked against the
-        invariants above: __post_init__ would walk every edge again."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
-        return g
-
-    @classmethod
     def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
         """A Graph from the neighbour masks a parser has built and checked;
         its edge set is derived from them when first read."""
@@ -220,9 +211,9 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
         raise ValueError(f"mask {mask} out of range for n={n}")
-    # Pairs of combinations(range(n), 2) are valid edges by construction.
     if n > _MASKS_UP_TO_N:
-        return Graph._checked(n, frozenset(_mask_pairs(n, mask)))
+        return Graph(n, frozenset(_mask_pairs(n, mask)))
+    # Pairs of combinations(range(n), 2) are valid edges by construction.
     return Graph._from_adj(n, _adj_from_pairs(n, _mask_pairs(n, mask)))
 
 
@@ -325,10 +316,11 @@ def parse_edge_list(text: str) -> Graph:
     Lines starting with '#' and blank lines are ignored. The explicit header
     keeps isolated vertices alive through serialization. One walk over the
     lines checks the header, then per edge line the token count, the
-    integers, self-loops, the endpoint range and duplicates, in that order,
-    so the result is not checked a second time. For n up to _MASKS_UP_TO_N
-    the walk builds the neighbour masks, which find duplicates, and no
-    edge set; beyond it, it builds the edge set and nothing sized by n.
+    integers, self-loops, the endpoint range and duplicates, in that order.
+    For n up to _MASKS_UP_TO_N the walk builds the neighbour masks, which
+    find duplicates, and no edge set, and nothing checks them again; beyond
+    it, it builds the edge set and nothing sized by n, and Graph re-checks
+    the edges.
     """
     lines = enumerate(text.splitlines(), start=1)
     for lineno, raw in lines:
@@ -377,7 +369,7 @@ def parse_edge_list(text: str) -> Graph:
         if not fresh:
             raise GraphParseError(f"line {lineno}: duplicate edge {(u, v)}")
     if masks is None:
-        return Graph._checked(n, frozenset(edges))
+        return Graph(n, frozenset(edges))
     return Graph._from_adj(n, tuple(masks))
 
 
@@ -393,8 +385,3 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def lowest_bit(mask: int) -> int:
-    """Index of the least significant set bit; mask must be non-zero."""
-    return (mask & -mask).bit_length() - 1

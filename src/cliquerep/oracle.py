@@ -12,14 +12,14 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .decompose import (
     Clique,
     CliquePartition,
     GreedyDecomposition,
     Violation,
+    _checked_duplicates,
     _cliques_through_edge,
     _edge_partitions,
     _incidence,
@@ -194,46 +194,6 @@ def _worker_count(chunks: int) -> int:
     return max(1, min(workers, cpus, chunks))
 
 
-def _duplicates(n: int, cliques: Iterable[Clique]) -> int:
-    """The vertices whose incidence set, as a clique-position bitmask (as
-    in _min_distinct), an earlier vertex already has: the fresh elements
-    augment_to_distinct would attach."""
-    keys = [0] * n
-    for k, cl in enumerate(cliques):
-        for v in cl:
-            keys[v] |= 1 << k
-    return n - len(set(keys))
-
-
-def _checked_duplicates(g: Graph, cliques: Sequence[Clique]) -> int | None:
-    """_duplicates(g.n, cliques) when cliques pass _covers_exactly's test,
-    else None, from one walk over the cliques that makes the test and
-    builds the keys. None leaves the verdict to the validators: the
-    cliques may be invalid, or valid with a member that only equals its
-    vertex."""
-    n = g.n
-    adj = g.adj
-    sizes = list(map(len, cliques))
-    if (sum(map(mul, sizes, sizes)) - sum(sizes) != sum(map(int.bit_count, adj))
-            or not all(sizes) or len(set(cliques)) != len(cliques)):
-        return None
-    cover = [0] * n
-    keys = [0] * n
-    for k, cl in enumerate(cliques):
-        mask = 0
-        for v in cl:
-            if type(v) is not int or not 0 <= v < n:
-                return None
-            mask |= 1 << v
-        bit = 1 << k
-        for v in cl:
-            cover[v] |= mask
-            keys[v] |= bit
-    if cover != [a | 1 << v for v, a in enumerate(adj)]:
-        return None
-    return n - len(set(keys))
-
-
 def _sweep_range(
     n: int, lo: int, hi: int
 ) -> tuple[int, int, list[tuple[int, str, int]], list[BoundViolation]]:
@@ -273,7 +233,7 @@ def _sweep_range(
             findings.append((mask, "greedy_cliques_with_trivial", total))
         duplicates = _checked_duplicates(g, d.sequence)
         if duplicates is None:
-            duplicates = _duplicates(n, _partition_cliques(g, d.sequence))
+            duplicates = n - len(set(_incidence(n, _partition_cliques(g, d.sequence))))
         elements = total + duplicates
         if elements > max_elements:
             max_elements = elements
@@ -294,7 +254,8 @@ def _sweep_range(
             if problems:
                 violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
                                                  len(problems), 0))
-            duplicates = _duplicates(n, p.cliques)
+            # As sets: an invalid partition may list a member twice in a clique.
+            duplicates = n - len(set(map(frozenset, _incidence(n, p.cliques))))
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))

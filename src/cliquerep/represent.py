@@ -16,7 +16,6 @@ from .decompose import (
     GreedyDecomposition,
     Violation,
     _check_header,
-    _group_equal,
     _incidence,
     _miscovered,
     _partition_cliques,
@@ -117,7 +116,7 @@ def augment_to_distinct(r: SetRepresentation) -> SetRepresentation:
     in exactly one set, so no pairwise intersection changes. Already-distinct
     representations are returned unchanged.
     """
-    fresh = sorted(v for group in _group_equal(r.sets) for v in group[1:])
+    fresh = sorted(v for group in distinctness(r).classes for v in group[1:])
     if not fresh:
         return r
     sets = list(r.sets)
@@ -127,9 +126,13 @@ def augment_to_distinct(r: SetRepresentation) -> SetRepresentation:
 
 
 def distinctness(r: SetRepresentation) -> DistinctnessReport:
-    """Group vertices by exact set equality."""
-    classes = tuple(tuple(vs) for vs in _group_equal(r.sets))
-    return DistinctnessReport(classes, all(len(c) == 1 for c in classes))
+    """Group vertices by exact set equality: each class ascending, classes
+    in order of their first vertex."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for v, s in enumerate(r.sets):
+        groups.setdefault(s, []).append(v)
+    classes = tuple(map(tuple, groups.values()))
+    return DistinctnessReport(classes, len(classes) == len(r.sets))
 
 
 def validate_representation(

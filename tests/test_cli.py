@@ -404,6 +404,16 @@ class TestVerify:
             "", "error: the graph and the artifact cannot both be read from stdin\n")
         assert stdin.tell() == 0
 
+    @pytest.mark.parametrize("kind", ["partition", "greedy"])
+    def test_require_distinct_is_rejected_for_cliques(self, tmp_path, capsys, kind):
+        # Only a representation's sets can repeat; the flag is not ignored.
+        art = tmp_path / "p.json"
+        art.write_text(json.dumps({"n": 3, "ordered": False, "cliques": [[0, 1, 2]]}))
+        code = run(["verify", kind, write_k3_el(tmp_path), str(art), "--require-distinct"])
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", "error: --require-distinct applies to verify representation only\n")
+
     def test_mismatched_n(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"n": 4, "ordered": False, "cliques": []}))

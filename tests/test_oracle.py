@@ -506,6 +506,35 @@ class TestExhaustiveBoundCheck:
              "observed": 2, "bound": 0},
         ]
 
+    # Mask 9 on n=4 is the path 0-1-2 plus vertex 3. The first three
+    # stand-ins have the pair count of a valid partition, so the one-pass
+    # check rejects them later: on the cover compare, an empty clique, a
+    # repeated clique. The last lists vertex 0 twice in clique 0, whose
+    # incidence set is then vertex 1's: distinctness compares sets.
+    @pytest.mark.parametrize("cliques, expected", [
+        (((0, 1), (0, 2), (3,)), (("erdos_invalid", 3),)),
+        (((0, 1), (1, 2), (3,), ()), (("erdos_invalid", 1),)),
+        (((0, 1), (1, 2), (3,), (3,)), (("erdos_invalid", 1),)),
+        (((0, 0, 1), (2,), (3,)), (("erdos_invalid", 3), ("erdos_distinctness", 1))),
+    ])
+    def test_erdos_stand_ins_with_the_right_pair_count(self, monkeypatch, cliques, expected):
+        real = oracle.erdos_partition
+        monkeypatch.setattr(oracle, "erdos_partition", lambda g: (
+            CliquePartition(g, cliques) if edge_bitmask(g) == 9 else real(g)))
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        assert exhaustive_bound_check(4, [None]).violations == tuple(
+            oracle.BoundViolation(9, "erdos", check, observed, 0) for check, observed in expected)
+
+    def test_greedy_stand_in_with_the_right_pair_count(self, monkeypatch):
+        real = oracle.greedy_decomposition
+        monkeypatch.setattr(oracle, "greedy_decomposition", lambda g: (
+            GreedyDecomposition(g, ((0, 1), (0, 2), (3,))) if edge_bitmask(g) == 9 else real(g)))
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        with pytest.raises(ValueError) as info:
+            exhaustive_bound_check(4, [None])
+        assert str(info.value).startswith(
+            "invalid partition: {'kind': 'not_a_clique', 'position': 1")
+
     def test_mask_stepping_across_chunk_edges(self, monkeypatch):
         # A range builds its first graph from the mask and steps the masks
         # of every later one. Two below the true bound, so every range has
