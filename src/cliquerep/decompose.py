@@ -20,6 +20,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .graphs import Edge, Graph, _bit_flags, bits
 
 Clique = tuple[int, ...]
+#: A clique the search may take, with its vertex mask.
+_Option = tuple[Clique, int]
 
 
 def quarter_square(n: int) -> int:
@@ -542,39 +544,48 @@ def _erdos_base(alive: int, adj: tuple[int, ...]) -> tuple[Clique, ...]:
     return tuple(tuple(sorted(labels[v] for v in cl)) for cl in found)
 
 
-def _edge_or_triangles(residual: list[int], u: int, v: int) -> list[Clique]:
-    """The edge (u, v) itself, then each residual triangle through it. This
-    order is part of erdos_partition's output: trying the triangles first
-    picks a different, equally cheap base partition on 11 of the 75 base
-    graphs (12 when the whole order is reversed)."""
-    return [(u, v)] + [(u, v, w) for w in bits(residual[u] & residual[v])]
+def _edge_or_triangles(residual: list[int], u: int, v: int) -> list[_Option]:
+    """The edge (u, v) itself, then each residual triangle through it, each
+    with its mask. This order is part of erdos_partition's output: trying
+    the triangles first picks a different, equally cheap base partition on
+    11 of the 75 base graphs (12 when the whole order is reversed)."""
+    mask = 1 << u | 1 << v
+    return [((u, v), mask)] + [((u, v, w), mask | 1 << w)
+                               for w in bits(residual[u] & residual[v])]
 
 
-def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[Clique]:
-    """All cliques of the (residual) graph containing edge (u, v), largest
-    first and lexicographic within a size. Each appears exactly once, as
-    u, v and then its other members ascending: a sorted tuple when u < v <
-    every common neighbor, as at the kernel's smallest uncovered edge."""
-    stack = [((u, v), adj[u] & adj[v])]
-    found: list[Clique] = []
+def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[_Option]:
+    """All cliques of the (residual) graph containing edge (u, v), each with
+    its mask, largest first and lexicographic within a size. Each appears
+    exactly once, as u, v and then its other members ascending: a sorted
+    tuple when u < v < every common neighbor, as at the kernel's smallest
+    uncovered edge."""
+    stack = [((u, v), 1 << u | 1 << v, adj[u] & adj[v])]
+    found: list[_Option] = []
     while stack:
-        members, cand = stack.pop()
-        found.append(members)
+        members, mask, cand = stack.pop()
+        found.append((members, mask))
+        # Children go on highest first, so they come off lowest first and
+        # found lists the cliques in lexicographic order. A child extends
+        # by w and keeps the candidates above w that are adjacent to w.
+        above = 0
         while cand:
-            low = cand & -cand
-            cand ^= low
-            w = low.bit_length() - 1
-            stack.append((members + (w,), cand & adj[w]))
+            w = cand.bit_length() - 1
+            bit = 1 << w
+            cand ^= bit
+            stack.append((members + (w,), mask | bit, above & adj[w]))
+            above |= bit
     # A stable sort by size keeps the lexicographic order within a size.
-    found.sort()
-    found.sort(key=len, reverse=True)
+    found.sort(key=lambda option: len(option[0]), reverse=True)
     return found
 
 
-def _cliques_needed(residual: Sequence[int], free: int) -> int:
+def _cliques_needed(residual: Sequence[int], free: int, limit: int) -> int:
     """A lower bound on the number of cliques in any partition of the edges
-    of residual (symmetric neighbor bitmasks); free is the mask of its
-    non-isolated vertices, the OR of its rows.
+    of residual (symmetric neighbor bitmasks), counted only until it
+    reaches limit; free is the mask of its non-isolated vertices, the OR of
+    its rows. The full bound is returned when it is below limit, else some
+    count of at least limit: the caller needs no more to cut.
 
     Takes a greedy independent set I of the non-isolated vertices and adds,
     for each v in I, the size of a greedy independent set of v's neighbors.
@@ -590,33 +601,41 @@ def _cliques_needed(residual: Sequence[int], free: int) -> int:
             low = nbrs & -nbrs
             nbrs &= ~(residual[low.bit_length() - 1] | low)
             need += 1
+            if need >= limit:
+                return need
     return need
 
 
 def _edge_partitions(
     adj: Sequence[int],
-    options: Callable[[list[int], int, int], list[Clique]],
-    prune: Callable[[int], bool] | None = None,
+    options: Callable[[list[int], int, int], list[_Option]],
+    budget: list[int] | None = None,
 ) -> Iterator[list[Clique]]:
     """Every partition of the edges of adj (neighbor bitmasks) into cliques:
     the clique-partition branch and bound of Orlin (1977).
 
     Branches on the smallest uncovered edge (u, v) over options(residual, u,
-    v), the residual cliques through it to try, in order; if they are all
-    the residual cliques through it, each edge partition is yielded exactly
-    once. When u and v have no common residual neighbor, options must return
-    exactly [(u, v)], as _cliques_through_edge and _edge_or_triangles do:
-    such a forced edge is taken without calling it. A node is the root or a
-    branching option, followed by its whole run of forced smallest edges.
-    prune(need) is evaluated once per node, at the end of its run, and a
-    node where it holds is cut: a branching node before it branches, a leaf
-    before it is yielded, so every yielded partition passes prune. need is
-    the fewest cliques any completion below the node can have: the cliques
-    chosen so far plus _cliques_needed(residual), which is 0 at a leaf. A
-    run does not branch, so a cut that its middle would allow is only
-    delayed to its end. Without prune the bound is never computed. The
-    yielded list is the live search state, valid until the next step, and
-    is extended by copying.
+    v), the residual cliques through it to try, in order, each with its
+    vertex mask; if they are all the residual cliques through it, each edge
+    partition is yielded exactly once. When u and v have no common residual
+    neighbor, options must return exactly the edge (u, v), as
+    _cliques_through_edge and _edge_or_triangles do: such a forced edge is
+    taken without calling it. A node is the root or a branching option,
+    followed by its whole run of forced smallest edges.
+
+    budget, a one-item list the caller may lower between yields, is the
+    number of cliques a partition must stay below. It is read once per
+    node, at the end of its run, and a node is cut when the fewest cliques
+    any completion below it can have reach it: a branching node before it
+    branches, a leaf before it is yielded, so every yielded partition stays
+    below the budget read there. That fewest is the cliques chosen so far
+    plus _cliques_needed(residual), which is 0 at a leaf. The bound is
+    called once per node, with the room the budget leaves, and stops
+    counting once it proves the cut, so a cut node pays only for that
+    part. A run does not branch, so a cut that its middle would allow is
+    only delayed to its end. Without a budget the bound is never computed.
+    The yielded list is the live search state, valid until the next step,
+    and is extended by copying.
 
     The search is one loop in one frame, with an explicit stack of the
     branching nodes: each keeps its remaining options, the number of
@@ -626,27 +645,31 @@ def _edge_partitions(
     and loses a vertex when its row empties. Its lowest vertex u (all rows
     below u are empty) has the smallest uncovered edge, to u's lowest
     neighbor. These are costs only: which nodes are visited, in what order,
-    and what prune sees follow from the rules above.
+    and what the budget cuts follow from the rules above.
     """
     residual = list(adj)
     free = reduce(or_, residual, 0)
     chosen: list[Clique] = []
-    stack: list[tuple[Iterator[Clique], int, list[int], int]] = []
+    stack: list[tuple[Iterator[_Option], int, list[int], int]] = []
     while True:
         while free:
-            u = (free & -free).bit_length() - 1
+            ubit = free & -free
+            u = ubit.bit_length() - 1
             row = residual[u]
-            v = (row & -row).bit_length() - 1
-            if row & residual[v]:
+            vbit = row & -row
+            v = vbit.bit_length() - 1
+            other = residual[v]
+            if row & other:
                 break
-            residual[u] = row = row ^ 1 << v
-            residual[v] ^= 1 << u
+            residual[u] = row = row ^ vbit
+            residual[v] = other = other ^ ubit
             if not row:
-                free ^= 1 << u
-            if not residual[v]:
-                free ^= 1 << v
+                free ^= ubit
+            if not other:
+                free ^= vbit
             chosen.append((u, v))
-        if prune is None or not prune(len(chosen) + _cliques_needed(residual, free)):
+        if budget is None or _cliques_needed(
+                residual, free, room := budget[0] - len(chosen)) < room:
             if not free:
                 yield chosen
             else:
@@ -654,27 +677,26 @@ def _edge_partitions(
         # Back up to the deepest branching node with an option left.
         while stack:
             rest, depth, saved, free = stack[-1]
-            cl = next(rest, None)
-            if cl is not None:
+            option = next(rest, None)
+            if option is not None:
                 break
             stack.pop()
         else:
             return
         residual[:] = saved
         del chosen[depth:]
-        mask = 0
+        cl, mask = option
+        keep = ~mask
         for a in cl:
-            mask |= 1 << a
-        for a in cl:
-            residual[a] &= ~mask
-            if not residual[a]:
+            residual[a] = row = residual[a] & keep
+            if not row:
                 free ^= 1 << a
         chosen.append(cl)
 
 
 def _min_distinct(
     adj: Sequence[int],
-    options: Callable[[list[int], int, int], list[Clique]],
+    options: Callable[[list[int], int, int], list[_Option]],
 ) -> list[Clique]:
     """Cheapest clique partition of adj with pairwise-distinct incidence sets.
 
@@ -686,21 +708,31 @@ def _min_distinct(
     wins.
     """
     n = len(adj)
-    iso = [(v,) for v in range(n) if adj[v] == 0]
     # Incidence keys are clique-position bitmasks; isolated vertices start
     # from distinct negative keys, so only the others can repeat a key.
-    start = [0 if m else ~v for v, m in enumerate(adj)]
+    iso: list[Clique] = []
+    start: list[int] = []
+    for v, m in enumerate(adj):
+        if m:
+            start.append(0)
+        else:
+            start.append(~v)
+            iso.append((v,))
     # No partition costs more than |E| + n (a clique per edge, a trivial
-    # clique per vertex), so the first leaf found beats this budget.
-    budget = sum(m.bit_count() for m in adj) // 2 + n + 1
-    for chosen in _edge_partitions(adj, options, lambda need: need + len(iso) >= budget):
+    # clique per vertex), so the first leaf found beats this budget. The
+    # kernel's budget leaves out the trivial cliques of isolated vertices,
+    # which every partition pays.
+    budget = [sum(map(int.bit_count, adj)) // 2 + n + 1 - len(iso)]
+    for chosen in _edge_partitions(adj, options, budget):
         keys = start.copy()
-        for k, cl in enumerate(chosen):
+        bit = 1
+        for cl in chosen:
             for v in cl:
-                keys[v] |= 1 << k
-        cost = len(chosen) + len(iso) + n - len(set(keys))
-        if cost < budget:
-            budget, best, best_keys = cost, chosen.copy(), keys
+                keys[v] |= bit
+            bit <<= 1
+        cost = len(chosen) + n - len(set(keys))
+        if cost < budget[0]:
+            budget[0], best, best_keys = cost, chosen.copy(), keys
     # Every vertex whose key an earlier vertex already has gets a trivial
     # clique, in vertex order.
     seen: set[int] = set()

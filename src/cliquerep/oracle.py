@@ -105,13 +105,15 @@ def min_clique_partition(g: Graph) -> tuple[int, CliquePartition]:
         raise ValueError(f"n={g.n} exceeds the n<={CP_MAX_N} search budget")
     iso = [(v,) for v in range(g.n) if g.adj[v] == 0]
     # One clique per edge always completes, so the first partition found
-    # beats this starting bound and it prunes nothing.
+    # beats this starting budget and it cuts nothing. Each partition found
+    # is smaller than the last, and lowers the budget to its size.
     best: list[Clique] = []
-    bound = sum(map(int.bit_count, g.adj)) // 2 + 1
-    for chosen in _edge_partitions(g.adj, _cliques_through_edge,
-                                   lambda need: need >= bound):
-        bound, best = len(chosen), list(chosen)
-    witness = CliquePartition.from_cliques(g, best + iso)
+    budget = [sum(map(int.bit_count, g.adj)) // 2 + 1]
+    for chosen in _edge_partitions(g.adj, _cliques_through_edge, budget):
+        budget[0], best = len(chosen), chosen.copy()
+    # The kernel's cliques are sorted tuples, so sorting the list gives
+    # from_cliques' normal form without re-sorting each clique.
+    witness = CliquePartition(g, tuple(sorted(best + iso)))
     return len(witness.cliques), witness
 
 
@@ -125,7 +127,8 @@ def all_clique_partitions(g: Graph) -> Iterator[CliquePartition]:
     """
     iso = [(v,) for v in range(g.n) if g.adj[v] == 0]
     for chosen in _edge_partitions(g.adj, _cliques_through_edge):
-        yield CliquePartition.from_cliques(g, chosen + iso)
+        # In normal form, as in min_clique_partition.
+        yield CliquePartition(g, tuple(sorted(chosen + iso)))
 
 
 def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
@@ -144,7 +147,12 @@ def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
     best = _min_distinct(g.adj, _cliques_through_edge)
     # Element k is the k-th clique in sorted order. The search yields each
     # clique as a sorted tuple, so sorting the list is CliquePartition's order.
-    sets = tuple(map(frozenset, _incidence(g.n, sorted(best))))
+    best.sort()
+    members: list[list[int]] = [[] for _ in range(g.n)]
+    for k, cl in enumerate(best):
+        for v in cl:
+            members[v].append(k)
+    sets = tuple(map(frozenset, members))
     if len(set(sets)) < g.n:
         raise RuntimeError("the minimum witness has duplicate sets")
     return len(best), SetRepresentation(g, sets, len(best))
@@ -254,8 +262,11 @@ def _sweep_range(
             if problems:
                 violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
                                                  len(problems), 0))
-            # As sets: an invalid partition may list a member twice in a clique.
-            duplicates = n - len(set(map(frozenset, _incidence(n, p.cliques))))
+            # An invalid partition may list a member twice in a clique or
+            # name a non-vertex: count over each clique's set of vertices,
+            # a member that equals a vertex (0.0, True) as that vertex.
+            duplicates = n - len(set(_incidence(n, (
+                {int(v) for v in cl if v in range(n)} for cl in p.cliques))))
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))

@@ -34,7 +34,13 @@ from cliquerep import (
     validate_representation,
 )
 from cliquerep import decompose, oracle
-from cliquerep.decompose import _cliques_needed, _vertex_order
+from cliquerep.decompose import (
+    _cliques_needed,
+    _cliques_through_edge,
+    _edge_or_triangles,
+    _vertex_order,
+)
+from cliquerep.graphs import bits
 from helpers import (
     brute_cp,
     brute_omega,
@@ -109,9 +115,9 @@ def dense_panel(count):
     return [graph(10, sorted(rng.sample(pairs, 36))) for _ in range(count)]
 
 
-def cliques_needed(adj):
+def cliques_needed(adj, limit=float("inf")):
     """_cliques_needed on a whole graph: its non-isolated vertices are free."""
-    return _cliques_needed(adj, reduce(or_, adj, 0))
+    return _cliques_needed(adj, reduce(or_, adj, 0), limit)
 
 
 class TestCliquesNeededBound:
@@ -168,9 +174,9 @@ class TestCliquesNeededBound:
         calls = [0]
         needed = decompose._cliques_needed
 
-        def counting(residual, free):
+        def counting(residual, free, limit):
             calls[0] += 1
-            return needed(residual, free)
+            return needed(residual, free, limit)
 
         monkeypatch.setattr(decompose, "_cliques_needed", counting)
         return calls
@@ -251,6 +257,62 @@ class TestCliquesNeededBound:
         assert cliques_needed(cycle_graph(5).adj) == 4
         assert cliques_needed(empty_graph(4).adj) == 0
 
+    def test_early_stop_against_the_full_bound(self):
+        # Below limit the count is the full bound; at or above it, the
+        # count may stop anywhere from limit up to the full bound.
+        rng = random.Random("cliques-needed:limit")
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 10), rng.random())
+            full = cliques_needed(g.adj)
+            for limit in range(full + 2):
+                need = cliques_needed(g.adj, limit)
+                if full < limit:
+                    assert need == full
+                else:
+                    assert limit <= need <= full
+
+
+def brute_options(adj, u, v):
+    """Every clique of adj through the edge (u, v) with its mask, from the
+    subsets of the common neighbours: largest first, lexicographic within
+    a size, as u, v and then the others ascending."""
+    common = list(bits(adj[u] & adj[v]))
+    found = []
+    for k in range(len(common), -1, -1):
+        for rest in combinations(common, k):
+            if all(adj[a] >> b & 1 for a, b in combinations(rest, 2)):
+                members = (u, v) + rest
+                found.append((members, sum(1 << w for w in members)))
+    return found
+
+
+class TestSearchOptions:
+    """The option contract of the kernel: each option is a clique through
+    the branching edge with its vertex mask, in a fixed order."""
+
+    def seeded_edges(self):
+        rng = random.Random("search-options")
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(2, 8), rng.uniform(0.3, 1.0))
+            for u, v in sorted(g.edges):
+                yield list(g.adj), u, v
+
+    def test_cliques_through_edge_against_the_subsets(self):
+        for adj, u, v in self.seeded_edges():
+            options = _cliques_through_edge(adj, u, v)
+            # each clique once, in the brute force's order, with its mask
+            assert options == brute_options(adj, u, v)
+            if u < v < min(bits(adj[u] & adj[v]), default=v + 1):
+                # sorted tuples, as at the kernel's smallest uncovered edge
+                assert all(cl == tuple(sorted(cl)) for cl, _ in options)
+
+    def test_edge_or_triangles_puts_the_edge_first(self):
+        for adj, u, v in self.seeded_edges():
+            common = list(bits(adj[u] & adj[v]))
+            base = 1 << u | 1 << v
+            assert _edge_or_triangles(adj, u, v) == [((u, v), base)] + [
+                ((u, v, w), base | 1 << w) for w in common]
+
 
 class TestWitnessIdentity:
     """sha256 digests of the search's outputs on every small labeled graph,
@@ -314,6 +376,15 @@ class TestAllCliquePartitions:
         iso = [(v,) for v in range(g.n) if g.adj[v] == 0]
         expected = [tuple(sorted(chosen + iso)) for chosen in reference_edge_partitions(g)]
         assert [p.cliques for p in all_clique_partitions(g)] == expected
+
+    def test_results_are_in_normal_form(self):
+        # The searches build CliquePartition without from_cliques, as the
+        # kernel's cliques are already sorted: the results must be what
+        # from_cliques would have made.
+        for n in range(6):
+            for g in enumerate_labeled_graphs(n):
+                for p in [min_clique_partition(g)[1], *all_clique_partitions(g)]:
+                    assert p == CliquePartition.from_cliques(g, p.cliques)
 
     def test_extra_trivial_variants(self):
         g = path_graph(2)
@@ -516,6 +587,13 @@ class TestExhaustiveBoundCheck:
         (((0, 1), (1, 2), (3,), ()), (("erdos_invalid", 1),)),
         (((0, 1), (1, 2), (3,), (3,)), (("erdos_invalid", 1),)),
         (((0, 0, 1), (2,), (3,)), (("erdos_invalid", 3), ("erdos_distinctness", 1))),
+        # 4 is no vertex: one finding, and no vertex's set takes clique 3.
+        (((0, 1), (1, 2), (3,), (4,)), (("erdos_invalid", 1),)),
+        # 0.0 is vertex 0 to the validator, so the partition is valid.
+        (((0.0, 1), (1, 2), (3,)), ()),
+        # -1 is no vertex: vertex 3 keeps an empty set, so only vertex 1
+        # repeats a set (vertex 0's), not vertex 3 (vertex 2's).
+        (((0, 1), (2, -1)), (("erdos_invalid", 3), ("erdos_distinctness", 1))),
     ])
     def test_erdos_stand_ins_with_the_right_pair_count(self, monkeypatch, cliques, expected):
         real = oracle.erdos_partition
