@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 from itertools import combinations
-from pathlib import Path
 
 from .decompose import (
     CliquePartition,
@@ -118,7 +117,11 @@ def _read_text(path: str, what: str) -> str:
     standard input for "-", in its own encoding, less one leading
     byte-order mark. A decoding error names the input as what."""
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{what} is not {exc.encoding.upper()}: {exc}") from None
     return text.removeprefix("\ufeff")

@@ -10,14 +10,12 @@ vertex's (for n >= 4).
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, fields
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache, reduce
 from itertools import chain, compress
 from operator import attrgetter, mul, or_
-from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Edge, Graph, _bit_flags, bits
+from .graphs import Edge, Graph, _bit_flags, _Record, bits
 
 Clique = tuple[int, ...]
 #: A clique the search may take, with its vertex mask.
@@ -34,12 +32,13 @@ def _vertex_order(n: int, seed: int | None) -> tuple[int, ...]:
     without a seed, else a permutation drawn from the seed (0 included)."""
     order = list(range(n))
     if seed is not None:
+        import random
+
         random.Random(seed).shuffle(order)
     return tuple(order)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One validator finding.
 
     `kind` names what failed; the optional fields carry whichever coordinates
@@ -47,21 +46,40 @@ class Violation:
     """
 
     kind: str
-    position: int | None = None
-    pair: tuple[int, int] | None = None
-    vertex: int | None = None
-    vertices: tuple[int, ...] | None = None
-    element: int | None = None
-    observed: int | None = None
-    expected: int | None = None
+    position: int | None
+    pair: tuple[int, int] | None
+    vertex: int | None
+    vertices: tuple[int, ...] | None
+    element: int | None
+    observed: int | None
+    expected: int | None
+
+    def __init__(
+        self,
+        kind: str,
+        position: int | None = None,
+        pair: tuple[int, int] | None = None,
+        vertex: int | None = None,
+        vertices: tuple[int, ...] | None = None,
+        element: int | None = None,
+        observed: int | None = None,
+        expected: int | None = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "vertex", vertex)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "expected", expected)
 
     def to_json(self) -> dict:
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        values = ((name, getattr(self, name)) for name in self._fields)
         return {k: list(v) if isinstance(v, tuple) else v for k, v in values if v is not None}
 
 
-@dataclass(frozen=True)
-class CliquePartition:
+class CliquePartition(_Record):
     """Unordered clique partition of a host graph.
 
     Every edge lies in exactly one clique, trivial (single-vertex) cliques
@@ -71,6 +89,10 @@ class CliquePartition:
 
     host: Graph
     cliques: tuple[Clique, ...]
+
+    def __init__(self, host: Graph, cliques: tuple[Clique, ...]) -> None:
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "cliques", cliques)
 
     @classmethod
     def from_cliques(cls, host: Graph, cliques: Iterable[Iterable[int]]) -> "CliquePartition":
@@ -89,13 +111,16 @@ class CliquePartition:
         return cls.from_cliques(host, _cliques_from_json(doc, host))
 
 
-@dataclass(frozen=True)
-class GreedyDecomposition:
+class GreedyDecomposition(_Record):
     """Ordered clique sequence; each entry was maximal in the residual graph
     obtained by deleting all earlier entries' edges."""
 
     host: Graph
     sequence: tuple[Clique, ...]
+
+    def __init__(self, host: Graph, sequence: tuple[Clique, ...]) -> None:
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "sequence", sequence)
 
     def to_json(self) -> dict:
         return {

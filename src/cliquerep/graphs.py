@@ -7,9 +7,8 @@ verification sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import combinations, compress, permutations
-from typing import Iterable, Iterator
 
 Edge = tuple[int, int]
 
@@ -35,13 +34,12 @@ class GraphParseError(ValueError):
 
 class _cached:
     """A property computed on first access and stored in the instance
-    __dict__ under name (by default the function's), which later lookups
-    find first. Unlike functools.cached_property before Python 3.12, it
-    takes no lock."""
+    __dict__ under the function's name, which later lookups find first.
+    Unlike functools.cached_property before Python 3.12, it takes no lock."""
 
-    def __init__(self, compute, name=None):
+    def __init__(self, compute):
         self.compute = compute
-        self.name = name or compute.__name__
+        self.name = compute.__name__
         self.__doc__ = compute.__doc__
 
     def __get__(self, obj, owner=None):
@@ -51,8 +49,42 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """An immutable value: a subclass declares its fields as class
+    annotations, in order, and sets them in its __init__ with
+    object.__setattr__. Two records are equal when they are of the same
+    class and their fields are equal; the hash is that of the field values,
+    and the repr lists them as Name(field=value, ...)."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({values})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Record):
     """Immutable simple graph: vertex count plus a set of (u, v) pairs, u < v.
 
     No self-loops, no duplicate edges, every endpoint below n. Instances are
@@ -68,25 +100,35 @@ class Graph:
     n: int
     edges: frozenset[Edge]
 
-    def __post_init__(self) -> None:
+    def __init__(self, n: int, edges: frozenset[Edge]) -> None:
         # Exactly int: a bool or a numpy integer would reach the bit masks.
-        if type(self.n) is not int:
-            raise ValueError(f"vertex count must be an int, got {self.n!r}")
-        if self.n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {self.n}")
-        for e in self.edges:
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, got {n!r}")
+        if n < 0:
+            raise ValueError(f"vertex count must be non-negative, got {n}")
+        for e in edges:
             if len(e) != 2:
                 raise ValueError(f"edge {e!r} is not a pair")
             u, v = e
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"edge {e!r} has an endpoint that is not an int")
-            if not 0 <= u < v < self.n:
-                raise ValueError(f"edge {e!r} out of range for n={self.n}")
+            if not 0 <= u < v < n:
+                raise ValueError(f"edge {e!r} out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
 
     @_cached
     def adj(self) -> tuple[int, ...]:
         """Neighbor bitmasks: bit v of adj[u] is set iff {u, v} is an edge."""
         return _adj_from_pairs(self.n, self.edges)
+
+    @_cached
+    def edges(self) -> frozenset[Edge]:
+        """The (u, v) pairs, u < v. Graph(n, edges) stores them; a graph from
+        _from_adj derives them on first read, (u, v) for each bit v above u
+        in adj[u]."""
+        return frozenset((u, v) for u, mask in enumerate(self.adj)
+                         for v in bits(mask >> u + 1 << u + 1))
 
     @classmethod
     def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -107,17 +149,6 @@ def _adj_from_pairs(n: int, pairs: Iterable[Edge]) -> tuple[int, ...]:
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return tuple(masks)
-
-
-def _edges_from_adj(g: Graph) -> frozenset[Edge]:
-    """The edge set of a graph from Graph._from_adj: (u, v) for each bit v
-    above u in adj[u]."""
-    return frozenset((u, v) for u, mask in enumerate(g.adj) for v in bits(mask >> u + 1 << u + 1))
-
-
-# Only a graph from _from_adj lacks an edges entry in its __dict__. Set
-# after the class: in its body, a value named edges is the field's default.
-Graph.edges = _cached(_edges_from_adj, "edges")
 
 
 def graph(n: int, edges: Iterable[Iterable[int]] = ()) -> Graph:

@@ -10,9 +10,8 @@ neighborhoods are promised to satisfy.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from collections.abc import Iterable, Iterator
 from itertools import combinations
-from typing import Iterable, Iterator
 
 from .decompose import (
     Clique,
@@ -33,7 +32,7 @@ from .decompose import (
     validate_greedy,
     validate_partition,
 )
-from .graphs import ENUMERATION_MAX_N, Graph, _relabel_mask, degree, graph_from_bitmask
+from .graphs import ENUMERATION_MAX_N, Graph, _Record, _relabel_mask, degree, graph_from_bitmask
 from .represent import SetRepresentation
 
 #: Search budgets, chosen so every run finishes in minutes on one machine.
@@ -48,8 +47,7 @@ THREADS_ENV = "CLIQUEREP_THREADS"
 _MIN_CHUNK_MASKS = 4096
 
 
-@dataclass(frozen=True)
-class BoundViolation:
+class BoundViolation(_Record):
     """One bound breach found by a sweep: which graph (edge bitmask), which
     strategy ("erdos" for the edge/triangle partition), which check, and the
     observed value against its bound."""
@@ -60,12 +58,18 @@ class BoundViolation:
     observed: int
     bound: int
 
+    def __init__(self, graph: int, strategy: str, check: str, observed: int, bound: int) -> None:
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "observed", observed)
+        object.__setattr__(self, "bound", bound)
+
     def to_json(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._fields}
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(_Record):
     """Aggregate of one exhaustive sweep over all labeled graphs on n vertices."""
 
     n: int
@@ -74,6 +78,22 @@ class BoundReport:
     max_cliques_seen: int
     max_elements_seen: int
     violations: tuple[BoundViolation, ...]
+
+    def __init__(
+        self,
+        n: int,
+        graphs_checked: int,
+        strategies: tuple[str, ...],
+        max_cliques_seen: int,
+        max_elements_seen: int,
+        violations: tuple[BoundViolation, ...],
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "graphs_checked", graphs_checked)
+        object.__setattr__(self, "strategies", strategies)
+        object.__setattr__(self, "max_cliques_seen", max_cliques_seen)
+        object.__setattr__(self, "max_elements_seen", max_elements_seen)
+        object.__setattr__(self, "violations", violations)
 
     @property
     def bound(self) -> int:

@@ -9,8 +9,6 @@ elements that appear nowhere else, which never disturbs an intersection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .decompose import (
     CliquePartition,
     GreedyDecomposition,
@@ -20,11 +18,10 @@ from .decompose import (
     _miscovered,
     _partition_cliques,
 )
-from .graphs import Graph
+from .graphs import Graph, _Record
 
 
-@dataclass(frozen=True)
-class SetRepresentation:
+class SetRepresentation(_Record):
     """Per-vertex element sets over a dense ground set 0..ground_size-1.
 
     For a valid representation, |sets[u] & sets[v]| is 1 when {u, v} is an
@@ -35,6 +32,11 @@ class SetRepresentation:
     host: Graph
     sets: tuple[frozenset[int], ...]
     ground_size: int
+
+    def __init__(self, host: Graph, sets: tuple[frozenset[int], ...], ground_size: int) -> None:
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "ground_size", ground_size)
 
     def to_json(self) -> dict:
         return {
@@ -65,13 +67,16 @@ class SetRepresentation:
         return cls(host, tuple(frozenset(s) for s in sets), doc["ground_size"])
 
 
-@dataclass(frozen=True)
-class DistinctnessReport:
+class DistinctnessReport(_Record):
     """Vertices grouped by exact set equality; is_family iff all groups are
     singletons (i.e. the representation uses pairwise-distinct sets)."""
 
     classes: tuple[tuple[int, ...], ...]
     is_family: bool
+
+    def __init__(self, classes: tuple[tuple[int, ...], ...], is_family: bool) -> None:
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "is_family", is_family)
 
 
 def representation_from_partition(

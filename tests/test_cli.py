@@ -902,6 +902,29 @@ class TestUsage:
         assert run(args) == 2
         assert capsys.readouterr() == ("", "error: input too large for this machine\n")
 
+    @pytest.mark.parametrize("name, message", [
+        ("missing.el", "[Errno 2] No such file or directory: 'missing.el'"),
+        ("dir.el", "[Errno 21] Is a directory: 'dir.el'"),
+    ], ids=["missing", "directory"])
+    def test_unreadable_file_error_line(self, tmp_path, monkeypatch, capsys, name, message):
+        # Undecodable files have their own lines in TestVerify.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir.el").mkdir()
+        assert run(["partition", name, "--method", "greedy"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_importing_the_cli_leaves_out_costly_stdlib_modules(self):
+        # Each of these costs start-up time that every CLI run pays; -S keeps
+        # site hooks from loading any of them beforehand.
+        costly = ("dataclasses", "inspect", "typing", "pathlib", "random")
+        env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import sys, cliquerep.cli; print([m for m in {costly!r} if m in sys.modules])"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
     def test_importing_the_cli_leaves_out_multiprocessing(self):
         # Only a pooled sweep needs it, and it is a large share of start-up.
         # Every other module it loads is the standard library's or its own:
