@@ -156,12 +156,21 @@ def _cliques_from_json(doc: dict, host: Graph) -> list[list[int]]:
     cliques = doc["cliques"]
     if not isinstance(cliques, list):
         raise ValueError("artifact 'cliques' must be an array")
-    for c in cliques:
-        if not isinstance(c, list) or any(
-            not isinstance(v, int) or isinstance(v, bool) for v in c
-        ):
-            raise ValueError("each clique must be an array of integers")
+    if not _int_arrays(cliques):
+        for c in cliques:
+            if not isinstance(c, list) or any(
+                not isinstance(v, int) or isinstance(v, bool) for v in c
+            ):
+                raise ValueError("each clique must be an array of integers")
     return cliques
+
+
+def _int_arrays(rows: list) -> bool:
+    """Whether every row is exactly a list and every member exactly an int,
+    tested in bulk; the JSON decoder makes nothing else. False sends the
+    caller to its per-member loop, which accepts subclasses and names the
+    error."""
+    return {*map(type, rows)} <= {list} and {*map(type, chain.from_iterable(rows))} <= {int}
 
 
 def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecomposition:

@@ -15,6 +15,7 @@ from .decompose import (
     Violation,
     _check_header,
     _incidence,
+    _int_arrays,
     _miscovered,
     _partition_cliques,
 )
@@ -55,11 +56,12 @@ class SetRepresentation(_Record):
         sets = doc["sets"]
         if not isinstance(sets, list) or len(sets) != host.n:
             raise ValueError("artifact 'sets' must be an array with one entry per vertex")
-        for s in sets:
-            if not isinstance(s, list) or any(
-                not isinstance(e, int) or isinstance(e, bool) for e in s
-            ):
-                raise ValueError("each set must be an array of integers")
+        if not _int_arrays(sets):
+            for s in sets:
+                if not isinstance(s, list) or any(
+                    not isinstance(e, int) or isinstance(e, bool) for e in s
+                ):
+                    raise ValueError("each set must be an array of integers")
         # Every element id must occur in some set, so a larger ground size is
         # never valid, and listing each unused id of it is unbounded work.
         if doc["ground_size"] > sum(len(s) for s in sets):

@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from itertools import combinations
 
 import networkx as nx
 import pytest
@@ -33,7 +34,7 @@ from cliquerep import (
     validate_partition,
     validate_representation,
 )
-from cliquerep.graphs import _MASKS_UP_TO_N
+from cliquerep.graphs import _CHUNK, _MASKS_UP_TO_N, _plain_edge_list
 from helpers import iso_classes_by_permutation, random_graph, remove_edges
 
 
@@ -255,6 +256,7 @@ class TestEdgeList:
         ("n=0\n0 1\n", "line 2: endpoint out of range for n=0"),
         ("n=3\n0 1\n# c\n\n1 0\n", "line 5: duplicate edge (0, 1)"),
         ("n=4\n2 3\n 3   2 \n", "line 3: duplicate edge (2, 3)"),
+        ("n=3\n1234567890 1\n", "line 2: endpoint out of range for n=3"),
     ])
     def test_error_lines_and_check_order(self, text, message):
         # Blank and comment lines count towards the line number; each line
@@ -266,7 +268,21 @@ class TestEdgeList:
 
     @given(graphs(max_n=7))
     def test_round_trip(self, g):
-        assert parse_edge_list(to_edge_list(g)) == g
+        text = to_edge_list(g)
+        assert parse_edge_list(text) == g
+        assert _plain_edge_list(text) == g
+
+    @pytest.mark.parametrize("text, n, edges", [
+        ("n=3\n01 2\n", 3, [(1, 2)]),
+        ("n=007\n0 1\n", 7, [(0, 1)]),
+        ("n=3\r\n0 1\r\n", 3, [(0, 1)]),
+        ("n=3\n0 1", 3, [(0, 1)]),
+    ])
+    def test_inputs_outside_the_plain_layout_parse(self, text, n, edges):
+        # Leading zeros, '\r\n' and a missing final newline are not what
+        # to_edge_list writes, so the line walk reads them.
+        assert _plain_edge_list(text) is None
+        assert parse_edge_list(text) == graph(n, edges)
 
     def test_huge_vertex_count_allocates_nothing(self):
         # Beyond _MASKS_UP_TO_N the parser keeps an edge set, so a header or an
@@ -286,9 +302,136 @@ class TestEdgeList:
         edges = [(0, n - 1), (1, 2), (2, n - 1), (n - 2, n - 1)]
         text = f"n={n}\n" + "".join(f"{v} {u}\n" for u, v in edges)
         same_graph("adj", parse_edge_list(text), graph(n, edges))
+        # The bulk reader takes plain text up to the limit only.
+        assert _plain_edge_list(text) == (graph(n, edges) if n <= _MASKS_UP_TO_N else None)
         with pytest.raises(GraphParseError, match=f"^line 6: duplicate edge \\(0, {n - 1}\\)$"):
             parse_edge_list(text + f"0 {n - 1}\n")
         same_graph("adj", graph_from_bitmask(n, 0b101), graph(n, [(0, 1), (0, 3)]))
+
+
+def parse_outcome(text: str) -> Graph | str:
+    """The graph parse_edge_list gives for text, or its error text."""
+    try:
+        return parse_edge_list(text)
+    except GraphParseError as error:
+        return str(error)
+
+
+def one_line_later(message: str) -> str:
+    """A 'line <k>: ...' error message as it reads with one more line
+    before the input."""
+    number, rest = message.removeprefix("line ").split(":", 1)
+    return f"line {int(number) + 1}:{rest}"
+
+
+#: Lines to insert into an edge list, formatted with a non-edge a < b, an
+#: edge u < v, a vertex w, an endpoint far at or past n, and big = 10**9 + b.
+INSERTED_LINES = {
+    "new edge": "{a} {b}",
+    "new edge reversed": "{b} {a}",
+    "self-loop": "{w} {w}",
+    "out of range": "{a} {far}",
+    "duplicate": "{u} {v}",
+    "reversed duplicate": "{v} {u}",
+    "leading zero": "0{a} {b}",
+    "ten digits": "{a} {big}",
+    "ten digits, leading zeros": "{a:010d} {b}",
+    "tab": "{a}\t{b}",
+    "double space": "{a}  {b}",
+    "leading space": " {a} {b}",
+    "trailing space": "{a} {b} ",
+    "carriage return": "{a} {b}\r",
+    "plus sign": "+{a} {b}",
+    "minus zero": "{a} -0",
+    "arabic-indic digit": "{a} \u0663",
+    "one endpoint": "{a}",
+    "three endpoints": "{a} {b} {w}",
+    "comment": "# c",
+    "blank": "",
+    "spaces": "   ",
+}
+#: The kinds that keep a text in the plain layout and valid.
+PLAIN_KINDS = {"new edge", "new edge reversed"}
+
+
+def assert_agrees_with_the_walk(text: str) -> Graph | str:
+    """parse_edge_list(text) gives what the line walk gives on text pushed
+    down one line, where the header is no longer on line 1; returns it."""
+    outcome = parse_outcome(text)
+    walked = parse_outcome("\n" + text)
+    if isinstance(outcome, Graph):
+        same_graph("adj", outcome, walked)
+    else:
+        assert walked == one_line_later(outcome)
+    return outcome
+
+
+class TestPlainEdgeList:
+    """The bulk reader of the layout to_edge_list writes against the line
+    walk, which reads a text with a leading newline."""
+
+    @pytest.mark.parametrize("kind", INSERTED_LINES)
+    def test_one_inserted_line_against_the_walk(self, kind):
+        rng = random.Random(f"plain:{kind}")
+        for _ in range(12):
+            n = rng.randint(3, 100)
+            g = random_graph(rng, n, rng.choice([0.05, 0.3, 0.7]))
+            if not g.edges or len(g.edges) == n * (n - 1) // 2:
+                continue
+            u, v = rng.choice(sorted(g.edges))
+            a, b = rng.choice([e for e in combinations(range(n), 2) if e not in g.edges])
+            line = INSERTED_LINES[kind].format(a=a, b=b, u=u, v=v, w=rng.randrange(n),
+                                               far=n + rng.randrange(3), big=10**9 + b)
+            lines = to_edge_list(g).split("\n")
+            lines.insert(rng.randint(1, len(lines) - 1), line)
+            text = "\n".join(lines)
+            outcome = assert_agrees_with_the_walk(text)
+            if kind in PLAIN_KINDS:
+                added = tuple(map(int, line.split()))
+                assert _plain_edge_list(text) == outcome == graph(n, [*g.edges, added])
+            else:
+                assert _plain_edge_list(text) is None
+
+    def test_missing_final_newline(self):
+        rng = random.Random(5)
+        for n in (0, 1, 2, 30, 100):
+            text = to_edge_list(random_graph(rng, n, 0.3))[:-1]
+            assert_agrees_with_the_walk(text)
+            assert _plain_edge_list(text) is None
+
+    def test_errors_in_later_chunks(self):
+        # Over two chunks: a duplicate whose copies fall in different
+        # chunks, and an out-of-range endpoint in the last chunk.
+        rng = random.Random(128)
+        g = random_graph(rng, 400, 0.5)
+        text = to_edge_list(g)
+        assert len(text) > 2 * _CHUNK
+        assert _plain_edge_list(text) == assert_agrees_with_the_walk(text) == g
+        (u, v) = min(g.edges)
+        duplicate = text + f"{v} {u}\n"
+        out_of_range = text + f"0 {g.n}\n"
+        for bad in (duplicate, out_of_range):
+            assert _plain_edge_list(bad) is None
+            assert isinstance(assert_agrees_with_the_walk(bad), str)
+        assert parse_outcome(duplicate).endswith(f"duplicate edge {(u, v)}")
+        assert parse_outcome(out_of_range).endswith(f"endpoint out of range for n={g.n}")
+
+    def test_peak_memory_is_below_the_walks(self):
+        # On G(1000, 0.4), decoding the whole body at once peaked at 64 MB,
+        # against 12.9 MB for the walk and 1.1 MB chunk by chunk. G(1000, 0.1)
+        # keeps the traced walk to about 2 s.
+        rng = random.Random(1000)
+        text = "n=1000\n" + "".join(f"{u} {v}\n" for u, v in combinations(range(1000), 2)
+                                    if rng.random() < 0.1)
+        peaks = []
+        for version in (text, "\n" + text):
+            tracemalloc.start()
+            try:
+                parse_edge_list(version)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1]
 
 
 def same_graph(read_first, g: Graph, expected: Graph) -> None:

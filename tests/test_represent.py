@@ -302,6 +302,32 @@ class TestJson:
             with pytest.raises(ValueError):
                 SetRepresentation.from_json(doc, p3)
 
+    @pytest.mark.parametrize("load, header, rows", [
+        (CliquePartition.from_json, {"n": 3, "ordered": False}, {"cliques": [[0, 1], [1, 2]]}),
+        (GreedyDecomposition.from_json, {"n": 3, "ordered": True}, {"cliques": [[0, 1], [1, 2]]}),
+        (SetRepresentation.from_json, {"n": 3, "ground_size": 2}, {"sets": [[0], [0, 1], [1]]}),
+    ])
+    def test_member_types(self, load, header, rows):
+        # Exact ints in exact lists pass one bulk test; anything else is
+        # checked member by member, which accepts int and list subclasses
+        # and names the error as before.
+        class Vertex(int):
+            pass
+
+        class Row(list):
+            pass
+
+        p3 = path_graph(3)
+        (key, (first, *rest)), = rows.items()
+        message = f"each {key[:-1]} must be an array of integers"
+        expected = load({**header, **rows}, p3)
+        for row in (Row(first), [Vertex(v) for v in first]):
+            assert load({**header, key: [row, *rest]}, p3) == expected
+        for row in ([True, 1], [0.0, 1], [[0], 1], [None], (0, 1), "01", 0):
+            with pytest.raises(ValueError) as exc:
+                load({**header, key: [row, *rest]}, p3)
+            assert str(exc.value) == message
+
     @pytest.mark.parametrize("load, keys", [
         (CliquePartition.from_json, ("n", "ordered", "cliques")),
         (GreedyDecomposition.from_json, ("n", "ordered", "cliques")),
