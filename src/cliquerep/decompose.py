@@ -157,19 +157,13 @@ def _cliques_from_json(doc: dict, host: Graph) -> list[list[int]]:
     if not isinstance(cliques, list):
         raise ValueError("artifact 'cliques' must be an array")
     if not _int_arrays(cliques):
-        for c in cliques:
-            if not isinstance(c, list) or any(
-                not isinstance(v, int) or isinstance(v, bool) for v in c
-            ):
-                raise ValueError("each clique must be an array of integers")
+        raise ValueError("each clique must be an array of integers")
     return cliques
 
 
 def _int_arrays(rows: list) -> bool:
     """Whether every row is exactly a list and every member exactly an int,
-    tested in bulk; the JSON decoder makes nothing else. False sends the
-    caller to its per-member loop, which accepts subclasses and names the
-    error."""
+    tested in bulk; the JSON decoder makes nothing else."""
     return {*map(type, rows)} <= {list} and {*map(type, chain.from_iterable(rows))} <= {int}
 
 
@@ -222,50 +216,38 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
     return GreedyDecomposition(g, tuple(sequence))
 
 
-def _int_cliques(cliques: Sequence[Clique]) -> Sequence[Clique]:
-    """cliques itself when every member is an exact int, else a copy with
-    every member mapped through int. For cliques whose members all equal
-    vertices: one equal to an int without being one (1.0, True, a numpy
-    integer) counts as that vertex, and bit shifts and indexing need the
-    int."""
-    if {*map(type, chain.from_iterable(cliques))} <= {int}:
-        return cliques
-    return tuple(tuple(map(int, cl)) for cl in cliques)
-
-
 def _shaped(
     n: int, cliques: Sequence[Clique], seen: set[Clique], out: list[Violation]
 ) -> list[tuple[int, Clique]]:
-    """(position, clique) for each clique whose vertex pairs can be checked,
-    members as ints (_int_cliques). The findings on each clique itself
-    (empty, members that are not vertices, repeated vertices, a repeat of
-    an earlier clique) go to out in clique order; a caller that adds its
-    own findings per position sorts out by position, stably, to put them
-    after these. A clique of distinct members, all vertices, costs one
-    intersection. Every clique goes into seen: one equal to a misshapen
-    clique is misshapen too."""
+    """(position, clique) for each clique whose vertex pairs can be checked.
+    The findings on each clique itself (empty, members that are not
+    vertices, repeated vertices, a repeat of an earlier clique) go to out in
+    clique order; a caller that adds its own findings per position sorts
+    out by position, stably, to put them after these. A vertex is exactly
+    an int in range(n): when every member is an int, a clique of distinct
+    members, all vertices, costs one intersection. A clique goes into seen
+    once it passes these checks."""
     vertices = frozenset(range(n))
-    positions: list[int] = []
-    kept: list[Clique] = []
+    exact = {*map(type, chain.from_iterable(cliques))} <= {int}
+    checked: list[tuple[int, Clique]] = []
     for i, cl in enumerate(cliques):
-        count = len(seen)
-        seen.add(cl)
-        if not cl or len(vertices.intersection(cl)) != len(cl):
+        if not exact or not cl or len(vertices.intersection(cl)) != len(cl):
             if not cl:
                 out.append(Violation("empty_clique", position=i))
                 continue
-            bad = [v for v in cl if v not in vertices]
+            bad = [v for v in cl if type(v) is not int or v not in vertices]
             if bad:
                 out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
                 continue
             if len(set(cl)) != len(cl):
                 out.append(Violation("repeated_vertex", position=i, vertices=cl))
                 continue
+        count = len(seen)
+        seen.add(cl)
         if len(seen) == count:
             out.append(Violation("duplicate_clique", position=i, vertices=cl))
-        positions.append(i)
-        kept.append(cl)
-    return list(zip(positions, _int_cliques(kept)))
+        checked.append((i, cl))
+    return checked
 
 
 def _extension(adj: Sequence[int], clique: Clique) -> int | None:
@@ -325,10 +307,10 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     duplicate cliques, and isolated vertices lacking a trivial clique.
 
     One pass first tests for an exact cover (_covers_exactly): distinct,
-    non-empty cliques of vertices given as exact ints, sum C(k, 2) = |E|
-    pairs over their sizes k, and for every vertex v the OR of the masks of
-    the cliques through v equal to adj[v] | 1 << v. The OR test makes the
-    covered pairs exactly the edges and puts every vertex in some clique,
+    non-empty cliques of vertices, sum C(k, 2) = |E| pairs over their
+    sizes k, and for every vertex v the OR of the masks of the cliques
+    through v equal to adj[v] | 1 << v. The OR test makes the covered
+    pairs exactly the edges and puts every vertex in some clique,
     an isolated one in its trivial clique; the count then covers no edge
     twice and leaves no room for a repeated member, whose clique covers
     fewer than C(k, 2) pairs. A valid partition so costs two ORs per member
@@ -341,11 +323,9 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
 
 
 def _covers_exactly(g: Graph, cliques: Sequence[Clique]) -> bool:
-    """Whether cliques is a valid partition of g with every member an
-    exact int, by the test validate_partition describes. The count comes
-    first, from the sizes alone, so a missing or extra clique fails before
-    any member is read. A member that only equals its vertex (1.0, True, a
-    numpy integer) makes this False; the walk decides those."""
+    """Whether cliques is a valid partition of g, by the test
+    validate_partition describes. The count comes first, from the sizes
+    alone, so a missing or extra clique fails before any member is read."""
     n = g.n
     sizes = list(map(len, cliques))
     ends = sum(map(int.bit_count, g.adj))  # twice the edge count
@@ -367,9 +347,8 @@ def _covers_exactly(g: Graph, cliques: Sequence[Clique]) -> bool:
 def _checked_duplicates(g: Graph, cliques: Sequence[Clique]) -> int | None:
     """When cliques pass _covers_exactly's test, the number of vertices
     whose incidence set, as a clique-position bitmask, an earlier vertex
-    has: the fresh elements augment_to_distinct would attach. Else None,
-    which leaves the verdict to the validators: the cliques may be invalid,
-    or valid with a member that only equals its vertex. The sweep's form:
+    has: the fresh elements augment_to_distinct would attach. Else None:
+    the cliques are no valid partition of g. The sweep's form:
     one walk makes the test and builds the keys. The forms stay apart, as
     a merge costs one side: a second walk for the keys slows the n = 6
     sweep by 12-20%, keys built in _covers_exactly triple its time."""
@@ -424,18 +403,12 @@ def _partition_findings(g: Graph, cliques: Sequence[Clique]) -> list[Violation]:
     return out
 
 
-def _partition_cliques(g: Graph, cliques: Sequence[Clique]) -> Sequence[Clique]:
-    """cliques, with every member an int, when they form a valid partition
-    of g as validate_partition decides; else ValueError naming the first
-    finding, positions as in the sequence. A valid sequence that fails
-    _covers_exactly has a member that only equals its vertex: only then
-    are the members mapped through int."""
-    if _covers_exactly(g, cliques):
-        return cliques
-    problems = _partition_findings(g, cliques)
-    if problems:
-        raise ValueError(f"invalid partition: {problems[0].to_json()}")
-    return _int_cliques(cliques)
+def _check_partition(g: Graph, cliques: Sequence[Clique]) -> None:
+    """ValueError naming the first finding, positions as in the sequence,
+    unless cliques form a valid partition of g as validate_partition
+    decides."""
+    if not _covers_exactly(g, cliques):
+        raise ValueError(f"invalid partition: {_partition_findings(g, cliques)[0].to_json()}")
 
 
 def _miscovered(g: Graph, groups: Iterable[Sequence[int]]) -> list[tuple[Edge, int, int]]:

@@ -192,10 +192,18 @@ def cycle_graph(n: int) -> Graph:
     return graph(n, [(v, (v + 1) % n) for v in range(n)])
 
 
-def degree(g: Graph, v: int) -> int:
-    """Number of edges incident to v."""
+def _check_vertex(g: Graph, v: int) -> None:
+    """ValueError unless v is a vertex of g: exactly an int, as Graph's
+    endpoints are, in range(g.n)."""
+    if type(v) is not int:
+        raise ValueError(f"vertex {v!r} is not an int")
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for n={g.n}")
+
+
+def degree(g: Graph, v: int) -> int:
+    """Number of edges incident to v."""
+    _check_vertex(g, v)
     return g.adj[v].bit_count()
 
 
@@ -205,10 +213,11 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     Returns (subgraph, labels) where labels[i] is the original index of the
     subgraph's vertex i.
     """
+    # Each vertex is checked before the set, where True would merge with 1.
+    vertices = tuple(vertices)
+    for v in vertices:
+        _check_vertex(g, v)
     labels = tuple(sorted(set(vertices)))
-    for v in labels:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
     index = {old: new for new, old in enumerate(labels)}
     edges = frozenset(
         (index[u], index[v]) for u, v in g.edges if u in index and v in index
@@ -243,6 +252,11 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     convention is used by edge_bitmask, _relabel_mask,
     enumerate_labeled_graphs, and canonical_form.
     """
+    # Exactly int, as in Graph: a bool or a float would reach the bit masks.
+    if type(n) is not int:
+        raise ValueError(f"vertex count must be an int, got {n!r}")
+    if type(mask) is not int:
+        raise ValueError(f"mask must be an int, got {mask!r}")
     if n < 0:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
@@ -275,7 +289,7 @@ def _relabel_mask(n: int, mask: int, labels: tuple[int, ...]) -> int:
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled graphs on n vertices, bitmask ascending."""
-    if not 0 <= n <= ENUMERATION_MAX_N:
+    if type(n) is not int or not 0 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"enumeration supports 0 <= n <= {ENUMERATION_MAX_N}, got {n}")
     for mask in range(1 << (n * (n - 1) // 2)):
         yield graph_from_bitmask(n, mask)

@@ -18,13 +18,12 @@ from .decompose import (
     CliquePartition,
     GreedyDecomposition,
     Violation,
+    _check_partition,
     _checked_duplicates,
     _cliques_through_edge,
     _edge_partitions,
     _incidence,
-    _int_cliques,
     _min_distinct,
-    _partition_cliques,
     _vertex_order,
     erdos_partition,
     greedy_decomposition,
@@ -186,14 +185,12 @@ def check_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     problems = validate_greedy(g, d)
     if problems:
         raise ValueError(f"invalid decomposition: {problems[0].to_json()}")
-    # Valid, so each member equals its vertex: count it as that int.
-    sequence = _int_cliques(d.sequence)
     # A valid sequence has no repeated clique and puts the edge {x, y} in
     # clique j alone, so the other cliques touching x or y are those through
     # x plus those through y, less clique j counted once at each.
-    cliques_at = [len(ks) for ks in _incidence(g.n, sequence)]
+    cliques_at = [len(ks) for ks in _incidence(g.n, d.sequence)]
     out: list[Violation] = []
-    for j, cl in enumerate(sequence):
+    for j, cl in enumerate(d.sequence):
         if len(cl) != 2:
             continue
         x, y = cl
@@ -261,7 +258,9 @@ def _sweep_range(
             findings.append((mask, "greedy_cliques_with_trivial", total))
         duplicates = _checked_duplicates(g, d.sequence)
         if duplicates is None:
-            duplicates = n - len(set(_incidence(n, _partition_cliques(g, d.sequence))))
+            # Only an invalid run fails the one-pass check: raise the
+            # ValueError the transform would.
+            _check_partition(g, d.sequence)
         elements = total + duplicates
         if elements > max_elements:
             max_elements = elements
@@ -283,10 +282,9 @@ def _sweep_range(
                 violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
                                                  len(problems), 0))
             # An invalid partition may list a member twice in a clique or
-            # name a non-vertex: count over each clique's set of vertices,
-            # a member that equals a vertex (0.0, True) as that vertex.
+            # name a non-vertex: count over each clique's set of vertices.
             duplicates = n - len(set(_incidence(n, (
-                {int(v) for v in cl if v in range(n)} for cl in p.cliques))))
+                {v for v in cl if type(v) is int and 0 <= v < n} for cl in p.cliques))))
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))

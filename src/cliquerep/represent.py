@@ -14,10 +14,10 @@ from .decompose import (
     GreedyDecomposition,
     Violation,
     _check_header,
+    _check_partition,
     _incidence,
     _int_arrays,
     _miscovered,
-    _partition_cliques,
 )
 from .graphs import Graph, _Record
 
@@ -57,11 +57,7 @@ class SetRepresentation(_Record):
         if not isinstance(sets, list) or len(sets) != host.n:
             raise ValueError("artifact 'sets' must be an array with one entry per vertex")
         if not _int_arrays(sets):
-            for s in sets:
-                if not isinstance(s, list) or any(
-                    not isinstance(e, int) or isinstance(e, bool) for e in s
-                ):
-                    raise ValueError("each set must be an array of integers")
+            raise ValueError("each set must be an array of integers")
         # Every element id must occur in some set, so a larger ground size is
         # never valid, and listing each unused id of it is unbounded work.
         if doc["ground_size"] > sum(len(s) for s in sets):
@@ -94,7 +90,7 @@ def representation_from_partition(
     output then follows from the partition's.
     """
     cliques = p.sequence if isinstance(p, GreedyDecomposition) else p.cliques
-    cliques = _partition_cliques(p.host, cliques)
+    _check_partition(p.host, cliques)
     sets = tuple(frozenset(ks) for ks in _incidence(p.host.n, cliques))
     return SetRepresentation(p.host, sets, len(cliques))
 

@@ -171,13 +171,13 @@ def reference_erdos(g: Graph) -> tuple[Clique, ...]:
 def reference_check_shape(n: int, i: int, cl: Clique, seen: set[Clique],
                           out: list[Violation]) -> bool:
     """The findings on clique i itself, checked one by one: empty, each
-    vertex out of range, repeated vertices, then a repeat of an earlier
-    well-shaped clique (only those go into seen). False when the clique's
-    pairs cannot be checked."""
+    member that is no vertex (exactly an int in range(n)), repeated
+    vertices, then a repeat of an earlier well-shaped clique (only those go
+    into seen). False when the clique's pairs cannot be checked."""
     if len(cl) == 0:
         out.append(Violation("empty_clique", position=i))
         return False
-    bad = [v for v in cl if not 0 <= v < n]
+    bad = [v for v in cl if type(v) is not int or not 0 <= v < n]
     if bad:
         out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
         return False

@@ -510,6 +510,12 @@ class TestQueries:
         with pytest.raises(ValueError):
             degree(empty_graph(2), 2)
 
+    @pytest.mark.parametrize("v", [1.0, True])
+    def test_degree_of_a_vertex_that_is_not_an_int(self, v):
+        # 1.0 used to fail on tuple indexing, and True answered for vertex 1.
+        with pytest.raises(ValueError, match=rf"^vertex {v!r} is not an int$"):
+            degree(path_graph(3), v)
+
     @given(graphs())
     def test_degree_sum_is_twice_edges(self, g):
         assert sum(degree(g, v) for v in range(g.n)) == 2 * len(g.edges)
@@ -537,6 +543,12 @@ class TestQueries:
     def test_induced_out_of_range(self):
         with pytest.raises(ValueError):
             induced_subgraph(empty_graph(2), {5})
+
+    @pytest.mark.parametrize("vertices", [[1.0, 2], [1, True], [True, 1]])
+    def test_induced_on_a_vertex_that_is_not_an_int(self, vertices):
+        # [1.0, 2] used to keep the label 1.0; a set would merge True with 1.
+        with pytest.raises(ValueError, match=r"^vertex (1\.0|True) is not an int$"):
+            induced_subgraph(path_graph(3), vertices)
 
     @given(graphs())
     def test_induced_full_set_is_identity(self, g):
@@ -589,6 +601,24 @@ class TestEnumeration:
                 graph_from_bitmask(n, mask)
         with pytest.raises(ValueError, match=r"^vertex count must be non-negative, got -1$"):
             graph_from_bitmask(-1, 0)
+
+    @pytest.mark.parametrize("n, mask, message", [
+        (True, 0, "vertex count must be an int, got True"),
+        (3.0, 1, "vertex count must be an int, got 3.0"),
+        (3, 1.0, "mask must be an int, got 1.0"),
+        (3, True, "mask must be an int, got True"),
+    ], ids=["n-bool", "n-float", "mask-float", "mask-bool"])
+    def test_bitmask_arguments_must_be_ints(self, n, mask, message):
+        # As in Graph: True built Graph(n=True), 1.0 raised AttributeError
+        # and 3.0 TypeError.
+        with pytest.raises(ValueError) as info:
+            graph_from_bitmask(n, mask)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n", [True, 2.0])
+    def test_enumeration_count_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match=r"^enumeration supports"):
+            list(enumerate_labeled_graphs(n))
 
     def test_bitmask_range_check_builds_no_big_int(self):
         # The range check must not build 1 << (n(n-1)/2): that int is 26.7 MB

@@ -589,8 +589,9 @@ class TestExhaustiveBoundCheck:
         (((0, 0, 1), (2,), (3,)), (("erdos_invalid", 3), ("erdos_distinctness", 1))),
         # 4 is no vertex: one finding, and no vertex's set takes clique 3.
         (((0, 1), (1, 2), (3,), (4,)), (("erdos_invalid", 1),)),
-        # 0.0 is vertex 0 to the validator, so the partition is valid.
-        (((0.0, 1), (1, 2), (3,)), ()),
+        # 0.0 is no vertex: a bad_vertex and the missed edge {0, 1}. Vertex
+        # 0 then lies in no clique, and the four sets stay distinct.
+        (((0.0, 1), (1, 2), (3,)), (("erdos_invalid", 2),)),
         # -1 is no vertex: vertex 3 keeps an empty set, so only vertex 1
         # repeats a set (vertex 0's), not vertex 3 (vertex 2's).
         (((0, 1), (2, -1)), (("erdos_invalid", 3), ("erdos_distinctness", 1))),
@@ -635,36 +636,33 @@ class TestExhaustiveBoundCheck:
         assert [f for p in parts for f in p[2]] == whole[2]
         assert [v for p in parts for v in p[3]] == whole[3]
 
-    def test_valid_runs_with_int_equal_members_take_the_validators(self, monkeypatch):
-        # Members that only equal their vertices fail the one-pass check, so
-        # every run goes through the validators, which accept it: the report
-        # is unchanged, element counts included, with no erdos_invalid.
+    def test_runs_with_int_equal_members_raise_or_are_invalid(self, monkeypatch):
+        # A member that only equals its vertex is no vertex: it fails the
+        # one-pass check and is a bad_vertex to the validators. A greedy
+        # run so raises the transform's ValueError at the first graph, and
+        # every erdos partition is invalid.
         class Vertex(int):
             pass
 
         def members(cliques):
-            return tuple(tuple(True if v == 1 else Vertex(v) for v in cl) for cl in cliques)
+            return tuple(tuple(map(Vertex, cl)) for cl in cliques)
 
-        seeds = (None, 1, 2)
-        monkeypatch.setattr(oracle, "quarter_square", lambda n: -1)
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
-        expected = exhaustive_bound_check(5, seeds)
         real_greedy, real_erdos = oracle.greedy_decomposition, oracle.erdos_partition
-        monkeypatch.setattr(oracle, "greedy_decomposition", lambda g: GreedyDecomposition(
-            g, members(real_greedy(g).sequence)))
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "greedy_decomposition", lambda g: GreedyDecomposition(
+                g, members(real_greedy(g).sequence)))
+            with pytest.raises(ValueError) as info:
+                exhaustive_bound_check(5, [None])
+        assert str(info.value) == (
+            "invalid partition: {'kind': 'bad_vertex', 'position': 0, 'vertex': 0}")
         monkeypatch.setattr(oracle, "erdos_partition", lambda g: CliquePartition(
             g, members(real_erdos(g).cliques)))
-        calls = []
-        for name in ("_partition_cliques", "validate_partition"):
-            real = getattr(oracle, name)
-            monkeypatch.setattr(oracle, name, lambda g, c, real=real, name=name: (
-                calls.append(name), real(g, c))[1])
-        report = exhaustive_bound_check(5, seeds)
-        assert calls.count("_partition_cliques") == calls.count("validate_partition") == 1024
-        counts = [v for v in report.violations if v.check == "augmented_elements"]
-        assert len(counts) == 1024 * len(seeds)
-        assert "erdos_invalid" not in {v.check for v in report.violations}
-        assert report == expected
+        invalid = [v for v in exhaustive_bound_check(5, [None]).violations
+                   if v.check == "erdos_invalid"]
+        assert [v.graph for v in invalid] == list(range(1024))
+        # The empty graph: a bad_vertex and an uncovered vertex per vertex.
+        assert invalid[0].observed == 10
 
     def test_relabel_mask_matches_graph_relabeling(self):
         order = _vertex_order(6, 7)

@@ -308,9 +308,9 @@ class TestJson:
         (SetRepresentation.from_json, {"n": 3, "ground_size": 2}, {"sets": [[0], [0, 1], [1]]}),
     ])
     def test_member_types(self, load, header, rows):
-        # Exact ints in exact lists pass one bulk test; anything else is
-        # checked member by member, which accepts int and list subclasses
-        # and names the error as before.
+        # Exact ints in exact lists, all the JSON decoder makes, pass one
+        # bulk test; anything else is rejected with one message, int and
+        # list subclasses included.
         class Vertex(int):
             pass
 
@@ -320,10 +320,9 @@ class TestJson:
         p3 = path_graph(3)
         (key, (first, *rest)), = rows.items()
         message = f"each {key[:-1]} must be an array of integers"
-        expected = load({**header, **rows}, p3)
-        for row in (Row(first), [Vertex(v) for v in first]):
-            assert load({**header, key: [row, *rest]}, p3) == expected
-        for row in ([True, 1], [0.0, 1], [[0], 1], [None], (0, 1), "01", 0):
+        assert load({**header, **rows}, p3) is not None
+        for row in (Row(first), [Vertex(v) for v in first],
+                    [True, 1], [0.0, 1], [[0], 1], [None], (0, 1), "01", 0):
             with pytest.raises(ValueError) as exc:
                 load({**header, key: [row, *rest]}, p3)
             assert str(exc.value) == message

@@ -1,8 +1,9 @@
 """validate_partition, validate_representation and validate_greedy against
 the direct algorithms in helpers.py, finding for finding and in order, on
 valid and tampered artifacts and on partitions at the edges of
-validate_partition's exact-cover check; vertices equal to an int without
-being one, through the validators and the steps that follow them; and
+validate_partition's exact-cover check; the one-pass checks against the
+walk's verdict; members equal to an int without being one, which are no
+vertices, through the validators and the steps that follow them; and
 their cost on a large sparse graph and on one large clique."""
 
 import random
@@ -29,6 +30,7 @@ from cliquerep import (
     validate_partition,
     validate_representation,
 )
+from cliquerep.decompose import _checked_duplicates, _covers_exactly
 from helpers import (
     as_partition,
     graphs,
@@ -46,13 +48,23 @@ def valid_partition(rng: random.Random, g: Graph) -> CliquePartition:
     return as_partition(greedy_decomposition(g, rng.randrange(2**32)))
 
 
+def equal_non_int(rng: random.Random, cliques: list[list]) -> None:
+    """Replace one member of a non-empty clique with an equal member that
+    is not an int: True for 1, else the float."""
+    cl = rng.choice(cliques)
+    if cl:
+        k = rng.randrange(len(cl))
+        cl[k] = True if cl[k] == 1 else float(cl[k])
+
+
 def tamper_partition(rng: random.Random, p: CliquePartition) -> CliquePartition:
     """Up to four edits: drop, add, duplicate or extend a clique, or add an
-    empty clique, an out-of-range vertex or a repeated vertex."""
+    empty clique, an out-of-range vertex, a repeated vertex or a member
+    equal to a vertex that is not an int."""
     n = p.host.n
     cliques = [list(c) for c in p.cliques]
     for _ in range(rng.randrange(5)):
-        op = rng.randrange(7)
+        op = rng.randrange(8)
         if op == 0 and cliques:
             cliques.pop(rng.randrange(len(cliques)))
         elif op == 1:
@@ -68,6 +80,8 @@ def tamper_partition(rng: random.Random, p: CliquePartition) -> CliquePartition:
         elif op == 6 and cliques:
             cl = rng.choice(cliques)
             cl.append(cl[0] if cl else 0)
+        elif op == 7 and cliques:
+            equal_non_int(rng, cliques)
     return CliquePartition.from_cliques(p.host, cliques)
 
 
@@ -94,11 +108,12 @@ def tamper_representation(rng: random.Random, r: SetRepresentation) -> SetRepres
 def tamper_sequence(rng: random.Random, d: GreedyDecomposition) -> GreedyDecomposition:
     """Up to four edits: drop, insert, duplicate, extend or shorten a
     clique, insert an empty clique, add an out-of-range or a repeated
-    vertex, or shuffle the order."""
+    vertex, put in a member equal to a vertex that is not an int, or
+    shuffle the order."""
     n = d.host.n
     cliques = [list(c) for c in d.sequence]
     for _ in range(rng.randrange(5)):
-        op = rng.randrange(8)
+        op = rng.randrange(9)
         at = rng.randrange(len(cliques) + 1)
         if op == 0 and cliques:
             cliques.pop(rng.randrange(len(cliques)))
@@ -119,7 +134,17 @@ def tamper_sequence(rng: random.Random, d: GreedyDecomposition) -> GreedyDecompo
             cl.append(rng.choice([-1, n, n + 2, cl[0] if cl else 0]))
         elif op == 7:
             rng.shuffle(cliques)
+        elif op == 8 and cliques:
+            equal_non_int(rng, cliques)
     return GreedyDecomposition(d.host, tuple(map(tuple, cliques)))
+
+
+def assert_one_pass_verdicts(g: Graph, cliques, valid: bool) -> None:
+    """The one-pass checks fail exactly on an invalid partition: the
+    transforms raise on _covers_exactly alone, and the sweep sends a run
+    that _checked_duplicates does not accept to that raise."""
+    assert _covers_exactly(g, cliques) == valid
+    assert (_checked_duplicates(g, cliques) is None) == (not valid)
 
 
 def assert_same_findings(rng: random.Random, g: Graph) -> None:
@@ -127,6 +152,7 @@ def assert_same_findings(rng: random.Random, g: Graph) -> None:
     for q in (p, tamper_partition(rng, p)):
         got = [v.to_json() for v in validate_partition(g, q)]
         assert got == [v.to_json() for v in reference_validate_partition(g, q)]
+        assert_one_pass_verdicts(g, q.cliques, got == [])
     r = representation_from_partition(p)
     if rng.random() < 0.5:
         r = augment_to_distinct(r)
@@ -139,6 +165,8 @@ def assert_same_findings(rng: random.Random, g: Graph) -> None:
     for e in (d, tamper_sequence(rng, d)):
         got = [v.to_json() for v in validate_greedy(g, e)]
         assert got == [v.to_json() for v in reference_validate_greedy(g, e)]
+        partition = CliquePartition(g, e.sequence)
+        assert_one_pass_verdicts(g, e.sequence, validate_partition(g, partition) == [])
 
 
 class TestSameFindingsAsTheReference:
@@ -173,7 +201,8 @@ EXACT_COVER_EDGES = {
     # Σ C(|C|, 2) = |E| and every vertex is covered, but (0, 0, 1) holds
     # one pair where its size counts three, so (0, 2) and (1, 2) are missed.
     "repeated_member": (complete_graph(3), ((0, 0, 1), (2,))),
-    # (0, True) equals (0, 1): a duplicate clique.
+    # (0, True) equals (0, 1), but True is no vertex: a bad_vertex, and the
+    # later (0, 1) is no duplicate of it.
     "true_beside_one": (path_graph(3), ((0, True), (0, 1), (1, 2))),
 }
 
@@ -187,32 +216,56 @@ def test_exact_cover_edges_match_the_reference(case):
     assert (got == []) == (case == "extra_trivial")
 
 
-def assert_steps_take_members_as_ints(g, cliques):
-    """The steps that validate and then use a partition or a sequence give
-    the result they give for the same cliques with members mapped to int."""
-    ints = tuple(tuple(map(int, cl)) for cl in cliques)
-    want = representation_from_partition(CliquePartition(g, ints))
-    assert representation_from_partition(CliquePartition(g, cliques)) == want
-    assert representation_from_partition(GreedyDecomposition(g, cliques)) == want
-    assert check_rs_bound(g, GreedyDecomposition(g, cliques)) == check_rs_bound(
-        g, GreedyDecomposition(g, ints))
+def assert_steps_reject(g, cliques, first):
+    """The steps that validate and then use a partition or a sequence raise
+    on the first finding."""
+    for p in (CliquePartition(g, cliques), GreedyDecomposition(g, cliques)):
+        with pytest.raises(ValueError) as info:
+            representation_from_partition(p)
+        assert str(info.value) == f"invalid partition: {first}"
+    with pytest.raises(ValueError) as info:
+        check_rs_bound(g, GreedyDecomposition(g, cliques))
+    assert str(info.value) == f"invalid decomposition: {first}"
 
 
-@pytest.mark.parametrize("cliques", [((0, 1.0), (1, 2)), ((0, True), (True, 2))])
-def test_vertices_equal_to_an_int_count_as_that_vertex(cliques):
-    g = graph(3, [(0, 1), (1, 2)])
-    assert validate_partition(g, CliquePartition(g, cliques)) == []
-    assert validate_greedy(g, GreedyDecomposition(g, cliques)) == []
-    assert_steps_take_members_as_ints(g, cliques)
+@pytest.mark.parametrize("cliques, partition, greedy", [
+    (((0, 1.0), (1, 2)),
+     [{"kind": "bad_vertex", "position": 0, "vertex": 1.0},
+      {"kind": "miscovered_edge", "pair": [0, 1], "observed": 0, "expected": 1}],
+     [{"kind": "bad_vertex", "position": 0, "vertex": 1.0},
+      {"kind": "uncovered_edge", "pair": [0, 1]}]),
+    (((0, True), (True, 2)),
+     [{"kind": "bad_vertex", "position": 0, "vertex": True},
+      {"kind": "bad_vertex", "position": 1, "vertex": True},
+      {"kind": "miscovered_edge", "pair": [0, 1], "observed": 0, "expected": 1},
+      {"kind": "miscovered_edge", "pair": [1, 2], "observed": 0, "expected": 1}],
+     [{"kind": "bad_vertex", "position": 0, "vertex": True},
+      {"kind": "bad_vertex", "position": 1, "vertex": True},
+      {"kind": "uncovered_edge", "pair": [0, 1]},
+      {"kind": "uncovered_edge", "pair": [1, 2]}]),
+], ids=["float", "bool"])
+def test_vertices_equal_to_an_int_are_bad_vertices(cliques, partition, greedy):
+    # A vertex is exactly an int, as a Graph endpoint is.
+    g = path_graph(3)
+    assert [v.to_json() for v in validate_partition(g, CliquePartition(g, cliques))] == partition
+    assert [v.to_json() for v in validate_greedy(g, GreedyDecomposition(g, cliques))] == greedy
+    assert_steps_reject(g, cliques, partition[0])
 
 
 def test_numpy_integer_vertices_past_the_int64_shift_range():
+    # 1 << np.int64(70) overflows; such members are bad_vertex findings and
+    # never reach a shift.
     np = pytest.importorskip("numpy")
     g = path_graph(70)
     cliques = tuple((np.int64(v), np.int64(v + 1)) for v in range(69))
-    assert validate_partition(g, CliquePartition(g, cliques)) == []
-    assert validate_greedy(g, GreedyDecomposition(g, cliques)) == []
-    assert_steps_take_members_as_ints(g, cliques)
+    for check, reference, artifact in (
+            (validate_partition, reference_validate_partition, CliquePartition(g, cliques)),
+            (validate_greedy, reference_validate_greedy, GreedyDecomposition(g, cliques))):
+        got = check(g, artifact)
+        assert got == reference(g, artifact)
+        assert [v.kind for v in got[:138]] == ["bad_vertex"] * 138
+        assert "bad_vertex" not in {v.kind for v in got[138:]}
+    assert_steps_reject(g, cliques, {"kind": "bad_vertex", "position": 0, "vertex": np.int64(0)})
 
 
 def test_a_member_equal_to_no_vertex_is_a_bad_vertex():
