@@ -29,7 +29,9 @@ def quarter_square(n: int) -> int:
 
 def _vertex_order(n: int, seed: int | None) -> tuple[int, ...]:
     """Vertices in greedy priority order (highest first): lexicographic
-    without a seed, else a permutation drawn from the seed (0 included)."""
+    for seed None, else a permutation drawn from an int seed (0 included)."""
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"seed must be an int or None, got {seed!r}")
     order = list(range(n))
     if seed is not None:
         import random
@@ -46,33 +48,13 @@ class Violation(_Record):
     """
 
     kind: str
-    position: int | None
-    pair: tuple[int, int] | None
-    vertex: int | None
-    vertices: tuple[int, ...] | None
-    element: int | None
-    observed: int | None
-    expected: int | None
-
-    def __init__(
-        self,
-        kind: str,
-        position: int | None = None,
-        pair: tuple[int, int] | None = None,
-        vertex: int | None = None,
-        vertices: tuple[int, ...] | None = None,
-        element: int | None = None,
-        observed: int | None = None,
-        expected: int | None = None,
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "vertex", vertex)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "element", element)
-        object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "expected", expected)
+    position: int | None = None
+    pair: tuple[int, int] | None = None
+    vertex: int | None = None
+    vertices: tuple[int, ...] | None = None
+    element: int | None = None
+    observed: int | None = None
+    expected: int | None = None
 
     def to_json(self) -> dict:
         values = ((name, getattr(self, name)) for name in self._fields)
@@ -89,10 +71,6 @@ class CliquePartition(_Record):
 
     host: Graph
     cliques: tuple[Clique, ...]
-
-    def __init__(self, host: Graph, cliques: tuple[Clique, ...]) -> None:
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "cliques", cliques)
 
     @classmethod
     def from_cliques(cls, host: Graph, cliques: Iterable[Iterable[int]]) -> "CliquePartition":
@@ -117,10 +95,6 @@ class GreedyDecomposition(_Record):
 
     host: Graph
     sequence: tuple[Clique, ...]
-
-    def __init__(self, host: Graph, sequence: tuple[Clique, ...]) -> None:
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "sequence", sequence)
 
     def to_json(self) -> dict:
         return {
@@ -747,11 +721,11 @@ def _min_distinct(
     return best + iso + extras
 
 
-def _incidence(n: int, cliques: Iterable[Clique]) -> list[tuple[int, ...]]:
+def _incidence(n: int, cliques: Iterable[Clique]) -> list[list[int]]:
     """Per vertex, the positions of the cliques containing it, ascending."""
     out: list[list[int]] = [[] for _ in range(n)]
     for k, cl in enumerate(cliques):
         for v in cl:
             out[v].append(k)
-    return [tuple(ks) for ks in out]
+    return out
 

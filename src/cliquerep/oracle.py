@@ -57,13 +57,6 @@ class BoundViolation(_Record):
     observed: int
     bound: int
 
-    def __init__(self, graph: int, strategy: str, check: str, observed: int, bound: int) -> None:
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "observed", observed)
-        object.__setattr__(self, "bound", bound)
-
     def to_json(self) -> dict:
         return {name: getattr(self, name) for name in self._fields}
 
@@ -77,22 +70,6 @@ class BoundReport(_Record):
     max_cliques_seen: int
     max_elements_seen: int
     violations: tuple[BoundViolation, ...]
-
-    def __init__(
-        self,
-        n: int,
-        graphs_checked: int,
-        strategies: tuple[str, ...],
-        max_cliques_seen: int,
-        max_elements_seen: int,
-        violations: tuple[BoundViolation, ...],
-    ) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "graphs_checked", graphs_checked)
-        object.__setattr__(self, "strategies", strategies)
-        object.__setattr__(self, "max_cliques_seen", max_cliques_seen)
-        object.__setattr__(self, "max_elements_seen", max_elements_seen)
-        object.__setattr__(self, "violations", violations)
 
     @property
     def bound(self) -> int:
@@ -167,11 +144,7 @@ def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
     # Element k is the k-th clique in sorted order. The search yields each
     # clique as a sorted tuple, so sorting the list is CliquePartition's order.
     best.sort()
-    members: list[list[int]] = [[] for _ in range(g.n)]
-    for k, cl in enumerate(best):
-        for v in cl:
-            members[v].append(k)
-    sets = tuple(map(frozenset, members))
+    sets = tuple(map(frozenset, _incidence(g.n, best)))
     if len(set(sets)) < g.n:
         raise RuntimeError("the minimum witness has duplicate sets")
     return len(best), SetRepresentation(g, sets, len(best))
@@ -283,8 +256,8 @@ def _sweep_range(
                                                  len(problems), 0))
             # An invalid partition may list a member twice in a clique or
             # name a non-vertex: count over each clique's set of vertices.
-            duplicates = n - len(set(_incidence(n, (
-                {v for v in cl if type(v) is int and 0 <= v < n} for cl in p.cliques))))
+            duplicates = n - len(set(map(tuple, _incidence(n, (
+                {v for v in cl if type(v) is int and 0 <= v < n} for cl in p.cliques)))))
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))
@@ -327,7 +300,7 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     by toggling the pairs whose bits change. Chunk results merge in bitmask
     order, so the report is identical regardless of worker count.
     """
-    if not SWEEP_MIN_N <= n <= ENUMERATION_MAX_N:
+    if type(n) is not int or not SWEEP_MIN_N <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"sweeps support {SWEEP_MIN_N} <= n <= {ENUMERATION_MAX_N}, got {n}")
     seeds = tuple(seeds)
     if not seeds:

@@ -34,11 +34,6 @@ class SetRepresentation(_Record):
     sets: tuple[frozenset[int], ...]
     ground_size: int
 
-    def __init__(self, host: Graph, sets: tuple[frozenset[int], ...], ground_size: int) -> None:
-        object.__setattr__(self, "host", host)
-        object.__setattr__(self, "sets", sets)
-        object.__setattr__(self, "ground_size", ground_size)
-
     def to_json(self) -> dict:
         return {
             "n": self.host.n,
@@ -72,10 +67,6 @@ class DistinctnessReport(_Record):
     classes: tuple[tuple[int, ...], ...]
     is_family: bool
 
-    def __init__(self, classes: tuple[tuple[int, ...], ...], is_family: bool) -> None:
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "is_family", is_family)
-
 
 def representation_from_partition(
     p: CliquePartition | GreedyDecomposition,
@@ -91,7 +82,7 @@ def representation_from_partition(
     """
     cliques = p.sequence if isinstance(p, GreedyDecomposition) else p.cliques
     _check_partition(p.host, cliques)
-    sets = tuple(frozenset(ks) for ks in _incidence(p.host.n, cliques))
+    sets = tuple(map(frozenset, _incidence(p.host.n, cliques)))
     return SetRepresentation(p.host, sets, len(cliques))
 
 
@@ -108,7 +99,7 @@ def partition_from_representation(r: SetRepresentation) -> CliquePartition:
         raise ValueError(f"invalid representation: {problems[0].to_json()}")
     # Valid, so every element id is in range: element k's members are
     # the vertices whose sets hold k.
-    return CliquePartition.from_cliques(r.host, set(_incidence(r.ground_size, r.sets)))
+    return CliquePartition.from_cliques(r.host, set(map(tuple, _incidence(r.ground_size, r.sets))))
 
 
 def augment_to_distinct(r: SetRepresentation) -> SetRepresentation:
@@ -145,8 +136,9 @@ def validate_representation(
 
     Reports every pair whose intersection size misses its adjacency value,
     empty sets, element ids outside 0..ground_size-1, unused element ids,
-    and, when require_distinct is set, every duplicate class. Intersections
-    are counted over each element's members, out-of-range ids included, in
+    and, when require_distinct is set, every duplicate class. An id that is
+    not exactly an int is out of range, after the set's int ids in repr
+    order. Intersections are counted over the members of every int id, in
     O((n + ground_size + sum of |set|) * ceil(n/64)) word operations, the
     order of building g.adj, plus sorting each set and the findings.
     """
@@ -157,10 +149,13 @@ def validate_representation(
     for v, s in enumerate(r.sets):
         if not s:
             out.append(Violation("empty_set", vertex=v))
-        for e in sorted(s):
+        odd = () if {*map(type, s)} <= {int} else [e for e in s if type(e) is not int]
+        for e in sorted(s.difference(odd)) if odd else sorted(s):
             members.setdefault(e, []).append(v)
             if not 0 <= e < r.ground_size:
                 out.append(Violation("element_out_of_range", vertex=v, element=e))
+        out.extend(Violation("element_out_of_range", vertex=v, element=e)
+                   for e in sorted(odd, key=repr))
     for e in range(r.ground_size):
         if e not in members:
             out.append(Violation("unused_element", element=e))

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -60,6 +61,16 @@ class TestStrategy:
 
     def test_describe(self):
         assert exhaustive_bound_check(4, [None, 7]).strategies == ("lex", "random:7")
+
+    @pytest.mark.parametrize("seed", [True, 1.0, "x", [1]], ids=["bool", "float", "str", "list"])
+    def test_seeds_must_be_ints(self, seed):
+        # True and 1.0 ran as seed 1, labelled "random:True" by a sweep; "x"
+        # ran, and [1] raised TypeError from random.
+        message = rf"^seed must be an int or None, got {re.escape(repr(seed))}$"
+        for run in (lambda: _vertex_order(4, seed), lambda: greedy_decomposition(path_graph(4), seed),
+                    lambda: exhaustive_bound_check(4, [None, seed])):
+            with pytest.raises(ValueError, match=message):
+                run()
 
 
 class TestGreedy:

@@ -102,6 +102,21 @@ class TestGraphType:
             with pytest.raises(ValueError, match=rf"^part sizes must be non-negative, got {a} and {b}$"):
                 complete_bipartite(a, b)
 
+    @pytest.mark.parametrize("build, args, bad", [
+        (complete_graph, (3.0,), 3.0),
+        (path_graph, (3.0,), 3.0),
+        (cycle_graph, (3.0,), 3.0),
+        (complete_bipartite, (1.0, 2), 1.0),
+        (complete_bipartite, (True, 2), True),
+        (complete_bipartite, (2, True), True),
+    ], ids=["complete", "path", "cycle", "bipartite-float", "bipartite-bool", "bipartite-bool-b"])
+    def test_builder_counts_must_be_ints(self, build, args, bad):
+        # Floats raised TypeError from range; complete_bipartite(True, 2)
+        # returned K_{1,2}.
+        with pytest.raises(ValueError) as info:
+            build(*args)
+        assert str(info.value) == f"vertex count must be an int, got {bad!r}"
+
     def test_builder_normalizes_and_rejects_loops(self):
         g = graph(3, [(2, 0), (0, 1)])
         assert g.edges == frozenset({(0, 2), (0, 1)})

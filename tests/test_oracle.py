@@ -696,6 +696,9 @@ class TestExhaustiveBoundCheck:
             exhaustive_bound_check(3, [None])
         with pytest.raises(ValueError):
             exhaustive_bound_check(8, [None])
+        # 4.0 raised TypeError from range.
+        with pytest.raises(ValueError, match=r"^sweeps support 4 <= n <= 7, got 4.0$"):
+            exhaustive_bound_check(4.0, [None])
 
     def test_rejects_empty_seeds(self):
         with pytest.raises(ValueError, match="at least one greedy seed"):

@@ -2,7 +2,9 @@
 hashing, repr, immutability, and round trips through pickle and copy."""
 
 import copy
+import inspect
 import pickle
+import pydoc
 
 import pytest
 
@@ -16,6 +18,7 @@ from cliquerep import (
     Violation,
     graph,
 )
+from cliquerep.graphs import _Record
 
 
 def _records():
@@ -113,3 +116,55 @@ def test_pickle_and_copy_round_trip(name):
         assert type(b) is type(a)
         assert b == a and hash(b) == hash(a)
         assert repr(b) == repr(a)
+
+
+#: The defaults of each generated constructor, written beside the annotations.
+DEFAULTS = {"Violation": dict.fromkeys(Violation._fields[1:])}
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_constructor_parameters_are_the_fields(name):
+    cls = type(RECORDS[name])
+    parameters = inspect.signature(cls).parameters
+    assert tuple(parameters) == cls._fields
+    if name != "Graph":
+        assert cls.__init__.__code__.co_filename == "<string>"  # generated, not written
+        defaults = {k: p.default for k, p in parameters.items() if p.default is not p.empty}
+        assert defaults == DEFAULTS.get(name, {})
+        assert all(vars(cls)[k] is v for k, v in defaults.items())
+
+
+def test_every_record_class_is_covered():
+    found = {c.__name__ for c in _Record.__subclasses__() if c.__module__.startswith("cliquerep.")}
+    assert found == set(NAMES)
+
+
+@pytest.mark.parametrize("first", ["signature", "call"])
+def test_generated_constructor(first):
+    # Compiled on first lookup, which may come from inspect or from a call.
+    class Point(_Record):
+        x: int
+        y: int = 0
+
+    if first == "call":
+        assert repr(Point(1, y=2)) == "Point(x=1, y=2)"
+    assert str(inspect.signature(Point)) == "(x, y=0)"
+    assert Point(1) == Point(x=1, y=0) != Point(1, 2)
+    assert inspect.isfunction(vars(Point)["__init__"])
+    with pytest.raises(TypeError):
+        Point()
+    with pytest.raises(TypeError):
+        Point(1, 2, 3)
+
+
+def test_a_default_before_a_field_without_one_fails_at_class_creation():
+    with pytest.raises(TypeError, match="^Bad: a field without a default follows a default$"):
+        class Bad(_Record):
+            x: int = 0
+            y: int
+
+
+def test_help_renders_every_record_and_the_base():
+    # pydoc looks up __init__ on each class of the MRO, the base included.
+    for cls in [_Record, *map(type, RECORDS.values())]:
+        assert cls.__name__ in pydoc.render_doc(cls)

@@ -6,6 +6,7 @@ from cliquerep import (
     CliquePartition,
     GreedyDecomposition,
     SetRepresentation,
+    Violation,
     augment_to_distinct,
     complete_graph,
     distinctness,
@@ -251,6 +252,26 @@ class TestValidateRepresentation:
         g = empty_graph(1)
         problems = validate_representation(g, rep(g, [{5}], 1))
         assert [v for v in problems if v.kind == "element_out_of_range" and v.element == 5]
+
+    @pytest.mark.parametrize("odd", [1.0, True, "a"], ids=["float", "bool", "str"])
+    def test_element_ids_must_be_ints(self, odd):
+        # On P3, ({0}, {0, odd}, {1}): a float or True passed as element 1,
+        # and "a" made sorting the set raise TypeError.
+        p3 = path_graph(3)
+        r = rep(p3, [{0}, {0, odd}, {1}], 2)
+        problems = validate_representation(p3, r)
+        assert problems == [
+            Violation("element_out_of_range", vertex=1, element=odd),
+            Violation("wrong_intersection", pair=(1, 2), observed=0, expected=1),
+        ]
+        with pytest.raises(ValueError, match=r"^invalid representation: .*element_out_of_range"):
+            partition_from_representation(r)
+
+    def test_odd_element_ids_follow_the_int_ids_in_repr_order(self):
+        g = empty_graph(1)
+        problems = validate_representation(g, rep(g, [{"b", 5, 0, 2.5, "a"}], 1))
+        assert [(v.kind, v.element) for v in problems] == [
+            ("element_out_of_range", e) for e in (5, "a", "b", 2.5)]
 
     def test_size_mismatch(self):
         g = empty_graph(2)
