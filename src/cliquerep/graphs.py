@@ -18,10 +18,10 @@ ENUMERATION_MAX_N = 7
 CANONICAL_MAX_N = 8
 #: Short-form graph6 encodes the vertex count in a single header byte.
 GRAPH6_MAX_N = 62
-#: Up to this n the parsers build the neighbour masks as they read, at most
-#: n * n / 8 bytes (2 MB). Beyond it they keep an edge set, so a header
-#: declaring a huge n, or an edge on a huge vertex index, allocates nothing
-#: sized by n before a check that rejects the input.
+#: The bulk edge-list reader takes n up to this and builds the neighbour
+#: masks as it reads, at most n * n / 8 bytes (2 MB). Any larger n goes to
+#: the line walk, which keeps an edge set, so a header declaring a huge n,
+#: or an edge on a huge vertex index, allocates nothing sized by n.
 _MASKS_UP_TO_N = 4096
 #: The plain edge-list reader takes the body this many characters at a
 #: time, so its memory beyond the masks does not grow with the input. The
@@ -110,21 +110,25 @@ class Graph(_Record):
     No self-loops, no duplicate edges, every endpoint below n. Instances are
     hashable and safe to share between concurrent workers.
 
-    A graph built here keeps its edge set and makes its neighbour masks on
-    the first read of adj. A parser for n up to _MASKS_UP_TO_N instead builds
-    the masks while it checks the input, and the edge set is derived from
-    them when first read. Equality, hashing and repr read the edge set
-    either way.
+    Graph(n, edges) keeps frozenset(edges) and makes its neighbour masks on
+    the first read of adj. Three hot paths instead build the masks while
+    they read and derive the edge set when it is first read (_from_adj):
+    the bulk edge-list reader, parse_graph6 and the sweep's mask stepping.
+    Equality, hashing and repr read the edge set either way.
     """
 
     n: int
     edges: frozenset[Edge]
 
-    def __init__(self, n: int, edges: frozenset[Edge]) -> None:
+    def __init__(self, n: int, edges: Iterable[Edge]) -> None:
         if _count(n) < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
+        try:
+            edges = frozenset(edges)
+        except TypeError:
+            raise ValueError("edges must be an iterable of hashable pairs") from None
         for e in edges:
-            if len(e) != 2:
+            if type(e) is not tuple or len(e) != 2:
                 raise ValueError(f"edge {e!r} is not a pair")
             u, v = e
             if type(u) is not int or type(v) is not int:
@@ -183,26 +187,26 @@ def graph(n: int, edges: Iterable[Iterable[int]] = ()) -> Graph:
         if u == v:
             raise ValueError(f"self-loop on vertex {u}")
         normalized.add((u, v) if u < v else (v, u))
-    return Graph(n, frozenset(normalized))
+    return Graph(n, normalized)
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, frozenset())
+    return Graph(n, ())
 
 
 def complete_graph(n: int) -> Graph:
-    return Graph(n, frozenset(combinations(range(_count(n)), 2)))
+    return Graph(n, combinations(range(_count(n)), 2))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with one side on 0..a-1 and the other on a..a+b-1."""
     if _count(a) < 0 or _count(b) < 0:
         raise ValueError(f"part sizes must be non-negative, got {a} and {b}")
-    return Graph(a + b, frozenset((u, v) for u in range(a) for v in range(a, a + b)))
+    return Graph(a + b, ((u, v) for u in range(a) for v in range(a, a + b)))
 
 
 def path_graph(n: int) -> Graph:
-    return Graph(n, frozenset((v, v + 1) for v in range(_count(n) - 1)))
+    return Graph(n, ((v, v + 1) for v in range(_count(n) - 1)))
 
 
 def cycle_graph(n: int) -> Graph:
@@ -238,9 +242,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         _check_vertex(g, v)
     labels = tuple(sorted(set(vertices)))
     index = {old: new for new, old in enumerate(labels)}
-    edges = frozenset(
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    )
+    edges = ((index[u], index[v]) for u, v in g.edges if u in index and v in index)
     return Graph(len(labels), edges), labels
 
 
@@ -278,18 +280,16 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
         raise ValueError(f"vertex count must be non-negative, got {n}")
     if mask < 0 or mask.bit_length() > n * (n - 1) // 2:
         raise ValueError(f"mask {mask} out of range for n={n}")
-    if n > _MASKS_UP_TO_N:
-        return Graph(n, frozenset(_mask_pairs(n, mask)))
-    # Pairs of combinations(range(n), 2) are valid edges by construction.
-    return Graph._from_adj(n, _adj_from_pairs(n, _mask_pairs(n, mask)))
+    return Graph(n, _mask_pairs(n, mask))
 
 
 def edge_bitmask(g: Graph) -> int:
     """Inverse of graph_from_bitmask. The bits are set in a byte buffer:
-    or-ing each into a growing int would copy the int once per edge."""
-    buf = bytearray((g.n * (g.n - 1) // 2 + 7) // 8)
-    for u, v in g.edges:
-        k = _pair_position(g.n, u, v)
+    or-ing each into a growing int would copy the int once per edge. The
+    buffer ends at the highest bit set, not at bit n(n-1)/2."""
+    positions = [_pair_position(g.n, u, v) for u, v in g.edges]
+    buf = bytearray((max(positions, default=-1) >> 3) + 1)
+    for k in positions:
         buf[k >> 3] |= 1 << (k & 7)
     return int.from_bytes(buf, "little")
 
@@ -384,10 +384,8 @@ def parse_edge_list(text: str) -> Graph:
     keeps isolated vertices alive through serialization. One walk over the
     lines checks the header, then per edge line the token count, the
     integers, self-loops, the endpoint range and duplicates, in that order.
-    For n up to _MASKS_UP_TO_N the walk builds the neighbour masks, which
-    find duplicates, and no edge set, and nothing checks them again; beyond
-    it, it builds the edge set and nothing sized by n, and Graph re-checks
-    the edges.
+    It collects the edge set, whose size finds duplicates, and builds
+    nothing sized by n; Graph re-checks the edges.
 
     Text in the plain layout that to_edge_list writes is read in bulk
     first (_plain_edge_list); any other text, and any text with an error,
@@ -411,7 +409,6 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphParseError(f"line {lineno}: bad vertex count {line[2:]!r}") from None
     if n < 0:
         raise GraphParseError(f"line {lineno}: negative vertex count")
-    masks = [0] * n if n <= _MASKS_UP_TO_N else None
     edges: set[Edge] = set()
     for lineno, raw in lines:
         parts = raw.split()
@@ -431,20 +428,11 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphParseError(f"line {lineno}: self-loop on vertex {u}")
         if u < 0 or v >= n:
             raise GraphParseError(f"line {lineno}: endpoint out of range for n={n}")
-        if masks is None:
-            count = len(edges)
-            edges.add((u, v))
-            fresh = len(edges) > count
-        else:
-            row, bit = masks[u], 1 << v
-            fresh = not row & bit
-            masks[u] = row | bit
-            masks[v] |= 1 << u
-        if not fresh:
+        count = len(edges)
+        edges.add((u, v))
+        if len(edges) == count:
             raise GraphParseError(f"line {lineno}: duplicate edge {(u, v)}")
-    if masks is None:
-        return Graph(n, frozenset(edges))
-    return Graph._from_adj(n, tuple(masks))
+    return Graph(n, edges)
 
 
 def _plain_edge_list(text: str) -> Graph | None:

@@ -44,20 +44,26 @@ class SetRepresentation(_Record):
     @classmethod
     def from_json(cls, doc: dict, host: Graph) -> "SetRepresentation":
         _check_header(doc, host, ("n", "ground_size", "sets"))
-        if not isinstance(doc["ground_size"], int) or isinstance(doc["ground_size"], bool):
-            raise ValueError("artifact 'ground_size' must be an integer")
-        if doc["ground_size"] < 0:
-            raise ValueError("artifact 'ground_size' must be non-negative")
+        _check_ground_size(doc["ground_size"])
         sets = doc["sets"]
         if not isinstance(sets, list) or len(sets) != host.n:
             raise ValueError("artifact 'sets' must be an array with one entry per vertex")
         if not _int_arrays(sets):
             raise ValueError("each set must be an array of integers")
-        # Every element id must occur in some set, so a larger ground size is
-        # never valid, and listing each unused id of it is unbounded work.
-        if doc["ground_size"] > sum(len(s) for s in sets):
-            raise ValueError("artifact 'ground_size' exceeds the number of set entries")
+        _check_ground_size(doc["ground_size"], sets)
         return cls(host, tuple(frozenset(s) for s in sets), doc["ground_size"])
+
+
+def _check_ground_size(size: object, sets: list | tuple | None = None) -> None:
+    """ValueError unless size is exactly a non-negative int and at most the
+    entries of sets, if given: every element id must occur in some set, and
+    listing each unused id of a larger size is unbounded work."""
+    if type(size) is not int:
+        raise ValueError("artifact 'ground_size' must be an integer")
+    if size < 0:
+        raise ValueError("artifact 'ground_size' must be non-negative")
+    if sets is not None and size > sum(map(len, sets)):
+        raise ValueError("artifact 'ground_size' exceeds the number of set entries")
 
 
 class DistinctnessReport(_Record):
@@ -108,8 +114,10 @@ def augment_to_distinct(r: SetRepresentation) -> SetRepresentation:
     Within each group of identical sets, the lowest-index vertex keeps its
     set and each other member gains one fresh element. Fresh elements occur
     in exactly one set, so no pairwise intersection changes. Already-distinct
-    representations are returned unchanged.
+    representations are returned unchanged. A ground size from_json rejects
+    raises its ValueError.
     """
+    _check_ground_size(r.ground_size, r.sets)
     fresh = sorted(v for group in distinctness(r).classes for v in group[1:])
     if not fresh:
         return r
@@ -140,8 +148,10 @@ def validate_representation(
     not exactly an int is out of range, after the set's int ids in repr
     order. Intersections are counted over the members of every int id, in
     O((n + ground_size + sum of |set|) * ceil(n/64)) word operations, the
-    order of building g.adj, plus sorting each set and the findings.
+    order of building g.adj, plus sorting each set and the findings. A
+    ground size from_json rejects raises its ValueError.
     """
+    _check_ground_size(r.ground_size, r.sets)
     if len(r.sets) != g.n:
         return [Violation("size_mismatch", observed=len(r.sets), expected=g.n)]
     out: list[Violation] = []

@@ -78,6 +78,12 @@ class TestGraphType:
             Graph(3, frozenset({(2, 1)}))
         with pytest.raises(ValueError, match=r"^edge \(0, 1, 2\) is not a pair$"):
             Graph(3, frozenset({(0, 1, 2)}))
+        with pytest.raises(ValueError, match=r"^edge 5 is not a pair$"):
+            Graph(3, [5])
+        # A non-iterable edge set, or an unhashable pair, raised TypeError.
+        for edges in (5, [[0, 1]]):
+            with pytest.raises(ValueError, match=r"^edges must be an iterable of hashable pairs$"):
+                Graph(3, edges)
 
     def test_rejects_numpy_endpoints(self):
         np = pytest.importorskip("numpy")
@@ -120,6 +126,14 @@ class TestGraphType:
     def test_builder_normalizes_and_rejects_loops(self):
         g = graph(3, [(2, 0), (0, 1)])
         assert g.edges == frozenset({(0, 2), (0, 1)})
+        # Graph keeps frozenset(edges): an iterator was read up by the checks
+        # and left the empty graph, and a list kept its duplicates and made
+        # the graph unequal to graph(...) and unhashable.
+        p3 = graph(3, [(0, 1), (1, 2)])
+        for edges in (iter([(0, 1), (1, 2)]), [(0, 1), (1, 2)], [(0, 1), (1, 2), (0, 1)]):
+            built = Graph(3, edges)
+            assert type(built.edges) is frozenset and built.edges == p3.edges
+            same_graph(None, built, p3)
         with pytest.raises(ValueError):
             graph(3, [(1, 1)])
 
@@ -292,16 +306,23 @@ class TestEdgeList:
         ("n=007\n0 1\n", 7, [(0, 1)]),
         ("n=3\r\n0 1\r\n", 3, [(0, 1)]),
         ("n=3\n0 1", 3, [(0, 1)]),
+        ("# G\r\nn=4096\r\n\r\n4095 0\r\n# c\r\n1  2\r\n 3 4095 \r\n", 4096,
+         [(0, 4095), (1, 2), (3, 4095)]),
+        ("n=4097\n4096 0\n", 4097, [(0, 4096)]),
     ])
     def test_inputs_outside_the_plain_layout_parse(self, text, n, edges):
-        # Leading zeros, '\r\n' and a missing final newline are not what
-        # to_edge_list writes, so the line walk reads them.
+        # Leading zeros, '\r\n', comments, a missing final newline and
+        # n > _MASKS_UP_TO_N are not what to_edge_list writes, so the line
+        # walk reads them, into an edge set.
         assert _plain_edge_list(text) is None
-        assert parse_edge_list(text) == graph(n, edges)
+        for read_first in ("adj", "edges"):
+            g = parse_edge_list(text)
+            assert type(g.__dict__["edges"]) is frozenset and "adj" not in g.__dict__
+            same_graph(read_first, g, graph(n, edges))
 
     def test_huge_vertex_count_allocates_nothing(self):
-        # Beyond _MASKS_UP_TO_N the parser keeps an edge set, so a header or an
-        # endpoint far beyond memory neither fails nor hides a line error.
+        # The walk keeps an edge set, so a header or an endpoint far beyond
+        # memory neither fails nor hides a line error.
         n = 10**20
         with pytest.raises(GraphParseError, match="^line 2: self-loop on vertex 0$"):
             parse_edge_list(f"n={n}\n0 0\n")
@@ -433,7 +454,7 @@ class TestPlainEdgeList:
 
     def test_peak_memory_is_below_the_walks(self):
         # On G(1000, 0.4), decoding the whole body at once peaked at 64 MB,
-        # against 12.9 MB for the walk and 1.1 MB chunk by chunk. G(1000, 0.1)
+        # against 39 MB for the walk's edge set and 1.2 MB chunk by chunk. G(1000, 0.1)
         # keeps the traced walk to about 2 s.
         rng = random.Random(1000)
         text = "n=1000\n" + "".join(f"{u} {v}\n" for u, v in combinations(range(1000), 2)
@@ -462,8 +483,8 @@ def same_graph(read_first, g: Graph, expected: Graph) -> None:
 
 @pytest.mark.parametrize("read_first", ["adj", "edges", None])
 class TestParsedGraphsMatchBuiltGraphs:
-    """Parsers build neighbour masks and no edge set; the graphs they return
-    are the graphs graph(n, edges) builds."""
+    """The graphs the parsers and graph_from_bitmask return, from masks or
+    from an edge set, are the graphs graph(n, edges) builds."""
 
     def test_graph6(self, read_first):
         rng = random.Random(62)
@@ -647,6 +668,19 @@ class TestEnumeration:
         assert peak < 1 << 20
         with pytest.raises(ValueError, match="^vertex count must be non-negative"):
             graph_from_bitmask(-10**6, 0)
+
+    def test_edge_bitmask_buffer_ends_at_the_highest_pair(self):
+        # A buffer of n(n-1)/2 bits peaked at 200 MB for one edge at n=40000
+        # and would ask for about 62 GB at n = 10**6.
+        tracemalloc.start()
+        try:
+            assert edge_bitmask(Graph(40000, {(0, 1)})) == 1
+            assert edge_bitmask(Graph(10**6, {(0, 2)})) == 2
+            assert edge_bitmask(empty_graph(10**6)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bitmask_round_trip_larger(self):
         rnd = random.Random(3)

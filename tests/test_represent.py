@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -135,9 +137,11 @@ class TestInverseMap:
             partition_from_representation(rep(host, [{0}, {1}], 2))
 
     def test_rejects_unused_element(self):
-        host = empty_graph(1)
+        # Element 1 is unused; a ground size past the two set entries would
+        # be rejected before any finding.
+        host = complete_graph(2)
         with pytest.raises(ValueError, match="unused_element"):
-            partition_from_representation(rep(host, [{0}], 2))
+            partition_from_representation(rep(host, [{0}, {0}], 2))
 
     @given(partitions())
     @settings(max_examples=60)
@@ -243,7 +247,7 @@ class TestValidateRepresentation:
 
     def test_empty_set_and_unused_element(self):
         g = empty_graph(2)
-        problems = validate_representation(g, rep(g, [set(), {0}], 2))
+        problems = validate_representation(g, rep(g, [set(), {0, 2}], 2))
         kinds = {v.kind for v in problems}
         assert "empty_set" in kinds
         assert "unused_element" in kinds
@@ -272,6 +276,31 @@ class TestValidateRepresentation:
         problems = validate_representation(g, rep(g, [{"b", 5, 0, 2.5, "a"}], 1))
         assert [(v.kind, v.element) for v in problems] == [
             ("element_out_of_range", e) for e in (5, "a", "b", 2.5)]
+
+    @pytest.mark.parametrize("size, message", [
+        (2.0, "must be an integer"),
+        ("2", "must be an integer"),
+        (True, "must be an integer"),
+        (-1, "must be non-negative"),
+        (5, "exceeds the number of set entries"),
+        (10**30, "exceeds the number of set entries"),
+    ], ids=["float", "str", "bool", "negative", "past-entries", "huge"])
+    def test_ground_size_is_checked_as_from_json_checks_it(self, size, message):
+        # On P3, 2.0 and "2" raised TypeError, True was taken as 1, and
+        # 10**30 listed every unused id without end.
+        p3 = path_graph(3)
+        r = rep(p3, [{0}, {0, 1}, {1}], size)
+        for call in (lambda: validate_representation(p3, r),
+                     lambda: partition_from_representation(r),
+                     lambda: augment_to_distinct(r)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError) as info:
+                call()
+            assert time.perf_counter() - start < 0.1
+            assert str(info.value) == f"artifact 'ground_size' {message}"
+        with pytest.raises(ValueError) as info:
+            SetRepresentation.from_json({"n": 3, "ground_size": size, "sets": [[0], [0, 1], [1]]}, p3)
+        assert str(info.value) == f"artifact 'ground_size' {message}"
 
     def test_size_mismatch(self):
         g = empty_graph(2)

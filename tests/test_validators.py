@@ -157,6 +157,11 @@ def assert_same_findings(rng: random.Random, g: Graph) -> None:
     if rng.random() < 0.5:
         r = augment_to_distinct(r)
     for s in (r, tamper_representation(rng, r)):
+        if s.ground_size > sum(map(len, s.sets)):
+            # A ground size moved past the set entries is rejected outright.
+            with pytest.raises(ValueError, match="^artifact 'ground_size' exceeds"):
+                validate_representation(g, s)
+            continue
         for distinct in (False, True):
             got = [v.to_json() for v in validate_representation(g, s, distinct)]
             want = reference_validate_representation(g, s, distinct)
