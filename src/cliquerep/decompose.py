@@ -170,16 +170,18 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
     sequence: list[Clique] = []
     # Residual edges only disappear, so a start left without one is done.
     for start in range(g.n):
+        first = 1 << start
         while residual[start]:
-            members, mask, common = [start], 1 << start, residual[start]
+            members, mask, common = [start], first, residual[start]
             while common:
                 low = common & -common
                 grow = low.bit_length() - 1
                 members.append(grow)
                 mask |= low
                 common &= residual[grow]
+            keep = ~mask
             for i in members:
-                residual[i] &= ~mask
+                residual[i] &= keep
             # Members ascend: start's residual neighbors all lie above it and
             # each growth step takes the lowest bit left. A seeded run maps
             # them back to the original labels and sorts.

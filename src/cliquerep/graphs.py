@@ -24,13 +24,16 @@ GRAPH6_MAX_N = 62
 #: or an edge on a huge vertex index, allocates nothing sized by n.
 _MASKS_UP_TO_N = 4096
 #: The plain edge-list reader takes the body this many characters at a
-#: time, so its memory beyond the masks does not grow with the input. The
-#: regex's backtracking stack dominates it, some 60 bytes per character:
-#: 64 KiB chunks peaked at 3.7 MB, these at 1.1 MB, in the same time.
+#: time, so its memory beyond the masks does not grow with the input.
 _CHUNK = 1 << 14
 
 _GRAPH6_PREFIX = ">>graph6<<"
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+#: str.translate tables of the plain edge-list reader: one deletes the
+#: ASCII digits, leaving a plain chunk's separators; one turns both
+#: separators into commas, leaving a JSON array's body.
+_SEPARATORS = str.maketrans("", "", "0123456789")
+_COMMAS = str.maketrans(" \n", ",,")
 
 
 class GraphParseError(ValueError):
@@ -180,13 +183,24 @@ def _adj_from_pairs(n: int, pairs: Iterable[Edge]) -> tuple[int, ...]:
 
 
 def graph(n: int, edges: Iterable[Iterable[int]] = ()) -> Graph:
-    """Build a Graph from any iterable of endpoint pairs, normalizing order."""
+    """Build a Graph from any iterable of endpoint pairs, normalizing order.
+    A malformed pair raises ValueError naming it, as Graph does."""
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise ValueError("edges must be an iterable of pairs") from None
     normalized = set()
     for e in edges:
-        u, v = e
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {e!r} is not a pair") from None
         if u == v:
             raise ValueError(f"self-loop on vertex {u}")
-        normalized.add((u, v) if u < v else (v, u))
+        try:
+            normalized.add((u, v) if u < v else (v, u))
+        except TypeError:  # endpoints that do not compare, or do not hash
+            raise ValueError(f"edge {e!r} has an endpoint that is not an int") from None
     return Graph(n, normalized)
 
 
@@ -442,12 +456,16 @@ def _plain_edge_list(text: str) -> Graph | None:
     n <= _MASKS_UP_TO_N, then one 'u v' per line with a single space, every
     line ending in '\\n', and decimal integers of at most 9 digits without
     leading zeros. The body is read in chunks of about _CHUNK characters,
-    each cut after a newline. One regex checks a chunk's shape, the C JSON
-    decoder reads its endpoints, and each edge ORs a precomputed bit into
-    both endpoints' masks. An edge sets two new bits, a repeated edge none
-    and a self-loop one, so the masks hold two bits per line exactly when
-    every line is a new edge. This raises nothing: the walk in
-    parse_edge_list reports whatever makes this return None.
+    each cut after a newline. A chunk with its ASCII digits deleted must be
+    one ' \\n' per line; with both separators made commas, the C JSON
+    decoder reads its endpoints, and fails (ValueError) on an empty token,
+    a leading zero or more digits than the interpreter's int-digit limit,
+    where it has one. An endpoint of 10 or more digits is at least n, so
+    it fails the range test. Each edge ORs a precomputed bit into both
+    endpoints' masks. An edge sets two new bits, a repeated edge none and a
+    self-loop one, so the masks hold two bits per line exactly when every
+    line is a new edge. This raises nothing: the walk in parse_edge_list
+    reports whatever makes this return None.
     """
     import json
     import re
@@ -458,7 +476,6 @@ def _plain_edge_list(text: str) -> Graph | None:
     n = int(head[1])
     if n > _MASKS_UP_TO_N:
         return None
-    shape = re.compile(r"(?:(?:0|[1-9][0-9]{0,8}) (?:0|[1-9][0-9]{0,8})\n)*")
     bit = [1 << v for v in range(n)]
     masks = [0] * n
     count = 0
@@ -466,9 +483,12 @@ def _plain_edge_list(text: str) -> Graph | None:
     while start < len(text):
         stop = text.rfind("\n", start, start + _CHUNK) + 1
         chunk = text[start:stop]  # empty if a line outruns the chunk
-        if not chunk or shape.fullmatch(chunk) is None:
+        if not chunk or chunk.translate(_SEPARATORS) != " \n" * chunk.count("\n"):
             return None
-        ends = json.loads("[" + chunk.replace(" ", ",").replace("\n", ",")[:-1] + "]")
+        try:
+            ends = json.loads("[" + chunk.translate(_COMMAS)[:-1] + "]")
+        except ValueError:
+            return None
         if max(ends) >= n:
             return None
         pairs = iter(ends)

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from itertools import combinations
@@ -136,6 +137,30 @@ class TestGraphType:
             same_graph(None, built, p3)
         with pytest.raises(ValueError):
             graph(3, [(1, 1)])
+        # Pairs in any order and of any iterable type, repeated or not, give
+        # the graph of their normalized tuples.
+        rng = random.Random(3)
+        for n in range(2, 9):
+            pairs = [rng.sample(range(n), 2) for _ in range(rng.randrange(2 * n))]
+            expected = Graph(n, {(min(e), max(e)) for e in pairs})
+            for shaped in (pairs, map(tuple, pairs), (iter(e) for e in pairs), pairs + pairs):
+                same_graph(None, graph(n, shaped), expected)
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, "a")], "edge (0, 'a') has an endpoint that is not an int"),
+        ([(0, None)], "edge (0, None) has an endpoint that is not an int"),
+        ([5], "edge 5 is not a pair"),
+        (5, "edges must be an iterable of pairs"),
+        ([(0, 1.5)], "edge (0, 1.5) has an endpoint that is not an int"),
+        ([(0, 1, 2)], "edge (0, 1, 2) is not a pair"),
+        ([(1, 1)], "self-loop on vertex 1"),
+    ], ids=["str", "none", "int", "not-iterable", "float", "triple", "loop"])
+    def test_builder_names_each_malformed_pair(self, edges, message):
+        # The first four raised TypeError, from the u < v compare, from
+        # unpacking and from the loop.
+        with pytest.raises(ValueError) as info:
+            graph(3, edges)
+        assert str(info.value) == message
 
     def test_adjacency_masks(self):
         g = path_graph(3)
@@ -452,9 +477,52 @@ class TestPlainEdgeList:
         assert parse_outcome(duplicate).endswith(f"duplicate edge {(u, v)}")
         assert parse_outcome(out_of_range).endswith(f"endpoint out of range for n={g.n}")
 
+    #: Lines that pass, or nearly pass, the bulk reader's separator test
+    #: but not its layout, each with what the walk makes of it: an edge or
+    #: the end of its error message. The 5000-digit endpoint is past the
+    #: interpreter's int-digit limit, where it has one.
+    NEARLY_PLAIN = {
+        "empty second token": ("1 ", "expected 'u v', got '1'"),
+        "empty first token": (" 1", "expected 'u v', got '1'"),
+        "leading zero": ("01 2", (1, 2)),
+        "ten digits": ("0 1234567890", "endpoint out of range for n={n}"),
+        "5000 digits": ("0 " + "1" * 5000, (
+            "non-integer endpoint in '0 " + "1" * 5000 + "'"
+            if 0 < getattr(sys, "get_int_max_str_digits", int)() < 5000
+            else "endpoint out of range for n={n}")),
+        "arabic-indic digit": ("0 \u0661", (0, 1)),
+        "three endpoints": ("1 2 3", "expected 'u v', got '1 2 3'"),
+    }
+
+    @pytest.mark.parametrize("kind", NEARLY_PLAIN)
+    @pytest.mark.parametrize("where", ["alone", "last in the first chunk",
+                                       "first in the second chunk"])
+    def test_nearly_plain_lines(self, kind, where):
+        line, outcome = self.NEARLY_PLAIN[kind]
+        if where == "alone":
+            n, before, after = 3, [], []
+        else:
+            # Plain edges fill the first chunk up to the faulty line or up
+            # to its end, on vertices 10 and up, apart from the faulty line's.
+            n, after = 4096, [(5, 6)]
+            fill = _CHUNK - (len(line) + 1 if where.startswith("last") else 0)
+            before = plain_edges_filling(fill, random.Random(kind))
+        head = f"n={n}\n"
+        text = head + "".join(f"{u} {v}\n" for u, v in before) + line + "\n"
+        text += "".join(f"{u} {v}\n" for u, v in after)
+        if where != "alone":
+            assert text[len(head) + _CHUNK - 1] == "\n"
+        assert _plain_edge_list(text) is None
+        if isinstance(outcome, tuple):
+            expected = graph(n, [*before, outcome, *after])
+            same_graph("adj", assert_agrees_with_the_walk(text), expected)
+        else:
+            message = f"line {len(before) + 2}: " + outcome.format(n=n)
+            assert assert_agrees_with_the_walk(text) == message
+
     def test_peak_memory_is_below_the_walks(self):
         # On G(1000, 0.4), decoding the whole body at once peaked at 64 MB,
-        # against 39 MB for the walk's edge set and 1.2 MB chunk by chunk. G(1000, 0.1)
+        # against 39 MB for the walk's edge set and 0.6 MB chunk by chunk. G(1000, 0.1)
         # keeps the traced walk to about 2 s.
         rng = random.Random(1000)
         text = "n=1000\n" + "".join(f"{u} {v}\n" for u, v in combinations(range(1000), 2)
@@ -468,6 +536,25 @@ class TestPlainEdgeList:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < peaks[1]
+
+
+def plain_edges_filling(length: int, rng: random.Random) -> list[tuple[int, int]]:
+    """Distinct edges u < v on vertices 10..4095 whose plain lines 'u v\\n'
+    take exactly length characters, at least 21."""
+    sizes = [10] * ((length - 21) // 10)
+    rest = length - 10 * len(sizes)
+    sizes += [rest // 3 + (k < rest % 3) for k in range(3)]
+    edges: list[tuple[int, int]] = []
+    for size in sizes:
+        while True:
+            digits = rng.randint(max(2, size - 6), min(4, size - 4))
+            u = rng.randrange(10 ** (digits - 1), 10 ** digits)
+            v = rng.randrange(10 ** (size - digits - 3), 10 ** (size - digits - 2))
+            e = (min(u, v), max(u, v))
+            if u != v and e[1] < 4096 and e not in edges:
+                edges.append(e)
+                break
+    return edges
 
 
 def same_graph(read_first, g: Graph, expected: Graph) -> None:
