@@ -594,8 +594,10 @@ def _edge_partitions(
     options: Callable[[list[int], int, int], list[_Option]],
     budget: list[int] | None = None,
 ) -> Iterator[list[Clique]]:
-    """Every partition of the edges of adj (neighbor bitmasks) into cliques:
-    the clique-partition branch and bound of Orlin (1977).
+    """Every clique partition of adj (neighbor bitmasks): the trivial
+    clique of each isolated vertex, chosen at the root, and a partition of
+    the edges into cliques, by the clique-partition branch and bound of
+    Orlin (1977).
 
     Branches on the smallest uncovered edge (u, v) over options(residual, u,
     v), the residual cliques through it to try, in order, each with its
@@ -618,7 +620,7 @@ def _edge_partitions(
     part. A run does not branch, so a cut that its middle would allow is
     only delayed to its end. Without a budget the bound is never computed.
     The yielded list is the live search state, valid until the next step,
-    and is extended by copying.
+    and is extended by copying; its length is the partition's clique count.
 
     The search is one loop in one frame, with an explicit stack of the
     branching nodes: each keeps its remaining options, the number of
@@ -632,7 +634,7 @@ def _edge_partitions(
     """
     residual = list(adj)
     free = reduce(or_, residual, 0)
-    chosen: list[Clique] = []
+    chosen: list[Clique] = [(v,) for v, row in enumerate(residual) if not row]
     stack: list[tuple[Iterator[_Option], int, list[int], int]] = []
     while True:
         while free:
@@ -683,31 +685,20 @@ def _min_distinct(
 ) -> list[Clique]:
     """Cheapest clique partition of adj with pairwise-distinct incidence sets.
 
-    Searches the edge partitions that options allows. A completed edge
-    partition is charged one trivial clique per isolated vertex plus one per
-    extra member of each group of vertices with identical incidence sets
-    (the cheapest way to split such a group, since a fresh trivial clique
-    can collide with nothing). Of equally cheap partitions the first found
-    wins.
+    Searches the clique partitions that options allows. A completed
+    partition is charged its cliques plus one per extra member of each
+    group of vertices with identical incidence sets (the cheapest way to
+    split such a group, since a fresh trivial clique can collide with
+    nothing). An isolated vertex's trivial clique gives it a key of its
+    own. Of equally cheap partitions the first found wins.
     """
     n = len(adj)
-    # Incidence keys are clique-position bitmasks; isolated vertices start
-    # from distinct negative keys, so only the others can repeat a key.
-    iso: list[Clique] = []
-    start: list[int] = []
-    for v, m in enumerate(adj):
-        if m:
-            start.append(0)
-        else:
-            start.append(~v)
-            iso.append((v,))
     # No partition costs more than |E| + n (a clique per edge, a trivial
-    # clique per vertex), so the first leaf found beats this budget. The
-    # kernel's budget leaves out the trivial cliques of isolated vertices,
-    # which every partition pays.
-    budget = [sum(map(int.bit_count, adj)) // 2 + n + 1 - len(iso)]
+    # clique per vertex), so the first leaf found beats this budget.
+    budget = [sum(map(int.bit_count, adj)) // 2 + n + 1]
     for chosen in _edge_partitions(adj, options, budget):
-        keys = start.copy()
+        # Incidence keys are clique-position bitmasks.
+        keys = [0] * n
         bit = 1
         for cl in chosen:
             for v in cl:
@@ -720,7 +711,7 @@ def _min_distinct(
     # clique, in vertex order.
     seen: set[int] = set()
     extras = [(v,) for v, key in enumerate(best_keys) if key in seen or seen.add(key)]
-    return best + iso + extras
+    return best + extras
 
 
 def _incidence(n: int, cliques: Iterable[Clique]) -> list[list[int]]:

@@ -114,10 +114,10 @@ class Graph(_Record):
     hashable and safe to share between concurrent workers.
 
     Graph(n, edges) keeps frozenset(edges) and makes its neighbour masks on
-    the first read of adj. Three hot paths instead build the masks while
-    they read and derive the edge set when it is first read (_from_adj):
-    the bulk edge-list reader, parse_graph6 and the sweep's mask stepping.
-    Equality, hashing and repr read the edge set either way.
+    the first read of adj. Two hot paths instead build the masks while they
+    read and derive the edge set when it is first read (_from_adj): the
+    bulk edge-list reader and the sweep's mask stepping. Equality, hashing
+    and repr read the edge set either way.
     """
 
     n: int
@@ -144,7 +144,11 @@ class Graph(_Record):
     @_cached
     def adj(self) -> tuple[int, ...]:
         """Neighbor bitmasks: bit v of adj[u] is set iff {u, v} is an edge."""
-        return _adj_from_pairs(self.n, self.edges)
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @_cached
     def edges(self) -> frozenset[Edge]:
@@ -156,8 +160,8 @@ class Graph(_Record):
 
     @classmethod
     def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """A Graph from the neighbour masks a parser has built and checked;
-        its edge set is derived from them when first read."""
+        """A Graph from neighbour masks that the bulk reader or the sweep has
+        built and checked; its edge set is derived from them when first read."""
         g = object.__new__(cls)
         g.__dict__.update(n=n, adj=adj)
         return g
@@ -171,15 +175,6 @@ def _count(n: int) -> int:
     if type(n) is not int:
         raise ValueError(f"vertex count must be an int, got {n!r}")
     return n
-
-
-def _adj_from_pairs(n: int, pairs: Iterable[Edge]) -> tuple[int, ...]:
-    """The n neighbour masks of the distinct valid edges in pairs."""
-    masks = [0] * n
-    for u, v in pairs:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return tuple(masks)
 
 
 def graph(n: int, edges: Iterable[Iterable[int]] = ()) -> Graph:
@@ -376,8 +371,7 @@ def parse_graph6(text: str) -> Graph:
         if not 63 <= ord(ch) <= 126:
             raise GraphParseError(f"byte {1 + i}: character {ch!r} out of range")
     digits = "".join(f"{ord(ch) - 63:06b}" for ch in data)
-    pairs = compress(_graph6_pairs(n), digits.encode().translate(_BIT_BYTES))
-    return Graph._from_adj(n, _adj_from_pairs(n, pairs))
+    return Graph(n, compress(_graph6_pairs(n), digits.encode().translate(_BIT_BYTES)))
 
 
 def to_graph6(g: Graph) -> str:

@@ -95,36 +95,35 @@ def min_clique_partition(g: Graph) -> tuple[int, CliquePartition]:
     once it cannot strictly beat the incumbent: once the cliques chosen so
     far plus an independent-set lower bound on the cliques the uncovered
     edges still need (see _cliques_needed) reach its size. Isolated vertices
-    each contribute one trivial clique.
+    each contribute one trivial clique, which the search chooses at its root.
     """
     if g.n > CP_MAX_N:
         raise ValueError(f"n={g.n} exceeds the n<={CP_MAX_N} search budget")
-    iso = [(v,) for v in range(g.n) if g.adj[v] == 0]
-    # One clique per edge always completes, so the first partition found
-    # beats this starting budget and it cuts nothing. Each partition found
-    # is smaller than the last, and lowers the budget to its size.
+    # No partition has more than |E| + n cliques (a clique per edge, a
+    # trivial clique per vertex), so the first partition found beats this
+    # starting budget and it cuts nothing. Each partition found is smaller
+    # than the last, and lowers the budget to its size.
     best: list[Clique] = []
-    budget = [sum(map(int.bit_count, g.adj)) // 2 + 1]
+    budget = [sum(map(int.bit_count, g.adj)) // 2 + g.n + 1]
     for chosen in _edge_partitions(g.adj, _cliques_through_edge, budget):
         budget[0], best = len(chosen), chosen.copy()
     # The kernel's cliques are sorted tuples, so sorting the list gives
     # from_cliques' normal form without re-sorting each clique.
-    witness = CliquePartition(g, tuple(sorted(best + iso)))
+    witness = CliquePartition(g, tuple(sorted(best)))
     return len(witness.cliques), witness
 
 
 def all_clique_partitions(g: Graph) -> Iterator[CliquePartition]:
     """Every clique partition of g, deterministically.
 
-    Branches on the smallest uncovered edge over all residual cliques
-    containing it, so each edge partition is produced exactly once; isolated
-    vertices carry their forced trivial cliques, and no other vertex gets
-    one. Exhaustive, so meant for small n only.
+    Starts from the forced trivial cliques of the isolated vertices, and no
+    other vertex gets one. Branches on the smallest uncovered edge over all
+    residual cliques containing it, so each edge partition is produced
+    exactly once. Exhaustive, so meant for small n only.
     """
-    iso = [(v,) for v in range(g.n) if g.adj[v] == 0]
     for chosen in _edge_partitions(g.adj, _cliques_through_edge):
         # In normal form, as in min_clique_partition.
-        yield CliquePartition(g, tuple(sorted(chosen + iso)))
+        yield CliquePartition(g, tuple(sorted(chosen)))
 
 
 def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
@@ -250,10 +249,10 @@ def _sweep_range(
             violations.append(BoundViolation(mask, "erdos", "erdos_clique_size", oversize, 3))
         duplicates = _checked_duplicates(g, p.cliques)
         if duplicates is None:
-            problems = validate_partition(g, p)
-            if problems:
-                violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
-                                                 len(problems), 0))
+            # The one-pass check rejects exactly what validate_partition
+            # finds at fault, so there is at least one finding.
+            violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
+                                             len(validate_partition(g, p)), 0))
             # An invalid partition may list a member twice in a clique or
             # name a non-vertex: count over each clique's set of vertices.
             duplicates = n - len(set(map(tuple, _incidence(n, (

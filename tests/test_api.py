@@ -135,3 +135,15 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_sources_parse_at_the_python_floor():
+    # Parsed as the oldest Python that pyproject.toml admits, syntax newer
+    # than it, such as except*, fails here. Library features, such as the
+    # possessive regex quantifiers of 3.11, are not syntax and pass.
+    root = Path(__file__).parents[1]
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$',
+                      (root / "pyproject.toml").read_text(), re.M)
+    assert floor is not None
+    for path in sorted(Path(cliquerep.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), path.name, feature_version=(3, int(floor[1])))

@@ -453,6 +453,13 @@ class TestMinDistinctRepresentation:
             for g in enumerate_labeled_graphs(n):
                 assert min_clique_partition(g)[0] <= min_distinct_representation(g)[0]
 
+    def test_witness_with_duplicate_sets_raises(self, monkeypatch):
+        # The stand-in search covers K2 with its edge alone, so both vertices
+        # get the set {0}: the postcondition must catch it.
+        monkeypatch.setattr(oracle, "_min_distinct", lambda adj, options: [(0, 1)])
+        with pytest.raises(RuntimeError, match="^the minimum witness has duplicate sets$"):
+            min_distinct_representation(complete_graph(2))
+
     @given(st.integers(0, (1 << 10) - 1))
     @settings(max_examples=40)
     def test_cp_at_most_greedy_size(self, mask):
@@ -576,6 +583,19 @@ class TestExhaustiveBoundCheck:
             {"graph": mask, "strategy": "erdos", "check": "erdos_distinctness",
              "observed": 2, "bound": 0},
         ]
+
+    def test_erdos_clique_size_is_reported(self, monkeypatch):
+        # The stand-in covers K4 (mask 63) with one clique of 4 vertices: a
+        # valid partition whose clique is too wide, and whose four vertices
+        # share one incidence set.
+        real = oracle.erdos_partition
+        monkeypatch.setattr(oracle, "erdos_partition", lambda g: (
+            CliquePartition(g, ((0, 1, 2, 3),)) if edge_bitmask(g) == 63 else real(g)))
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        assert exhaustive_bound_check(4, [None]).violations == (
+            oracle.BoundViolation(63, "erdos", "erdos_clique_size", 4, 3),
+            oracle.BoundViolation(63, "erdos", "erdos_distinctness", 3, 0),
+        )
 
     # Mask 9 on n=4 is the path 0-1-2 plus vertex 3. The first three
     # stand-ins have the pair count of a valid partition, so the one-pass
