@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache, reduce
-from itertools import chain, compress
+from itertools import chain, combinations, compress
 from operator import attrgetter, mul, or_
 
 from .graphs import Edge, Graph, _bit_flags, _Record, bits
@@ -154,6 +154,10 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
     fixed seed reproduces the exact decomposition. Relabeling order[i] to i
     once makes priority bit order, so every choice takes the lowest bit and
     a seeded run is the lexicographic run on the relabeled graph.
+
+    Once the starts below h = n - 5 have run, every residual edge lies
+    among the last five vertices, so the rest of the run, one of at most
+    2^10 shapes, is looked up in a bounded cache (_greedy_tail).
     """
     order = _vertex_order(g.n, seed)
     if seed is None:
@@ -167,9 +171,22 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
             moved[v] = 1 << i
         residual = [sum(compress(moved, _bit_flags(adj[v]))) for v in order]
     isolated = [(order[i],) for i, m in enumerate(residual) if m == 0]
+    h = max(g.n - 5, 0)
+    sequence = _greedy_cliques(residual, range(h))
+    sequence += _greedy_tail(h, tuple(map(h.__rrshift__, residual[h:])))
+    if seed is not None:
+        # Map the members back to the original labels and sort.
+        sequence = [tuple(sorted(map(order.__getitem__, cl))) for cl in sequence]
+    sequence.extend(isolated)
+    return GreedyDecomposition(g, tuple(sequence))
+
+
+def _greedy_cliques(residual: list[int], starts: range) -> list[Clique]:
+    """The cliques the greedy run takes from each start in turn, removing
+    their edges from residual; members ascend, in residual's labels."""
     sequence: list[Clique] = []
     # Residual edges only disappear, so a start left without one is done.
-    for start in range(g.n):
+    for start in starts:
         first = 1 << start
         while residual[start]:
             members, mask, common = [start], first, residual[start]
@@ -183,13 +200,18 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
             for i in members:
                 residual[i] &= keep
             # Members ascend: start's residual neighbors all lie above it and
-            # each growth step takes the lowest bit left. A seeded run maps
-            # them back to the original labels and sorts.
-            if seed is not None:
-                members = sorted(map(order.__getitem__, members))
+            # each growth step takes the lowest bit left.
             sequence.append(tuple(members))
-    sequence.extend(isolated)
-    return GreedyDecomposition(g, tuple(sequence))
+    return sequence
+
+
+@lru_cache(maxsize=4096)
+def _greedy_tail(h: int, rows: tuple[int, ...]) -> tuple[Clique, ...]:
+    """The greedy run's cliques, in its labels, from start h on, once no
+    residual edge touches a vertex below h; rows are the residual rows of
+    h, h+1, ... shifted down by h. A sweep uses one h and so at most 2^10
+    keys."""
+    return tuple(_greedy_cliques([0] * h + [r << h for r in rows], range(h, h + len(rows))))
 
 
 def _shaped(
@@ -320,33 +342,42 @@ def _covers_exactly(g: Graph, cliques: Sequence[Clique]) -> bool:
     return cover == [a | 1 << v for v, a in enumerate(g.adj)]
 
 
-def _checked_duplicates(g: Graph, cliques: Sequence[Clique]) -> int | None:
-    """When cliques pass _covers_exactly's test, the number of vertices
-    whose incidence set, as a clique-position bitmask, an earlier vertex
-    has: the fresh elements augment_to_distinct would attach. Else None:
-    the cliques are no valid partition of g. The sweep's form:
-    one walk makes the test and builds the keys. The forms stay apart, as
-    a merge costs one side: a second walk for the keys slows the n = 6
-    sweep by 12-20%, keys built in _covers_exactly triple its time."""
-    n = g.n
-    adj = g.adj
-    sizes = list(map(len, cliques))
-    if (sum(map(mul, sizes, sizes)) - sum(sizes) != sum(map(int.bit_count, adj))
-            or not all(sizes) or len(set(cliques)) != len(cliques)):
+@lru_cache(maxsize=8)
+def _pair_bits(n: int) -> tuple[int, ...]:
+    """Per vertex mask on n vertices, the edge-bitmask bits (bit k for pair
+    k of combinations(range(n), 2)) of the pairs inside it."""
+    pairs = [1 << u | 1 << v for u, v in combinations(range(n), 2)]
+    return tuple(sum(1 << k for k, p in enumerate(pairs) if m & p == p) for m in range(1 << n))
+
+
+def _duplicates_on_mask(n: int, mask: int, cliques: Sequence[Clique]) -> int | None:
+    """When cliques are a valid partition of the graph with edge bitmask
+    mask on n vertices, the number of vertices whose incidence set, as a
+    clique-position bitmask, an earlier vertex has: the fresh elements
+    augment_to_distinct would attach. Else None. The sweep's check, one
+    pass that reads no neighbour masks: the cliques are distinct, each a
+    non-empty set of exact ints in range(n), their pair bits are disjoint
+    and OR to mask, and their vertex masks OR to all n vertices."""
+    if not all(cliques) or len(set(cliques)) != len(cliques):
         return None
-    cover = [0] * n
+    pair_bits = _pair_bits(n)
+    covered = vertices = 0
     keys = [0] * n
-    for k, cl in enumerate(cliques):
-        mask = 0
+    bit = 1
+    for cl in cliques:
+        members = 0
         for v in cl:
             if type(v) is not int or not 0 <= v < n:
                 return None
-            mask |= 1 << v
-        bit = 1 << k
-        for v in cl:
-            cover[v] |= mask
+            members |= 1 << v
             keys[v] |= bit
-    if cover != [a | 1 << v for v, a in enumerate(adj)]:
+        pairs = pair_bits[members]
+        if covered & pairs or members.bit_count() != len(cl):
+            return None
+        covered |= pairs
+        vertices |= members
+        bit <<= 1
+    if covered != mask or vertices != (1 << n) - 1:
         return None
     return n - len(set(keys))
 

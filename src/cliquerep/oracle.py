@@ -19,8 +19,8 @@ from .decompose import (
     GreedyDecomposition,
     Violation,
     _check_partition,
-    _checked_duplicates,
     _cliques_through_edge,
+    _duplicates_on_mask,
     _edge_partitions,
     _incidence,
     _min_distinct,
@@ -201,9 +201,9 @@ def _sweep_range(
     Only the graph of lo is built from its mask. Each later graph steps
     the neighbour masks of the one before: going from mask - 1 to mask
     toggles the pairs whose bits are set in mask ^ (mask - 1). Each
-    construction is checked and its distinct sets counted in one pass
-    (_checked_duplicates); only one that pass does not accept goes through
-    the validators."""
+    construction is checked against the mask's pair bits and its distinct
+    sets counted in one pass (_duplicates_on_mask); only one that pass does
+    not accept goes through the validators."""
     bound = quarter_square(n)
     max_cliques = 0
     max_elements = 0
@@ -228,7 +228,7 @@ def _sweep_range(
             findings.append((mask, "greedy_cliques", nontrivial))
         if total > bound:
             findings.append((mask, "greedy_cliques_with_trivial", total))
-        duplicates = _checked_duplicates(g, d.sequence)
+        duplicates = _duplicates_on_mask(n, mask, d.sequence)
         if duplicates is None:
             # Only an invalid run fails the one-pass check: raise the
             # ValueError the transform would.
@@ -247,7 +247,7 @@ def _sweep_range(
         oversize = max(map(len, p.cliques), default=0)
         if oversize > 3:
             violations.append(BoundViolation(mask, "erdos", "erdos_clique_size", oversize, 3))
-        duplicates = _checked_duplicates(g, p.cliques)
+        duplicates = _duplicates_on_mask(n, mask, p.cliques)
         if duplicates is None:
             # The one-pass check rejects exactly what validate_partition
             # finds at fault, so there is at least one finding.
@@ -276,7 +276,8 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     positions an earlier vertex already has. Per graph: run the
     edge/triangle partition and check its size, its <= 3 clique widths, its
     validity, and the distinctness of its incidence sets. One pass over a
-    construction's cliques tests that they partition g exactly and counts
+    construction's cliques tests that their pairs are the graph's edge
+    bitmask, each pair once, and that they cover every vertex, and counts
     its distinct sets; a construction that pass does not accept goes
     through the validators, and an invalid greedy run raises the
     ValueError the transform would. max_cliques_seen is the largest clique

@@ -700,6 +700,7 @@ class TestOptimizedInterpreter:
             (["represent", "g.el", "--method", "greedy", "--augment"], 0),
             (["verify", "representation", "g.el", "valid.json", "--require-distinct"], 0),
             (["verify", "representation", "g.el", "tampered.json"], 1),
+            (["sweep", "--n", "5", "--seeds", "1,2"], 0),
         ]
         env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
         for argv, code in commands:

@@ -26,7 +26,14 @@ from cliquerep import (
 )
 from cliquerep import decompose, exhaustive_bound_check
 from cliquerep.decompose import _vertex_order
-from helpers import as_partition, graphs, reference_erdos, reference_greedy, sparse_random_graph
+from helpers import (
+    as_partition,
+    graphs,
+    random_graph,
+    reference_erdos,
+    reference_greedy,
+    sparse_random_graph,
+)
 
 
 #: A greedy seed: None for the lexicographic run.
@@ -190,6 +197,46 @@ class TestReferenceGreedy:
     def test_complete_bipartite_and_complete(self):
         self.assert_matches(complete_bipartite(30, 30))
         self.assert_matches(complete_graph(12))
+
+
+class TestGreedyTail:
+    """The run from the last five starts on is memoized by their residual
+    rows, shifted down by h = n - 5: a cold and a warm cache give the
+    reference sequence, and the keys stay small at any n."""
+
+    SEEDS = [None, 0, 1, 2, 3]
+
+    def assert_cold_and_warm(self, monkeypatch, graphs):
+        real = decompose._greedy_tail
+        keys = []
+        monkeypatch.setattr(decompose, "_greedy_tail",
+                            lambda h, rows: keys.append((h, rows)) or real(h, rows))
+        want = {(g, s): reference_greedy(g, s) for g in graphs for s in self.SEEDS}
+        real.cache_clear()
+        for _ in ("cold", "warm"):
+            for (g, s), sequence in want.items():
+                assert greedy_decomposition(g, s).sequence == sequence, (g, s)
+        assert real.cache_info().hits >= len(want)
+        assert len(keys) == 2 * len(want)
+        return keys
+
+    def test_seeded_masks_at_n7(self, monkeypatch):
+        rng = random.Random(7)
+        graphs = [graph_from_bitmask(7, rng.randrange(1 << 21)) for _ in range(3000)]
+        keys = self.assert_cold_and_warm(monkeypatch, graphs)
+        assert all(type(k) is int and 0 <= k < 32 for h, rows in keys for k in (h, *rows))
+        assert {(h, len(rows)) for h, rows in keys} == {(2, 5)}
+
+    def test_large_graphs(self, monkeypatch):
+        rng = random.Random(8)
+        graphs = [random_graph(rng, 12, 0.5), random_graph(rng, 60, 0.5),
+                  complete_bipartite(5, 5), path_graph(40)]
+        cache = decompose._greedy_tail
+        keys = self.assert_cold_and_warm(monkeypatch, graphs)
+        assert {(h, len(rows)) for h, rows in keys} == {(7, 5), (55, 5), (5, 5), (35, 5)}
+        assert all(type(r) is int and 0 <= r < 32 for _, rows in keys for r in rows)
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 @st.composite

@@ -21,6 +21,8 @@ from cliquerep import (
     augment_to_distinct,
     check_rs_bound,
     complete_graph,
+    edge_bitmask,
+    enumerate_labeled_graphs,
     erdos_partition,
     graph,
     greedy_decomposition,
@@ -30,7 +32,8 @@ from cliquerep import (
     validate_partition,
     validate_representation,
 )
-from cliquerep.decompose import _checked_duplicates, _covers_exactly
+from cliquerep.decompose import _covers_exactly, _duplicates_on_mask
+from cliquerep.graphs import ENUMERATION_MAX_N
 from helpers import (
     as_partition,
     graphs,
@@ -141,10 +144,13 @@ def tamper_sequence(rng: random.Random, d: GreedyDecomposition) -> GreedyDecompo
 
 def assert_one_pass_verdicts(g: Graph, cliques, valid: bool) -> None:
     """The one-pass checks fail exactly on an invalid partition: the
-    transforms raise on _covers_exactly alone, and the sweep sends a run
-    that _checked_duplicates does not accept to that raise."""
+    transforms raise on _covers_exactly alone, and the sweep sends a
+    construction that _duplicates_on_mask does not accept to that raise or
+    to the validators. The mask check's table has 2^n entries, so it is
+    checked at the orders a sweep visits."""
     assert _covers_exactly(g, cliques) == valid
-    assert (_checked_duplicates(g, cliques) is None) == (not valid)
+    if g.n <= ENUMERATION_MAX_N:
+        assert (_duplicates_on_mask(g.n, edge_bitmask(g), cliques) is None) == (not valid)
 
 
 def assert_same_findings(rng: random.Random, g: Graph) -> None:
@@ -186,6 +192,63 @@ class TestSameFindingsAsTheReference:
             n = rng.randint(20, 300)
             p = rng.choice((0.01, 0.05, 0.2, 0.5, 0.9))
             assert_same_findings(rng, random_graph(rng, n, p))
+
+
+def mask_check_faults(g: Graph, cliques: tuple) -> list[tuple]:
+    """Copies of a valid partition's cliques, each with one fault: an empty
+    clique, a repeated member, a duplicate trivial clique, a non-edge pair,
+    a doubly covered edge, an isolated vertex left uncovered, and vertex 1
+    (or 0 when n = 1) replaced by a member that is no vertex, n and -1
+    among them, or that only equals it: 1.0, True and np.int64."""
+    np = pytest.importorskip("numpy")
+    n = g.n
+    out = [cliques + ((),), cliques + ((0,), (0,))]
+    cl = next(c for c in cliques if len(c) > 1) if g.edges else cliques[0]
+    out.append(cliques + (cl + (cl[0],),))
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges]
+    if non_edges:
+        out.append(cliques + (non_edges[0],))
+    if g.edges:
+        out.append(cliques + (min(g.edges),))
+    isolated = [(v,) for v in range(n) if g.adj[v] == 0]
+    if isolated:
+        out.append(tuple(c for c in cliques if c != isolated[0]))
+    v = 1 if n > 1 else 0
+    at = next(i for i, c in enumerate(cliques) if v in c)
+    for bad in (n, -1, float(v), v == 1, np.int64(v)):
+        swapped = tuple(bad if w == v else w for w in cliques[at])
+        out.append(cliques[:at] + (swapped,) + cliques[at + 1:])
+    return out
+
+
+def test_mask_check_matches_validate_partition_on_every_small_graph():
+    # On every labeled graph with n <= 5: the greedy runs, the erdos
+    # partition, tampered copies and one-fault copies. The check accepts
+    # exactly what validate_partition accepts, and then counts the fresh
+    # elements augment_to_distinct attaches.
+    rng = random.Random(34)
+    accepted = rejected = 0
+    for n in range(1, 6):
+        for g in enumerate_labeled_graphs(n):
+            mask = edge_bitmask(g)
+            runs = [greedy_decomposition(g, s).sequence for s in (None, 0, 1, 2)]
+            valid = [*runs, erdos_partition(g).cliques]
+            tampered = [tamper_partition(rng, CliquePartition(g, c)).cliques for c in valid]
+            faults = mask_check_faults(g, runs[0])
+            for cliques in valid + tampered + faults:
+                p = CliquePartition(g, cliques)
+                found = _duplicates_on_mask(n, mask, cliques)
+                assert (found is not None) == (validate_partition(g, p) == []), (g, cliques)
+                if found is None:
+                    rejected += 1
+                    continue
+                accepted += 1
+                r = representation_from_partition(p)
+                assert found == augment_to_distinct(r).ground_size - r.ground_size
+            for cliques in faults:
+                assert _duplicates_on_mask(n, mask, cliques) is None, (g, cliques)
+    # 1,099 graphs, each with 5 valid constructions and at least 9 faults.
+    assert accepted >= 5 * 1099 and rejected >= 9 * 1099
 
 
 # Each partition passes or fails the exact-cover check on one condition.
