@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache, reduce
-from itertools import chain, combinations, compress
+from itertools import chain, compress
 from operator import attrgetter, mul, or_
 
-from .graphs import Edge, Graph, _bit_flags, _Record, bits
+from .graphs import Edge, Graph, _bit_flags, _pair_bits, _Record, bits
 
 Clique = tuple[int, ...]
 #: A clique the search may take, with its vertex mask.
@@ -342,14 +342,6 @@ def _covers_exactly(g: Graph, cliques: Sequence[Clique]) -> bool:
     return cover == [a | 1 << v for v, a in enumerate(g.adj)]
 
 
-@lru_cache(maxsize=8)
-def _pair_bits(n: int) -> tuple[int, ...]:
-    """Per vertex mask on n vertices, the edge-bitmask bits (bit k for pair
-    k of combinations(range(n), 2)) of the pairs inside it."""
-    pairs = [1 << u | 1 << v for u, v in combinations(range(n), 2)]
-    return tuple(sum(1 << k for k, p in enumerate(pairs) if m & p == p) for m in range(1 << n))
-
-
 def _duplicates_on_mask(n: int, mask: int, cliques: Sequence[Clique]) -> int | None:
     """When cliques are a valid partition of the graph with edge bitmask
     mask on n vertices, the number of vertices whose incidence set, as a
@@ -623,35 +615,35 @@ def _cliques_needed(residual: Sequence[int], free: int, limit: int) -> int:
 def _edge_partitions(
     adj: Sequence[int],
     options: Callable[[list[int], int, int], list[_Option]],
-    budget: list[int] | None = None,
+    price: Callable[[list[Clique]], int] | None = None,
 ) -> Iterator[list[Clique]]:
-    """Every clique partition of adj (neighbor bitmasks): the trivial
-    clique of each isolated vertex, chosen at the root, and a partition of
-    the edges into cliques, by the clique-partition branch and bound of
-    Orlin (1977).
+    """Clique partitions of adj (neighbor bitmasks): the trivial clique of
+    each isolated vertex, chosen at the root, and a partition of the edges
+    into cliques, by the clique-partition branch and bound of Orlin (1977).
 
     Branches on the smallest uncovered edge (u, v) over options(residual, u,
     v), the residual cliques through it to try, in order, each with its
     vertex mask; if they are all the residual cliques through it, each edge
-    partition is yielded exactly once. When u and v have no common residual
+    partition is reached exactly once. When u and v have no common residual
     neighbor, options must return exactly the edge (u, v), as
     _cliques_through_edge and _edge_or_triangles do: such a forced edge is
     taken without calling it. A node is the root or a branching option,
     followed by its whole run of forced smallest edges.
 
-    budget, a one-item list the caller may lower between yields, is the
-    number of cliques a partition must stay below. It is read once per
-    node, at the end of its run, and a node is cut when the fewest cliques
-    any completion below it can have reach it: a branching node before it
-    branches, a leaf before it is yielded, so every yielded partition stays
-    below the budget read there. That fewest is the cliques chosen so far
-    plus _cliques_needed(residual), which is 0 at a leaf. The bound is
-    called once per node, with the room the budget leaves, and stops
-    counting once it proves the cut, so a cut node pays only for that
-    part. A run does not branch, so a cut that its middle would allow is
-    only delayed to its end. Without a budget the bound is never computed.
-    The yielded list is the live search state, valid until the next step,
-    and is extended by copying; its length is the partition's clique count.
+    Without a price every partition is yielded and no bound is computed.
+    With one, price(chosen) is a partition's cost, from its clique count up
+    to |E| + n, and a partition is yielded only when cheaper than the
+    budget, which its cost then becomes: the last one yielded is the first
+    cheapest in branching order. The budget starts at |E| + n + 1 and is
+    read once per node, at the end of its run. A node is cut when the
+    cliques chosen so far plus _cliques_needed(residual), a lower bound on
+    the cliques any completion adds (0 at a leaf), reach it: a branching
+    node before it branches, a leaf before it is priced. The bound gets the
+    room the budget leaves and stops counting once it proves the cut, so a
+    cut node pays only for that part. A run does not branch, so a cut that
+    its middle would allow is only delayed to its end. The yielded list is
+    the live search state, valid until the next step, and is extended by
+    copying; its length is the partition's clique count.
 
     The search is one loop in one frame, with an explicit stack of the
     branching nodes: each keeps its remaining options, the number of
@@ -665,6 +657,7 @@ def _edge_partitions(
     """
     residual = list(adj)
     free = reduce(or_, residual, 0)
+    budget = sum(map(int.bit_count, residual)) // 2 + len(residual) + 1
     chosen: list[Clique] = [(v,) for v, row in enumerate(residual) if not row]
     stack: list[tuple[Iterator[_Option], int, list[int], int]] = []
     while True:
@@ -684,12 +677,15 @@ def _edge_partitions(
             if not other:
                 free ^= vbit
             chosen.append((u, v))
-        if budget is None or _cliques_needed(
-                residual, free, room := budget[0] - len(chosen)) < room:
-            if not free:
-                yield chosen
-            else:
+        if price is None or _cliques_needed(
+                residual, free, room := budget - len(chosen)) < room:
+            if free:
                 stack.append((iter(options(residual, u, v)), len(chosen), residual.copy(), free))
+            elif price is None:
+                yield chosen
+            elif (cost := price(chosen)) < budget:
+                budget = cost
+                yield chosen
         # Back up to the deepest branching node with an option left.
         while stack:
             rest, depth, saved, free = stack[-1]
@@ -716,28 +712,30 @@ def _min_distinct(
 ) -> list[Clique]:
     """Cheapest clique partition of adj with pairwise-distinct incidence sets.
 
-    Searches the clique partitions that options allows. A completed
-    partition is charged its cliques plus one per extra member of each
+    Searches the clique partitions that options allows. The kernel prices a
+    completed partition at its cliques plus one per extra member of each
     group of vertices with identical incidence sets (the cheapest way to
     split such a group, since a fresh trivial clique can collide with
     nothing). An isolated vertex's trivial clique gives it a key of its
     own. Of equally cheap partitions the first found wins.
     """
     n = len(adj)
-    # No partition costs more than |E| + n (a clique per edge, a trivial
-    # clique per vertex), so the first leaf found beats this budget.
-    budget = [sum(map(int.bit_count, adj)) // 2 + n + 1]
-    for chosen in _edge_partitions(adj, options, budget):
-        # Incidence keys are clique-position bitmasks.
+    keys: list[int] = []
+
+    def price(chosen: list[Clique]) -> int:
+        # Incidence keys are clique-position bitmasks. The kernel yields a
+        # partition right after pricing it, so keys are then its keys.
+        nonlocal keys
         keys = [0] * n
         bit = 1
         for cl in chosen:
             for v in cl:
                 keys[v] |= bit
             bit <<= 1
-        cost = len(chosen) + n - len(set(keys))
-        if cost < budget[0]:
-            budget[0], best, best_keys = cost, chosen.copy(), keys
+        return len(chosen) + n - len(set(keys))
+
+    for chosen in _edge_partitions(adj, options, price):
+        best, best_keys = chosen.copy(), keys
     # Every vertex whose key an earlier vertex already has gets a trivial
     # clique, in vertex order.
     seen: set[int] = set()

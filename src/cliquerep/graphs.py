@@ -8,6 +8,7 @@ verification sweeps.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 from itertools import combinations, compress, permutations
 
 Edge = tuple[int, int]
@@ -116,8 +117,8 @@ class Graph(_Record):
     Graph(n, edges) keeps frozenset(edges) and makes its neighbour masks on
     the first read of adj. Two hot paths instead build the masks while they
     read and derive the edge set when it is first read (_from_adj): the
-    bulk edge-list reader and the sweep's mask stepping. Equality, hashing
-    and repr read the edge set either way.
+    bulk edge-list reader and the labeled-graph walk (_labeled_graphs).
+    Equality, hashing and repr read the edge set either way.
     """
 
     n: int
@@ -160,8 +161,8 @@ class Graph(_Record):
 
     @classmethod
     def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """A Graph from neighbour masks that the bulk reader or the sweep has
-        built and checked; its edge set is derived from them when first read."""
+        """A Graph from masks that _plain_edge_list or _labeled_graphs built
+        and checked; its edge set is derived from them when first read."""
         g = object.__new__(cls)
         g.__dict__.update(n=n, adj=adj)
         return g
@@ -261,6 +262,13 @@ def _pair_position(n: int, u: int, v: int) -> int:
     return u * (2 * n - u - 1) // 2 + v - u - 1
 
 
+@lru_cache(maxsize=8)
+def _pair_bits(n: int) -> tuple[int, ...]:
+    """Per vertex mask on n vertices, the edge bitmask of the pairs inside it."""
+    pairs = [1 << u | 1 << v for u, v in combinations(range(n), 2)]
+    return tuple(sum(1 << k for k, p in enumerate(pairs) if m & p == p) for m in range(1 << n))
+
+
 def _mask_pairs(n: int, mask: int) -> Iterator[Edge]:
     """The pairs of combinations(range(n), 2) whose bit is set in mask.
 
@@ -279,8 +287,8 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     """Graph whose edge set is the given subset of vertex pairs.
 
     Bit k selects the k-th pair of combinations(range(n), 2); the same
-    convention is used by edge_bitmask, _relabel_mask,
-    enumerate_labeled_graphs, and canonical_form.
+    convention is used by edge_bitmask, _relabel_mask, _pair_bits, the
+    labeled-graph walk (_labeled_graphs), and canonical_form.
     """
     _count(n)
     if type(mask) is not int:
@@ -314,11 +322,26 @@ def _relabel_mask(n: int, mask: int, labels: tuple[int, ...]) -> int:
 
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
-    """All 2^(n(n-1)/2) labeled graphs on n vertices, bitmask ascending."""
+    """All 2^(n(n-1)/2) labeled graphs on n vertices, bitmask ascending, as
+    graph_from_bitmask builds them, walked by _labeled_graphs."""
     if type(n) is not int or not 0 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"enumeration supports 0 <= n <= {ENUMERATION_MAX_N}, got {n}")
-    for mask in range(1 << (n * (n - 1) // 2)):
-        yield graph_from_bitmask(n, mask)
+    yield from _labeled_graphs(n, 0, 1 << (n * (n - 1) // 2))
+
+
+def _labeled_graphs(n: int, lo: int, hi: int) -> Iterator[Graph]:
+    """The graphs of the edge bitmasks lo..hi-1 on n vertices, in order. The
+    neighbour masks of lo come from its pairs; the step from mask to mask + 1
+    toggles the pairs whose bits are set in mask ^ (mask + 1), the lowest."""
+    pairs = list(combinations(range(n), 2))
+    adj = [0] * n
+    step = _mask_pairs(n, lo)
+    for mask in range(lo, hi):
+        for u, v in step:
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+        yield Graph._from_adj(n, tuple(adj))
+        step = pairs[:(mask ^ (mask + 1)).bit_length()]
 
 
 def canonical_form(g: Graph) -> int:

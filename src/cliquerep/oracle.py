@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator
-from itertools import combinations
 
 from .decompose import (
-    Clique,
     CliquePartition,
     GreedyDecomposition,
     Violation,
@@ -31,7 +29,7 @@ from .decompose import (
     validate_greedy,
     validate_partition,
 )
-from .graphs import ENUMERATION_MAX_N, Graph, _Record, _relabel_mask, degree, graph_from_bitmask
+from .graphs import ENUMERATION_MAX_N, Graph, _labeled_graphs, _Record, _relabel_mask, degree
 from .represent import SetRepresentation
 
 #: Search budgets, chosen so every run finishes in minutes on one machine.
@@ -91,22 +89,16 @@ def min_clique_partition(g: Graph) -> tuple[int, CliquePartition]:
     """Exact clique-partition number with a minimum witness.
 
     Branch and bound on the lexicographically smallest uncovered edge,
-    trying every residual clique through it, largest first. A branch is cut
-    once it cannot strictly beat the incumbent: once the cliques chosen so
-    far plus an independent-set lower bound on the cliques the uncovered
-    edges still need (see _cliques_needed) reach its size. Isolated vertices
-    each contribute one trivial clique, which the search chooses at its root.
+    trying every residual clique through it, largest first. The kernel
+    prices a partition at its size, so the witness is the first smallest
+    partition in branching order (see _edge_partitions for the cut).
+    Isolated vertices each contribute one trivial clique, which the search
+    chooses at its root.
     """
     if g.n > CP_MAX_N:
         raise ValueError(f"n={g.n} exceeds the n<={CP_MAX_N} search budget")
-    # No partition has more than |E| + n cliques (a clique per edge, a
-    # trivial clique per vertex), so the first partition found beats this
-    # starting budget and it cuts nothing. Each partition found is smaller
-    # than the last, and lowers the budget to its size.
-    best: list[Clique] = []
-    budget = [sum(map(int.bit_count, g.adj)) // 2 + g.n + 1]
-    for chosen in _edge_partitions(g.adj, _cliques_through_edge, budget):
-        budget[0], best = len(chosen), chosen.copy()
+    for chosen in _edge_partitions(g.adj, _cliques_through_edge, len):
+        best = chosen.copy()
     # The kernel's cliques are sorted tuples, so sorting the list gives
     # from_cliques' normal form without re-sorting each clique.
     witness = CliquePartition(g, tuple(sorted(best)))
@@ -131,11 +123,11 @@ def min_distinct_representation(g: Graph) -> tuple[int, SetRepresentation]:
 
     Trivial cliques are the only way to enlarge a vertex's element set
     without touching any pairwise intersection, so the minimum is found by
-    searching clique partitions and charging, per completed partition, one
-    trivial clique for each isolated vertex plus one for each extra member
-    of a group of vertices with identical incidence sets. The search starts
-    from a budget that every partition beats, so it never assumes the
-    floor(n^2/4) bound that the tests check it against.
+    searching clique partitions, each priced at its cliques plus one for
+    each extra member of a group of vertices with identical incidence sets
+    (_min_distinct). The kernel's starting budget is one every partition
+    beats, so the search never assumes the floor(n^2/4) bound that the
+    tests check it against.
     """
     if g.n > CP_MAX_N:
         raise ValueError(f"n={g.n} exceeds the n<={CP_MAX_N} search budget")
@@ -194,31 +186,19 @@ def _worker_count(chunks: int) -> int:
 def _sweep_range(
     n: int, lo: int, hi: int
 ) -> tuple[int, int, list[tuple[int, str, int]], list[BoundViolation]]:
-    """Check masks lo..hi-1. Returns the largest clique and element counts
-    seen, the lexicographic greedy findings as (mask, check, observed) and
-    erdos_partition's violations, both in mask order.
-
-    Only the graph of lo is built from its mask. Each later graph steps
-    the neighbour masks of the one before: going from mask - 1 to mask
-    toggles the pairs whose bits are set in mask ^ (mask - 1). Each
-    construction is checked against the mask's pair bits and its distinct
-    sets counted in one pass (_duplicates_on_mask); only one that pass does
-    not accept goes through the validators."""
+    """Check masks lo..hi-1, whose graphs _labeled_graphs walks. Returns the
+    largest clique and element counts seen, the lexicographic greedy
+    findings as (mask, check, observed) and erdos_partition's violations,
+    both in mask order. Each construction is checked against the mask's
+    pair bits and its distinct sets counted in one pass
+    (_duplicates_on_mask); only one that pass does not accept goes through
+    the validators."""
     bound = quarter_square(n)
     max_cliques = 0
     max_elements = 0
     findings: list[tuple[int, str, int]] = []
     violations: list[BoundViolation] = []
-    pairs = list(combinations(range(n), 2))
-    adj: list[int] = []
-    for mask in range(lo, hi):
-        if mask == lo:
-            adj = list(graph_from_bitmask(n, lo).adj)
-        else:
-            for u, v in pairs[:(mask ^ (mask - 1)).bit_length()]:
-                adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
-        g = Graph._from_adj(n, tuple(adj))
+    for mask, g in enumerate(_labeled_graphs(n, lo, hi), lo):
         d = greedy_decomposition(g)
         total = len(d.sequence)
         nontrivial = sum(1 for c in d.sequence if len(c) >= 2)
@@ -295,10 +275,9 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     the edge/triangle partition's.
 
     Work is split over bitmask ranges across processes (capped by the
-    CLIQUEREP_THREADS environment variable and by the CPU count); each
-    range builds its first graph from the mask and reaches every later one
-    by toggling the pairs whose bits change. Chunk results merge in bitmask
-    order, so the report is identical regardless of worker count.
+    CLIQUEREP_THREADS environment variable and by the CPU count), each
+    walked by _labeled_graphs. Chunk results merge in bitmask order, so the
+    report is identical regardless of worker count.
     """
     if type(n) is not int or not SWEEP_MIN_N <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"sweeps support {SWEEP_MIN_N} <= n <= {ENUMERATION_MAX_N}, got {n}")

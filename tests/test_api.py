@@ -137,6 +137,26 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def test_every_private_helper_is_used():
+    # A refactor that orphans a private top-level function or class, with
+    # no reference to it left in the package outside its own body, shows
+    # up here.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(cliquerep.__file__).parent.glob("*.py"))}
+    refs = [(node.id if isinstance(node, ast.Name) else node.attr, node)
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))]
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                own = set(ast.walk(node))
+                if not any(name == node.name and ref not in own for name, ref in refs):
+                    unused.append(f"{module}: {node.name}")
+    assert unused == []
+
+
 def test_sources_parse_at_the_python_floor():
     # Parsed as the oldest Python that pyproject.toml admits, syntax newer
     # than it, such as except*, fails here. Library features, such as the

@@ -1,3 +1,4 @@
+import pickle
 import random
 import sys
 import time
@@ -35,7 +36,15 @@ from cliquerep import (
     validate_partition,
     validate_representation,
 )
-from cliquerep.graphs import _CHUNK, _MASKS_UP_TO_N, _plain_edge_list
+from cliquerep.graphs import (
+    _CHUNK,
+    _MASKS_UP_TO_N,
+    _labeled_graphs,
+    _mask_pairs,
+    _pair_bits,
+    _plain_edge_list,
+    bits,
+)
 from helpers import iso_classes_by_permutation, random_graph, remove_edges
 
 
@@ -708,6 +717,35 @@ class TestEnumeration:
     def test_all_distinct(self):
         seen = {g.edges for g in enumerate_labeled_graphs(4)}
         assert len(seen) == 64
+
+    def test_walk_matches_graph_from_bitmask(self):
+        # The walk steps neighbour masks; each graph must be the one
+        # graph_from_bitmask builds, in every way a caller can see.
+        for n in range(6):
+            walked = list(enumerate_labeled_graphs(n))
+            assert len(walked) == 1 << n * (n - 1) // 2
+            for mask, g in enumerate(walked):
+                want = graph_from_bitmask(n, mask)
+                assert (g.n, g.adj, g.edges) == (want.n, want.adj, want.edges)
+                assert g == want and hash(g) == hash(want) and repr(g) == repr(want)
+                assert pickle.loads(pickle.dumps(g)) == want
+
+    def test_walk_across_cut_points(self):
+        # A sweep chunk walks lo..hi-1 only; the chunks' graphs, laid end to
+        # end, are the whole walk's. An empty range yields nothing.
+        whole = list(_labeled_graphs(5, 0, 1024))
+        cuts = (0, 1, 333, 1023, 1024)
+        parts = [g for lo, hi in zip(cuts, cuts[1:]) for g in _labeled_graphs(5, lo, hi)]
+        assert parts == whole == list(enumerate_labeled_graphs(5))
+        for lo in (0, 333, 1024):
+            assert list(_labeled_graphs(5, lo, lo)) == []
+
+    def test_pair_bits_hold_the_pairs_inside_each_vertex_mask(self):
+        for n in range(8):
+            table = _pair_bits(n)
+            assert len(table) == 1 << n
+            for m, pair_mask in enumerate(table):
+                assert list(_mask_pairs(n, pair_mask)) == list(combinations(bits(m), 2))
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):

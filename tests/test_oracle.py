@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cliquerep import (
     CliquePartition,
     GreedyDecomposition,
+    SetRepresentation,
     all_clique_partitions,
     check_rs_bound,
     complete_bipartite,
@@ -340,6 +341,29 @@ class TestWitnessIdentity:
         assert at_n5 == 2625
         assert digest.hexdigest() == (
             "b940637bf004356d5826fc67417f3c5049b17d909c59f2abfa0ba35a047928b8")
+
+    def test_witnesses_are_the_first_cheapest_partitions_up_to_n5(self):
+        # The rule the digests pin: both searches return the first cheapest
+        # partition that all_clique_partitions yields, in branching order.
+        def repeats(n, cliques):
+            """The vertices whose incidence set an earlier vertex has."""
+            keys = [{k for k, cl in enumerate(cliques) if v in cl} for v in range(n)]
+            return [v for v in range(n) if keys[v] in keys[:v]]
+
+        for n in range(6):
+            for g in enumerate_labeled_graphs(n):
+                parts = [p.cliques for p in all_clique_partitions(g)]
+                size = min(map(len, parts))
+                first = next(p for p in parts if len(p) == size)
+                assert min_clique_partition(g) == (size, CliquePartition(g, first))
+                costs = [len(p) + len(repeats(n, p)) for p in parts]
+                value = min(costs)
+                first = parts[costs.index(value)]
+                cliques = sorted(first + tuple((v,) for v in repeats(n, first)))
+                sets = tuple(frozenset(k for k, cl in enumerate(cliques) if v in cl)
+                             for v in range(n))
+                assert min_distinct_representation(g) == (
+                    value, SetRepresentation(g, sets, value))
 
 
 class TestAllCliquePartitions:
