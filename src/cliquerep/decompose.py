@@ -155,30 +155,38 @@ def greedy_decomposition(g: Graph, seed: int | None = None) -> GreedyDecompositi
     once makes priority bit order, so every choice takes the lowest bit and
     a seeded run is the lexicographic run on the relabeled graph.
 
+    The run itself is _greedy_run, on g's rows or the relabeled ones.
+    """
+    if seed is None:
+        # The lexicographic relabeling is the identity.
+        return GreedyDecomposition(g, tuple(_greedy_run(g.adj)))
+    order = _vertex_order(g.n, seed)
+    # Vertex order[i] becomes i: its row is the sum, that is the OR, of its
+    # neighbours' new bits. The cliques are then mapped back and sorted.
+    adj = g.adj
+    moved = [0] * g.n
+    for i, v in enumerate(order):
+        moved[v] = 1 << i
+    rows = [sum(compress(moved, _bit_flags(adj[v]))) for v in order]
+    return GreedyDecomposition(g, tuple(
+        tuple(sorted(map(order.__getitem__, cl))) for cl in _greedy_run(rows)))
+
+
+def _greedy_run(rows: Sequence[int]) -> list[Clique]:
+    """The lexicographic greedy run on neighbour rows, then the trivial
+    clique of each isolated vertex, ascending; rows are not changed.
+
     Once the starts below h = n - 5 have run, every residual edge lies
     among the last five vertices, so the rest of the run, one of at most
     2^10 shapes, is looked up in a bounded cache (_greedy_tail).
     """
-    order = _vertex_order(g.n, seed)
-    if seed is None:
-        residual = list(g.adj)  # the lexicographic relabeling is the identity
-    else:
-        # Vertex order[i] becomes i: its row is the sum, that is the OR,
-        # of its neighbours' new bits.
-        adj = g.adj
-        moved = [0] * g.n
-        for i, v in enumerate(order):
-            moved[v] = 1 << i
-        residual = [sum(compress(moved, _bit_flags(adj[v]))) for v in order]
-    isolated = [(order[i],) for i, m in enumerate(residual) if m == 0]
-    h = max(g.n - 5, 0)
+    residual = list(rows)
+    h = max(len(rows) - 5, 0)
     sequence = _greedy_cliques(residual, range(h))
     sequence += _greedy_tail(h, tuple(map(h.__rrshift__, residual[h:])))
-    if seed is not None:
-        # Map the members back to the original labels and sort.
-        sequence = [tuple(sorted(map(order.__getitem__, cl))) for cl in sequence]
-    sequence.extend(isolated)
-    return GreedyDecomposition(g, tuple(sequence))
+    if 0 in rows:
+        sequence += [(v,) for v, row in enumerate(rows) if not row]
+    return sequence
 
 
 def _greedy_cliques(residual: list[int], starts: range) -> list[Clique]:
@@ -342,18 +350,24 @@ def _covers_exactly(g: Graph, cliques: Sequence[Clique]) -> bool:
     return cover == [a | 1 << v for v, a in enumerate(g.adj)]
 
 
-def _duplicates_on_mask(n: int, mask: int, cliques: Sequence[Clique]) -> int | None:
+def _duplicates_on_mask(
+    n: int, mask: int, cliques: Sequence[Clique]
+) -> tuple[int, int, int] | None:
     """When cliques are a valid partition of the graph with edge bitmask
-    mask on n vertices, the number of vertices whose incidence set, as a
-    clique-position bitmask, an earlier vertex has: the fresh elements
-    augment_to_distinct would attach. Else None. The sweep's check, one
-    pass that reads no neighbour masks: the cliques are distinct, each a
-    non-empty set of exact ints in range(n), their pair bits are disjoint
-    and OR to mask, and their vertex masks OR to all n vertices."""
-    if not all(cliques) or len(set(cliques)) != len(cliques):
-        return None
+    mask on n vertices, (duplicates, nontrivial, widest): the number of
+    vertices whose incidence set, as a clique-position bitmask, an earlier
+    vertex has (the fresh elements augment_to_distinct would attach), the
+    number of cliques of two or more vertices, and the size of the widest
+    of those (0 when there is none). Else None.
+
+    The sweep's only pass over a construction, reading no neighbour masks:
+    each clique is a non-empty set of exact ints in range(n), their pair
+    bits are disjoint and OR to mask, and their vertex masks OR to all n
+    vertices. The cliques are then distinct without a set of them: two
+    equal cliques of two or more vertices share a pair, and a repeated
+    trivial clique meets the mask of the trivial cliques before it."""
     pair_bits = _pair_bits(n)
-    covered = vertices = 0
+    covered = vertices = trivial = nontrivial = widest = 0
     keys = [0] * n
     bit = 1
     for cl in cliques:
@@ -363,15 +377,24 @@ def _duplicates_on_mask(n: int, mask: int, cliques: Sequence[Clique]) -> int | N
                 return None
             members |= 1 << v
             keys[v] |= bit
-        pairs = pair_bits[members]
-        if covered & pairs or members.bit_count() != len(cl):
+        size = len(cl)
+        if size > 1:
+            pairs = pair_bits[members]
+            if covered & pairs or members.bit_count() != size:
+                return None
+            covered |= pairs
+            nontrivial += 1
+            if size > widest:
+                widest = size
+        elif size and not trivial & members:
+            trivial |= members
+        else:
             return None
-        covered |= pairs
         vertices |= members
         bit <<= 1
     if covered != mask or vertices != (1 << n) - 1:
         return None
-    return n - len(set(keys))
+    return n - len(set(keys)), nontrivial, widest
 
 
 def _partition_findings(g: Graph, cliques: Sequence[Clique]) -> list[Violation]:
@@ -461,18 +484,24 @@ def erdos_partition(g: Graph) -> CliquePartition:
     lookup. Trivial cliques created for vertices isolated at inner steps are
     kept: the distinctness property can depend on them.
     """
+    return CliquePartition(g, tuple(_erdos_cliques(g.adj)))
+
+
+def _erdos_cliques(rows: Sequence[int]) -> list[Clique]:
+    """erdos_partition's cliques, sorted, on neighbour rows, which are not
+    changed."""
     # Vertices keep their labels and a deleted vertex is cleared from its
     # neighbors' masks. by_degree[d] holds the survivors of degree d, so the
     # lowest bit of the first non-empty one is the minimum-degree survivor
     # with the lowest label.
-    adj = list(g.adj)
+    adj = list(rows)
     deg = [m.bit_count() for m in adj]
-    by_degree = [0] * g.n
+    by_degree = [0] * len(adj)
     for v, d in enumerate(deg):
         by_degree[d] |= 1 << v
-    alive = (1 << g.n) - 1
+    alive = (1 << len(adj)) - 1
     cliques: list[Clique] = []
-    for n in range(g.n, 4, -1):
+    for n in range(len(adj), 4, -1):
         d = 0
         while not by_degree[d]:
             d += 1
@@ -528,7 +557,7 @@ def erdos_partition(g: Graph) -> CliquePartition:
             by_degree[du] |= ubit
     cliques.extend(_erdos_base(alive, tuple(compress(adj, _bit_flags(alive)))))
     cliques.sort()
-    return CliquePartition(g, tuple(cliques))
+    return cliques
 
 
 @lru_cache(maxsize=4096)

@@ -20,11 +20,11 @@ from .decompose import (
     _cliques_through_edge,
     _duplicates_on_mask,
     _edge_partitions,
+    _erdos_cliques,
+    _greedy_run,
     _incidence,
     _min_distinct,
     _vertex_order,
-    erdos_partition,
-    greedy_decomposition,
     quarter_square,
     validate_greedy,
     validate_partition,
@@ -188,55 +188,60 @@ def _sweep_range(
 ) -> tuple[int, int, list[tuple[int, str, int]], list[BoundViolation]]:
     """Check masks lo..hi-1, whose graphs _labeled_graphs walks. Returns the
     largest clique and element counts seen, the lexicographic greedy
-    findings as (mask, check, observed) and erdos_partition's violations,
-    both in mask order. Each construction is checked against the mask's
-    pair bits and its distinct sets counted in one pass
-    (_duplicates_on_mask); only one that pass does not accept goes through
-    the validators."""
+    findings as (mask, check, observed) and the edge/triangle partition's
+    violations, both in mask order. The constructions run on each graph's
+    rows (_greedy_run, _erdos_cliques), without their records. One pass
+    per construction (_duplicates_on_mask) checks it against the mask's
+    pair bits and counts its distinct sets, non-trivial cliques and widest
+    clique; only one that pass does not accept goes through the
+    validators."""
     bound = quarter_square(n)
     max_cliques = 0
     max_elements = 0
     findings: list[tuple[int, str, int]] = []
     violations: list[BoundViolation] = []
     for mask, g in enumerate(_labeled_graphs(n, lo, hi), lo):
-        d = greedy_decomposition(g)
-        total = len(d.sequence)
-        nontrivial = sum(1 for c in d.sequence if len(c) >= 2)
+        sequence = _greedy_run(g.adj)
+        checked = _duplicates_on_mask(n, mask, sequence)
+        if checked is None:
+            # Only an invalid run fails the one-pass check: raise the
+            # ValueError the transform would.
+            _check_partition(g, sequence)
+        duplicates, nontrivial, _ = checked
+        total = len(sequence)
         if total > max_cliques:
             max_cliques = total
         if nontrivial > bound:
             findings.append((mask, "greedy_cliques", nontrivial))
         if total > bound:
             findings.append((mask, "greedy_cliques_with_trivial", total))
-        duplicates = _duplicates_on_mask(n, mask, d.sequence)
-        if duplicates is None:
-            # Only an invalid run fails the one-pass check: raise the
-            # ValueError the transform would.
-            _check_partition(g, d.sequence)
         elements = total + duplicates
         if elements > max_elements:
             max_elements = elements
         if elements > bound:
             findings.append((mask, "augmented_elements", elements))
-        p = erdos_partition(g)
-        count = len(p.cliques)
+        cliques = _erdos_cliques(g.adj)
+        count = len(cliques)
         if count > max_cliques:
             max_cliques = count
         if count > bound:
             violations.append(BoundViolation(mask, "erdos", "erdos_cliques", count, bound))
-        oversize = max(map(len, p.cliques), default=0)
-        if oversize > 3:
-            violations.append(BoundViolation(mask, "erdos", "erdos_clique_size", oversize, 3))
-        duplicates = _duplicates_on_mask(n, mask, p.cliques)
-        if duplicates is None:
+        checked = _duplicates_on_mask(n, mask, cliques)
+        if checked is None:
+            widest = max(map(len, cliques), default=0)
+        else:
+            duplicates, _, widest = checked
+        if widest > 3:
+            violations.append(BoundViolation(mask, "erdos", "erdos_clique_size", widest, 3))
+        if checked is None:
             # The one-pass check rejects exactly what validate_partition
             # finds at fault, so there is at least one finding.
-            violations.append(BoundViolation(mask, "erdos", "erdos_invalid",
-                                             len(validate_partition(g, p)), 0))
+            faults = validate_partition(g, CliquePartition(g, tuple(cliques)))
+            violations.append(BoundViolation(mask, "erdos", "erdos_invalid", len(faults), 0))
             # An invalid partition may list a member twice in a clique or
             # name a non-vertex: count over each clique's set of vertices.
             duplicates = n - len(set(map(tuple, _incidence(n, (
-                {v for v in cl if type(v) is int and 0 <= v < n} for cl in p.cliques)))))
+                {v for v in cl if type(v) is int and 0 <= v < n} for cl in cliques)))))
         if duplicates:
             violations.append(BoundViolation(mask, "erdos", "erdos_distinctness",
                                              duplicates, 0))
@@ -255,14 +260,16 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     the run's length gains one element per vertex whose set of clique
     positions an earlier vertex already has. Per graph: run the
     edge/triangle partition and check its size, its <= 3 clique widths, its
-    validity, and the distinctness of its incidence sets. One pass over a
-    construction's cliques tests that their pairs are the graph's edge
-    bitmask, each pair once, and that they cover every vertex, and counts
-    its distinct sets; a construction that pass does not accept goes
-    through the validators, and an invalid greedy run raises the
-    ValueError the transform would. max_cliques_seen is the largest clique
-    count seen across greedy runs and edge/triangle partitions. The report
-    names each run "lex" or "random:<seed>".
+    validity, and the distinctness of its incidence sets. Both
+    constructions run on the graph's neighbour masks and build no record.
+    One pass over a construction's cliques tests that their pairs are the
+    graph's edge bitmask, each pair once, and that they cover every vertex,
+    and counts its distinct sets, its non-trivial cliques and its widest
+    clique; a construction that pass does not accept goes through the
+    validators, and an invalid greedy run raises the ValueError the
+    transform would. max_cliques_seen is the largest clique count seen
+    across greedy runs and edge/triangle partitions. The report names each
+    run "lex" or "random:<seed>".
 
     Only the lexicographic greedy is run, once per graph. A seeded run uses
     the same procedure under its vertex order, so its run on g is the

@@ -579,9 +579,9 @@ class TestExhaustiveBoundCheck:
     def test_every_greedy_run_is_validated(self, monkeypatch):
         # The stand-in drops the greedy run's edge {2, 3} on one graph.
         target = graph(4, [(0, 1), (2, 3)])
-        real = oracle.greedy_decomposition
-        monkeypatch.setattr(oracle, "greedy_decomposition", lambda g: (
-            GreedyDecomposition(g, ((0, 1),)) if g.edges == target.edges else real(g)))
+        real = oracle._greedy_run
+        monkeypatch.setattr(oracle, "_greedy_run", lambda rows: (
+            [(0, 1)] if tuple(rows) == target.adj else real(rows)))
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
         with pytest.raises(ValueError, match="^invalid partition"):
             exhaustive_bound_check(4, [None])
@@ -591,9 +591,9 @@ class TestExhaustiveBoundCheck:
         # the stand-in leaves edge {2, 3} uncovered (one finding) and gives
         # 0, 1 one incidence set and 2, 3 another: 4 vertices, 2 distinct sets.
         target = graph(4, [(0, 1), (2, 3)])
-        real = oracle.erdos_partition
-        monkeypatch.setattr(oracle, "erdos_partition", lambda g: (
-            CliquePartition(g, ((0, 1),)) if g.edges == target.edges else real(g)))
+        real = oracle._erdos_cliques
+        monkeypatch.setattr(oracle, "_erdos_cliques", lambda rows: (
+            [(0, 1)] if tuple(rows) == target.adj else real(rows)))
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
         mask = edge_bitmask(target)
         report = exhaustive_bound_check(4, [None])
@@ -612,13 +612,28 @@ class TestExhaustiveBoundCheck:
         # The stand-in covers K4 (mask 63) with one clique of 4 vertices: a
         # valid partition whose clique is too wide, and whose four vertices
         # share one incidence set.
-        real = oracle.erdos_partition
-        monkeypatch.setattr(oracle, "erdos_partition", lambda g: (
-            CliquePartition(g, ((0, 1, 2, 3),)) if edge_bitmask(g) == 63 else real(g)))
+        real = oracle._erdos_cliques
+        monkeypatch.setattr(oracle, "_erdos_cliques", lambda rows: (
+            [(0, 1, 2, 3)] if tuple(rows) == complete_graph(4).adj else real(rows)))
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
         assert exhaustive_bound_check(4, [None]).violations == (
             oracle.BoundViolation(63, "erdos", "erdos_clique_size", 4, 3),
             oracle.BoundViolation(63, "erdos", "erdos_distinctness", 3, 0),
+        )
+
+    def test_erdos_clique_size_comes_before_invalid_and_distinctness(self, monkeypatch):
+        # K4 less the edge {2, 3} (mask 31) covered by one clique of 4
+        # vertices: too wide, and invalid (the non-edge {2, 3} is both
+        # not_a_clique and covered_nonedge), with one set for all four.
+        target = graph_from_bitmask(4, 31)
+        real = oracle._erdos_cliques
+        monkeypatch.setattr(oracle, "_erdos_cliques", lambda rows: (
+            [(0, 1, 2, 3)] if tuple(rows) == target.adj else real(rows)))
+        monkeypatch.setenv("CLIQUEREP_THREADS", "1")
+        assert exhaustive_bound_check(4, [None]).violations == (
+            oracle.BoundViolation(31, "erdos", "erdos_clique_size", 4, 3),
+            oracle.BoundViolation(31, "erdos", "erdos_invalid", 2, 0),
+            oracle.BoundViolation(31, "erdos", "erdos_distinctness", 3, 0),
         )
 
     # Mask 9 on n=4 is the path 0-1-2 plus vertex 3. The first three
@@ -641,17 +656,19 @@ class TestExhaustiveBoundCheck:
         (((0, 1), (2, -1)), (("erdos_invalid", 3), ("erdos_distinctness", 1))),
     ])
     def test_erdos_stand_ins_with_the_right_pair_count(self, monkeypatch, cliques, expected):
-        real = oracle.erdos_partition
-        monkeypatch.setattr(oracle, "erdos_partition", lambda g: (
-            CliquePartition(g, cliques) if edge_bitmask(g) == 9 else real(g)))
+        target = graph_from_bitmask(4, 9)
+        real = oracle._erdos_cliques
+        monkeypatch.setattr(oracle, "_erdos_cliques", lambda rows: (
+            list(cliques) if tuple(rows) == target.adj else real(rows)))
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
         assert exhaustive_bound_check(4, [None]).violations == tuple(
             oracle.BoundViolation(9, "erdos", check, observed, 0) for check, observed in expected)
 
     def test_greedy_stand_in_with_the_right_pair_count(self, monkeypatch):
-        real = oracle.greedy_decomposition
-        monkeypatch.setattr(oracle, "greedy_decomposition", lambda g: (
-            GreedyDecomposition(g, ((0, 1), (0, 2), (3,))) if edge_bitmask(g) == 9 else real(g)))
+        target = graph_from_bitmask(4, 9)
+        real = oracle._greedy_run
+        monkeypatch.setattr(oracle, "_greedy_run", lambda rows: (
+            [(0, 1), (0, 2), (3,)] if tuple(rows) == target.adj else real(rows)))
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
         with pytest.raises(ValueError) as info:
             exhaustive_bound_check(4, [None])
@@ -663,22 +680,33 @@ class TestExhaustiveBoundCheck:
         # of every later one. Two below the true bound, so every range has
         # findings and violations to merge.
         monkeypatch.setattr(oracle, "quarter_square", lambda n: n * n // 4 - 2)
-        real = oracle.greedy_decomposition
+        real = oracle._greedy_run
         seen = []
-        monkeypatch.setattr(oracle, "greedy_decomposition",
-                            lambda g: seen.append(g) or real(g))
+        monkeypatch.setattr(oracle, "_greedy_run", lambda rows: seen.append(rows) or real(rows))
         whole = oracle._sweep_range(5, 0, 1024)
         cuts = (0, 1, 333, 1023, 1024)
         parts = [oracle._sweep_range(5, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         assert len(seen) == 2 * 1024
-        for i, g in enumerate(seen):
-            want = graph_from_bitmask(5, i % 1024)
-            assert (g.n, g.adj, g.edges) == (want.n, want.adj, want.edges)
+        for i, rows in enumerate(seen):
+            assert tuple(rows) == graph_from_bitmask(5, i % 1024).adj
         assert whole[2] and whole[3]
         assert max(p[0] for p in parts) == whole[0]
         assert max(p[1] for p in parts) == whole[1]
         assert [f for p in parts for f in p[2]] == whole[2]
         assert [v for p in parts for v in p[3]] == whole[3]
+
+    def test_sweep_builds_no_construction_records(self, monkeypatch):
+        # The sweep runs the constructions on rows: the public functions,
+        # which build a record per call, are never reached.
+        want = oracle._sweep_range(5, 0, 1024)
+
+        def refuse(*args):
+            raise AssertionError("the sweep built a construction record")
+
+        for module in (oracle, decompose):
+            for name in ("greedy_decomposition", "erdos_partition"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        assert oracle._sweep_range(5, 0, 1024) == want
 
     def test_runs_with_int_equal_members_raise_or_are_invalid(self, monkeypatch):
         # A member that only equals its vertex is no vertex: it fails the
@@ -692,16 +720,14 @@ class TestExhaustiveBoundCheck:
             return tuple(tuple(map(Vertex, cl)) for cl in cliques)
 
         monkeypatch.setenv("CLIQUEREP_THREADS", "1")
-        real_greedy, real_erdos = oracle.greedy_decomposition, oracle.erdos_partition
+        real_greedy, real_erdos = oracle._greedy_run, oracle._erdos_cliques
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "greedy_decomposition", lambda g: GreedyDecomposition(
-                g, members(real_greedy(g).sequence)))
+            patch.setattr(oracle, "_greedy_run", lambda rows: members(real_greedy(rows)))
             with pytest.raises(ValueError) as info:
                 exhaustive_bound_check(5, [None])
         assert str(info.value) == (
             "invalid partition: {'kind': 'bad_vertex', 'position': 0, 'vertex': 0}")
-        monkeypatch.setattr(oracle, "erdos_partition", lambda g: CliquePartition(
-            g, members(real_erdos(g).cliques)))
+        monkeypatch.setattr(oracle, "_erdos_cliques", lambda rows: members(real_erdos(rows)))
         invalid = [v for v in exhaustive_bound_check(5, [None]).violations
                    if v.check == "erdos_invalid"]
         assert [v.graph for v in invalid] == list(range(1024))

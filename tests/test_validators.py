@@ -196,7 +196,8 @@ class TestSameFindingsAsTheReference:
 
 def mask_check_faults(g: Graph, cliques: tuple) -> list[tuple]:
     """Copies of a valid partition's cliques, each with one fault: an empty
-    clique, a repeated member, a duplicate trivial clique, a non-edge pair,
+    clique, a repeated member, a duplicate trivial clique, a verbatim copy
+    of the first non-trivial clique, a non-edge pair,
     a doubly covered edge, an isolated vertex left uncovered, and vertex 1
     (or 0 when n = 1) replaced by a member that is no vertex, n and -1
     among them, or that only equals it: 1.0, True and np.int64."""
@@ -205,6 +206,8 @@ def mask_check_faults(g: Graph, cliques: tuple) -> list[tuple]:
     out = [cliques + ((),), cliques + ((0,), (0,))]
     cl = next(c for c in cliques if len(c) > 1) if g.edges else cliques[0]
     out.append(cliques + (cl + (cl[0],),))
+    if g.edges:
+        out.append(cliques + (cl,))
     non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges]
     if non_edges:
         out.append(cliques + (non_edges[0],))
@@ -225,7 +228,8 @@ def test_mask_check_matches_validate_partition_on_every_small_graph():
     # On every labeled graph with n <= 5: the greedy runs, the erdos
     # partition, tampered copies and one-fault copies. The check accepts
     # exactly what validate_partition accepts, and then counts the fresh
-    # elements augment_to_distinct attaches.
+    # elements augment_to_distinct attaches, the non-trivial cliques and
+    # the widest of them.
     rng = random.Random(34)
     accepted = rejected = 0
     for n in range(1, 6):
@@ -243,8 +247,11 @@ def test_mask_check_matches_validate_partition_on_every_small_graph():
                     rejected += 1
                     continue
                 accepted += 1
+                duplicates, nontrivial, widest = found
                 r = representation_from_partition(p)
-                assert found == augment_to_distinct(r).ground_size - r.ground_size
+                assert duplicates == augment_to_distinct(r).ground_size - r.ground_size
+                assert nontrivial == sum(len(c) >= 2 for c in cliques)
+                assert widest == max((len(c) for c in cliques if len(c) >= 2), default=0)
             for cliques in faults:
                 assert _duplicates_on_mask(n, mask, cliques) is None, (g, cliques)
     # 1,099 graphs, each with 5 valid constructions and at least 9 faults.
