@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 from itertools import chain, compress
 from operator import attrgetter, mul, or_
 
-from .graphs import Edge, Graph, _bit_flags, _pair_bits, _Record, bits
+from .graphs import ENUMERATION_MAX_N, Edge, Graph, _bit_flags, _pair_bits, _Record, bits
 
 Clique = tuple[int, ...]
 #: A clique the search may take, with its vertex mask.
@@ -177,13 +177,20 @@ def _greedy_run(rows: Sequence[int]) -> list[Clique]:
     clique of each isolated vertex, ascending; rows are not changed.
 
     Once the starts below h = n - 5 have run, every residual edge lies
-    among the last five vertices, so the rest of the run, one of at most
-    2^10 shapes, is looked up in a bounded cache (_greedy_tail).
+    among the last five vertices. On at most ENUMERATION_MAX_N vertices,
+    where a sweep meets each of the 2^10 such tails many times, the rest of
+    the run is looked up in a bounded cache on those residual rows as they
+    stand (_greedy_tail). A larger graph runs every start itself: it shares
+    nothing with other graphs.
     """
     residual = list(rows)
-    h = max(len(rows) - 5, 0)
-    sequence = _greedy_cliques(residual, range(h))
-    sequence += _greedy_tail(h, tuple(map(h.__rrshift__, residual[h:])))
+    n = len(rows)
+    if n > ENUMERATION_MAX_N:
+        sequence = _greedy_cliques(residual, range(n))
+    else:
+        h = max(n - 5, 0)
+        sequence = _greedy_cliques(residual, range(h))
+        sequence += _greedy_tail(h, tuple(residual[h:]))
     if 0 in rows:
         sequence += [(v,) for v, row in enumerate(rows) if not row]
     return sequence
@@ -217,9 +224,10 @@ def _greedy_cliques(residual: list[int], starts: range) -> list[Clique]:
 def _greedy_tail(h: int, rows: tuple[int, ...]) -> tuple[Clique, ...]:
     """The greedy run's cliques, in its labels, from start h on, once no
     residual edge touches a vertex below h; rows are the residual rows of
-    h, h+1, ... shifted down by h. A sweep uses one h and so at most 2^10
-    keys."""
-    return tuple(_greedy_cliques([0] * h + [r << h for r in rows], range(h, h + len(rows))))
+    h, h+1, ..., as they stand. Only graphs of at most ENUMERATION_MAX_N
+    vertices come here, so each row is below 1 << 7; a sweep uses one h
+    and so at most 2^10 keys."""
+    return tuple(_greedy_cliques([0] * h + list(rows), range(h, h + len(rows))))
 
 
 def _shaped(
@@ -479,23 +487,25 @@ def erdos_partition(g: Graph) -> CliquePartition:
     rather than assume), remove those edges, and cover x's edges with r
     triangles plus single edges. The remaining base graph (n <= 4) is solved
     by exhaustive search for a minimum partition with the distinctness
-    property, memoized on the survivors and their neighbour masks in the
-    original labels (_erdos_base), so a base graph seen before costs one
-    lookup. Trivial cliques created for vertices isolated at inner steps are
-    kept: the distinctness property can depend on them.
+    property. On at most ENUMERATION_MAX_N vertices the search is memoized
+    on the survivors and the neighbour masks in the original labels
+    (_erdos_base), so a base graph seen before costs one lookup; a larger
+    graph searches once, uncached. Trivial cliques created for vertices
+    isolated at inner steps are kept: the distinctness property can depend
+    on them.
     """
     return CliquePartition(g, tuple(_erdos_cliques(g.adj)))
 
 
 def _erdos_cliques(rows: Sequence[int]) -> list[Clique]:
     """erdos_partition's cliques, sorted, on neighbour rows, which are not
-    changed."""
-    # Vertices keep their labels and a deleted vertex is cleared from its
-    # neighbors' masks. by_degree[d] holds the survivors of degree d, so the
-    # lowest bit of the first non-empty one is the minimum-degree survivor
-    # with the lowest label.
+    changed: the deletions work on a copy."""
+    # Vertices keep their labels, and a deleted vertex's mask is cleared, as
+    # is its bit in its neighbors' masks. by_degree[d] holds the survivors
+    # of degree d, so the lowest bit of the first non-empty one is the
+    # minimum-degree survivor with the lowest label.
     adj = list(rows)
-    deg = [m.bit_count() for m in adj]
+    deg = list(map(int.bit_count, adj))
     by_degree = [0] * len(adj)
     for v, d in enumerate(deg):
         by_degree[d] |= 1 << v
@@ -512,6 +522,7 @@ def _erdos_cliques(rows: Sequence[int]) -> list[Clique]:
         by_degree[d] ^= xbit
         alive ^= xbit
         nbr_mask = adj[x]
+        adj[x] = 0
         if nbr_mask == 0:
             cliques.append((x,))
         # r > 0 exactly when every degree exceeds floor(n/2): then pair up
@@ -555,7 +566,8 @@ def _erdos_cliques(rows: Sequence[int]) -> list[Clique]:
             by_degree[deg[u]] ^= ubit
             deg[u] = du = adj[u].bit_count()
             by_degree[du] |= ubit
-    cliques.extend(_erdos_base(alive, tuple(compress(adj, _bit_flags(alive)))))
+    base = _erdos_base if len(adj) <= ENUMERATION_MAX_N else _erdos_base.__wrapped__
+    cliques.extend(base(alive, tuple(adj)))
     cliques.sort()
     return cliques
 
@@ -564,17 +576,18 @@ def _erdos_cliques(rows: Sequence[int]) -> list[Clique]:
 def _erdos_base(alive: int, adj: tuple[int, ...]) -> tuple[Clique, ...]:
     """Minimum partition of the base graph on the <= 4 survivors in alive
     into cliques of <= 3 vertices with pairwise-distinct incidence sets, as
-    sorted cliques in the original labels; adj holds the survivors'
-    neighbour masks in those labels. Every deleted vertex has left its
-    neighbours' masks, so the key determines the base graph. Memoized in a
-    bounded cache: a sweep at n <= 7 has at most C(7, 4) * 64 = 2,240 keys,
-    and a large graph makes one call.
+    sorted cliques in the original labels; adj holds every vertex's
+    neighbour mask in those labels. A deleted vertex's mask is 0 and its
+    bit is in no other mask, so the key determines the base graph.
+    Memoized in a bounded cache: a sweep at n <= 7 has at most
+    C(7, 4) * 64 = 2,240 keys. A larger graph calls the search uncached
+    (__wrapped__), so no key grows with n.
 
     The search runs on local labels 0..k-1, and the first cheapest
     partition in branching order wins.
     """
     labels = list(bits(alive))
-    local = [sum(1 << j for j, w in enumerate(labels) if m >> w & 1) for m in adj]
+    local = [sum(1 << j for j, w in enumerate(labels) if adj[v] >> w & 1) for v in labels]
     found = _min_distinct(local, _edge_or_triangles)
     return tuple(tuple(sorted(labels[v] for v in cl)) for cl in found)
 

@@ -115,10 +115,11 @@ class Graph(_Record):
     hashable and safe to share between concurrent workers.
 
     Graph(n, edges) keeps frozenset(edges) and makes its neighbour masks on
-    the first read of adj. Two hot paths instead build the masks while they
-    read and derive the edge set when it is first read (_from_adj): the
-    bulk edge-list reader and the labeled-graph walk (_labeled_graphs).
-    Equality, hashing and repr read the edge set either way.
+    the first read of adj. Two paths instead build the masks first and
+    derive the edge set when it is first read (_from_adj): the bulk
+    edge-list reader and enumerate_labeled_graphs, which wraps the rows of
+    the labeled-graph walk (_labeled_graphs). Equality, hashing and repr
+    read the edge set either way.
     """
 
     n: int
@@ -161,8 +162,9 @@ class Graph(_Record):
 
     @classmethod
     def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
-        """A Graph from masks that _plain_edge_list or _labeled_graphs built
-        and checked; its edge set is derived from them when first read."""
+        """A Graph from masks that _plain_edge_list built or _labeled_graphs
+        walked, both checked; its edge set is derived from them when first
+        read."""
         g = object.__new__(cls)
         g.__dict__.update(n=n, adj=adj)
         return g
@@ -323,15 +325,18 @@ def _relabel_mask(n: int, mask: int, labels: tuple[int, ...]) -> int:
 
 def enumerate_labeled_graphs(n: int) -> Iterator[Graph]:
     """All 2^(n(n-1)/2) labeled graphs on n vertices, bitmask ascending, as
-    graph_from_bitmask builds them, walked by _labeled_graphs."""
+    graph_from_bitmask builds them: each row tuple of _labeled_graphs
+    wrapped in a Graph."""
     if type(n) is not int or not 0 <= n <= ENUMERATION_MAX_N:
         raise ValueError(f"enumeration supports 0 <= n <= {ENUMERATION_MAX_N}, got {n}")
-    yield from _labeled_graphs(n, 0, 1 << (n * (n - 1) // 2))
+    for adj in _labeled_graphs(n, 0, 1 << (n * (n - 1) // 2)):
+        yield Graph._from_adj(n, adj)
 
 
-def _labeled_graphs(n: int, lo: int, hi: int) -> Iterator[Graph]:
-    """The graphs of the edge bitmasks lo..hi-1 on n vertices, in order. The
-    neighbour masks of lo come from its pairs; the step from mask to mask + 1
+def _labeled_graphs(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """The neighbour-mask tuples of the edge bitmasks lo..hi-1 on n
+    vertices, in order; a caller that needs a Graph wraps them (_from_adj).
+    The masks of lo come from its pairs; the step from mask to mask + 1
     toggles the pairs whose bits are set in mask ^ (mask + 1), the lowest."""
     pairs = list(combinations(range(n), 2))
     adj = [0] * n
@@ -340,7 +345,7 @@ def _labeled_graphs(n: int, lo: int, hi: int) -> Iterator[Graph]:
         for u, v in step:
             adj[u] ^= 1 << v
             adj[v] ^= 1 << u
-        yield Graph._from_adj(n, tuple(adj))
+        yield tuple(adj)
         step = pairs[:(mask ^ (mask + 1)).bit_length()]
 
 

@@ -186,27 +186,28 @@ def _worker_count(chunks: int) -> int:
 def _sweep_range(
     n: int, lo: int, hi: int
 ) -> tuple[int, int, list[tuple[int, str, int]], list[BoundViolation]]:
-    """Check masks lo..hi-1, whose graphs _labeled_graphs walks. Returns the
-    largest clique and element counts seen, the lexicographic greedy
-    findings as (mask, check, observed) and the edge/triangle partition's
-    violations, both in mask order. The constructions run on each graph's
-    rows (_greedy_run, _erdos_cliques), without their records. One pass
-    per construction (_duplicates_on_mask) checks it against the mask's
-    pair bits and counts its distinct sets, non-trivial cliques and widest
-    clique; only one that pass does not accept goes through the
+    """Check masks lo..hi-1, whose neighbour rows _labeled_graphs walks.
+    Returns the largest clique and element counts seen, the lexicographic
+    greedy findings as (mask, check, observed) and the edge/triangle
+    partition's violations, both in mask order. The constructions run on
+    each mask's rows (_greedy_run, _erdos_cliques), without their records,
+    and no Graph is built for a mask. One pass per construction
+    (_duplicates_on_mask) checks it against the mask's pair bits and counts
+    its distinct sets, non-trivial cliques and widest clique; only one that
+    pass does not accept gets a Graph (_from_adj) and goes through the
     validators."""
     bound = quarter_square(n)
     max_cliques = 0
     max_elements = 0
     findings: list[tuple[int, str, int]] = []
     violations: list[BoundViolation] = []
-    for mask, g in enumerate(_labeled_graphs(n, lo, hi), lo):
-        sequence = _greedy_run(g.adj)
+    for mask, rows in enumerate(_labeled_graphs(n, lo, hi), lo):
+        sequence = _greedy_run(rows)
         checked = _duplicates_on_mask(n, mask, sequence)
         if checked is None:
             # Only an invalid run fails the one-pass check: raise the
             # ValueError the transform would.
-            _check_partition(g, sequence)
+            _check_partition(Graph._from_adj(n, rows), sequence)
         duplicates, nontrivial, _ = checked
         total = len(sequence)
         if total > max_cliques:
@@ -220,7 +221,7 @@ def _sweep_range(
             max_elements = elements
         if elements > bound:
             findings.append((mask, "augmented_elements", elements))
-        cliques = _erdos_cliques(g.adj)
+        cliques = _erdos_cliques(rows)
         count = len(cliques)
         if count > max_cliques:
             max_cliques = count
@@ -236,6 +237,7 @@ def _sweep_range(
         if checked is None:
             # The one-pass check rejects exactly what validate_partition
             # finds at fault, so there is at least one finding.
+            g = Graph._from_adj(n, rows)
             faults = validate_partition(g, CliquePartition(g, tuple(cliques)))
             violations.append(BoundViolation(mask, "erdos", "erdos_invalid", len(faults), 0))
             # An invalid partition may list a member twice in a clique or
@@ -267,9 +269,10 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     and counts its distinct sets, its non-trivial cliques and its widest
     clique; a construction that pass does not accept goes through the
     validators, and an invalid greedy run raises the ValueError the
-    transform would. max_cliques_seen is the largest clique count seen
-    across greedy runs and edge/triangle partitions. The report names each
-    run "lex" or "random:<seed>".
+    transform would. The walk yields each mask's neighbour rows, and only
+    those two fallbacks build a Graph from them. max_cliques_seen is the
+    largest clique count seen across greedy runs and edge/triangle
+    partitions. The report names each run "lex" or "random:<seed>".
 
     Only the lexicographic greedy is run, once per graph. A seeded run uses
     the same procedure under its vertex order, so its run on g is the

@@ -200,9 +200,11 @@ class TestReferenceGreedy:
 
 
 class TestGreedyTail:
-    """The run from the last five starts on is memoized by their residual
-    rows, shifted down by h = n - 5: a cold and a warm cache give the
-    reference sequence, and the keys stay small at any n."""
+    """On at most ENUMERATION_MAX_N vertices, the run from the last five
+    starts on, h = n - 5 and up, is memoized by their residual rows as they
+    stand: a cold and a warm cache give the reference sequence. A larger
+    graph runs uncached: it leaves the greedy-tail and erdos-base tables as
+    they were and still gives the reference sequence."""
 
     SEEDS = [None, 0, 1, 2, 3]
 
@@ -224,19 +226,39 @@ class TestGreedyTail:
         rng = random.Random(7)
         graphs = [graph_from_bitmask(7, rng.randrange(1 << 21)) for _ in range(3000)]
         keys = self.assert_cold_and_warm(monkeypatch, graphs)
-        assert all(type(k) is int and 0 <= k < 32 for h, rows in keys for k in (h, *rows))
         assert {(h, len(rows)) for h, rows in keys} == {(2, 5)}
+        # Rows as they stand: below 1 << 7, with no bit below h = 2.
+        assert all(type(r) is int and 0 <= r < 1 << 7 and not r & 0b11
+                   for _, rows in keys for r in rows)
 
-    def test_large_graphs(self, monkeypatch):
+    def test_large_graphs(self):
         rng = random.Random(8)
         graphs = [random_graph(rng, 12, 0.5), random_graph(rng, 60, 0.5),
                   complete_bipartite(5, 5), path_graph(40)]
-        cache = decompose._greedy_tail
-        keys = self.assert_cold_and_warm(monkeypatch, graphs)
-        assert {(h, len(rows)) for h, rows in keys} == {(7, 5), (55, 5), (5, 5), (35, 5)}
-        assert all(type(r) is int and 0 <= r < 32 for _, rows in keys for r in rows)
-        info = cache.cache_info()
-        assert info.maxsize is not None and info.currsize <= info.maxsize
+        # reference_erdos shares the cached n <= 4 base case: run it first.
+        want_erdos = [reference_erdos(g) for g in graphs]
+        tail, base = decompose._greedy_tail, decompose._erdos_base
+        before = tail.cache_info(), base.cache_info()
+        assert before[0].maxsize is not None and before[1].maxsize is not None
+        for g, erdos in zip(graphs, want_erdos):
+            for s in self.SEEDS:
+                assert greedy_decomposition(g, s).sequence == reference_greedy(g, s), (g, s)
+            assert erdos_partition(g).cliques == erdos, g
+        assert (tail.cache_info(), base.cache_info()) == before
+
+
+def test_cores_leave_their_rows_alone():
+    # _greedy_run and _erdos_cliques work on copies of the rows: a caller's
+    # list is as it was after each call, and a second call gives the same
+    # cliques.
+    samples = [g.adj for n in range(6) for g in enumerate_labeled_graphs(n)]
+    samples.append(random_graph(random.Random(60), 60, 0.5).adj)
+    for adj in samples:
+        rows = list(adj)
+        for core in (decompose._greedy_run, decompose._erdos_cliques):
+            first = core(rows)
+            assert rows == list(adj), (adj, core.__name__)
+            assert core(rows) == first, (adj, core.__name__)
 
 
 @st.composite

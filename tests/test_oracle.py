@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from cliquerep import (
     CliquePartition,
+    Graph,
     GreedyDecomposition,
     SetRepresentation,
     all_clique_partitions,
@@ -707,6 +708,37 @@ class TestExhaustiveBoundCheck:
             for name in ("greedy_decomposition", "erdos_partition"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
         assert oracle._sweep_range(5, 0, 1024) == want
+
+    def test_sweep_builds_no_graph_per_mask(self, monkeypatch):
+        # The sweep walks neighbour rows: only its fallbacks, for a
+        # construction the one-pass check rejects, wrap them in a Graph.
+        want = oracle._sweep_range(5, 0, 1024)
+
+        def refuse(cls, n, adj):
+            raise AssertionError("the sweep built a Graph for a mask")
+
+        monkeypatch.setattr(Graph, "_from_adj", classmethod(refuse))
+        assert oracle._sweep_range(5, 0, 1024) == want
+
+    def test_sweep_tables_stay_bounded_at_n7(self, monkeypatch):
+        # Both tables are keyed on rows as they stand. Over the first 2^16
+        # of the 2^21 masks at n = 7 the greedy tail meets at most 2^10
+        # keys and the erdos base at most C(7, 4) * 64; a deleted vertex's
+        # row in a base key is 0.
+        tail_keys, base_keys = set(), set()
+        real_tail, real_base = decompose._greedy_tail, decompose._erdos_base
+        monkeypatch.setattr(decompose, "_greedy_tail",
+                            lambda h, rows: tail_keys.add((h, rows)) or real_tail(h, rows))
+        monkeypatch.setattr(decompose, "_erdos_base",
+                            lambda alive, adj: base_keys.add((alive, adj))
+                            or real_base(alive, adj))
+        oracle._sweep_range(7, 0, 1 << 16)
+        assert 0 < len(tail_keys) <= 1 << 10
+        assert all(h == 2 and len(rows) == 5 for h, rows in tail_keys)
+        assert 0 < len(base_keys) <= 2240
+        for alive, adj in base_keys:
+            assert len(adj) == 7 and alive.bit_count() == 4
+            assert all(adj[v] == 0 for v in range(7) if not alive >> v & 1), (alive, adj)
 
     def test_runs_with_int_equal_members_raise_or_are_invalid(self, monkeypatch):
         # A member that only equals its vertex is no vertex: it fails the
