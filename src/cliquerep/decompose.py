@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache, reduce
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from operator import attrgetter, mul, or_
 
 from .graphs import ENUMERATION_MAX_N, Edge, Graph, _bit_flags, _pair_bits, _Record, bits
@@ -493,19 +493,42 @@ def erdos_partition(g: Graph) -> CliquePartition:
     graph searches once, uncached. Trivial cliques created for vertices
     isolated at inner steps are kept: the distinctness property can depend
     on them.
+
+    The deletion order is the smallest-last order of Matula and Beck
+    (1983), ties to the lowest label. Two loops keep it (_erdos_cliques):
+    on a dense graph, with a mean degree above n/8, one that holds the
+    degrees bit-sliced and reads the single-edge cliques off the rows once
+    at the end; on any other, one step per edge. Both give the same
+    partition.
     """
     return CliquePartition(g, tuple(_erdos_cliques(g.adj)))
 
 
 def _erdos_cliques(rows: Sequence[int]) -> list[Clique]:
     """erdos_partition's cliques, sorted, on neighbour rows, which are not
-    changed: the deletions work on a copy."""
+    changed: the deletions work on a copy. A dense graph, one on more than
+    ENUMERATION_MAX_N vertices whose mean degree exceeds n/8, runs
+    _erdos_dense, whose final read of the rows then walks fewer than eight
+    bit positions per edge; any other runs _erdos_sparse. Both give the
+    same cliques."""
+    n = len(rows)
+    deg = list(map(int.bit_count, rows))
+    if n > ENUMERATION_MAX_N and 8 * sum(deg) > n * n:
+        return _erdos_dense(rows, deg)
+    return _erdos_sparse(rows, deg)
+
+
+def _erdos_sparse(rows: Sequence[int], deg: list[int]) -> list[Clique]:
+    """_erdos_cliques by one step per deleted vertex's neighbour: each of
+    its edges is recorded and cleared, and the neighbour moves between
+    degree buckets. About seven integer operations per edge, plus a sort of
+    the cliques at the end. deg holds the rows' bit counts and is updated
+    in place."""
     # Vertices keep their labels, and a deleted vertex's mask is cleared, as
     # is its bit in its neighbors' masks. by_degree[d] holds the survivors
     # of degree d, so the lowest bit of the first non-empty one is the
     # minimum-degree survivor with the lowest label.
     adj = list(rows)
-    deg = list(map(int.bit_count, adj))
     by_degree = [0] * len(adj)
     for v, d in enumerate(deg):
         by_degree[d] |= 1 << v
@@ -525,36 +548,9 @@ def _erdos_cliques(rows: Sequence[int]) -> list[Clique]:
         adj[x] = 0
         if nbr_mask == 0:
             cliques.append((x,))
-        # r > 0 exactly when every degree exceeds floor(n/2): then pair up
-        # 2r of x's neighbors and cover those edges of x with triangles.
         # The cliques are sorted at the end, so each is added when found.
         r = d - n // 2
-        used = 0
-        if r > 0:
-            matched = 0
-            rest = nbr_mask
-            while rest and matched < r:
-                ubit = rest & -rest
-                rest ^= ubit
-                if used & ubit:
-                    continue
-                u = ubit.bit_length() - 1
-                # Matched edges leave the masks at once: they join used
-                # vertices only, which cand leaves out.
-                cand = adj[u] & nbr_mask & ~used & ~ubit
-                if cand:
-                    wbit = cand & -cand
-                    w = wbit.bit_length() - 1
-                    adj[u] ^= wbit
-                    adj[w] ^= ubit
-                    used |= ubit | wbit
-                    matched += 1
-                    cliques.append(tuple(sorted((x, u, w))))
-            if matched < r:
-                raise RuntimeError(
-                    f"neighborhood pairing stalled at {matched} of {r} edges; "
-                    "the minimum-degree guarantee was violated"
-                )
+        used = _pair_neighbours(adj, x, nbr_mask, r, cliques) if r > 0 else 0
         rest = nbr_mask
         while rest:
             ubit = rest & -rest
@@ -572,13 +568,129 @@ def _erdos_cliques(rows: Sequence[int]) -> list[Clique]:
     return cliques
 
 
+def _erdos_dense(rows: Sequence[int], deg: list[int]) -> list[Clique]:
+    """_erdos_cliques with bit-sliced degrees, touching no single edge
+    until the end: O(width) integer operations per deleted vertex, where
+    width is the bit length of the largest degree, plus the pairing steps
+    and one pass over every bit position of the rows. deg holds the rows'
+    bit counts.
+
+    level[j] is the mask of the vertices whose degree has bit j set.
+    Deleting x lowers the degrees of all its surviving neighbours at once,
+    by a borrow that runs up through the levels (_lower), and the matched
+    neighbours lose one more the same way. One top-down pass over the
+    levels, restricted to alive, finds the minimum-degree survivor with the
+    lowest label. Rows keep the bits of deleted vertices, so every read
+    masks them with alive, but lose the three edges of each triangle. Once
+    four vertices are left, the edges still in the rows are the
+    single-edge cliques, except those between two survivors, which the base
+    search partitions."""
+    adj = list(rows)
+    n = len(adj)
+    level = [sum(1 << v for v, d in enumerate(deg) if d >> j & 1)
+             for j in range(max(deg).bit_length())]
+    alive = (1 << n) - 1
+    extras: list[Clique] = []
+    for size in range(n, 4, -1):
+        # Keep, from the highest level down, the candidates with that
+        # degree bit clear when there are any; d collects the bits.
+        cand = alive
+        d = 0
+        for lv in reversed(level):
+            d += d
+            clear = cand & ~lv
+            if clear:
+                cand = clear
+            else:
+                d += 1
+        xbit = cand & -cand
+        x = xbit.bit_length() - 1
+        alive ^= xbit
+        nbr_mask = adj[x] & alive
+        if not nbr_mask:
+            extras.append((x,))
+            continue
+        r = d - size // 2
+        if r > 0:
+            used = _pair_neighbours(adj, x, nbr_mask, r, extras)
+            # x's edges to its matched neighbours lie in the triangles.
+            adj[x] ^= used
+            for u in bits(used):
+                adj[u] ^= xbit
+            _lower(level, used)
+        _lower(level, nbr_mask)
+    base = tuple(row & alive if alive >> v & 1 else 0 for v, row in enumerate(adj))
+    extras.extend(_erdos_base.__wrapped__(alive, base))
+    # Each remaining edge once, from its lower end's row, in sorted order;
+    # then the few other cliques. The edges share one int per vertex.
+    labels = list(range(n))
+    cliques: list[Clique] = []
+    for u, row in zip(labels, adj):
+        if alive >> u & 1:
+            row &= ~alive
+        cliques += zip(repeat(u), compress(labels[u + 1:], _bit_flags(row >> u + 1)))
+    cliques += extras
+    cliques.sort()
+    return cliques
+
+
+def _lower(level: list[int], mask: int) -> None:
+    """Subtract one from the bit-sliced counters (level[j] holds bit j of
+    each) of the vertices in mask, none of them at zero: the borrow moves
+    up a level wherever the bit was clear."""
+    for j, lv in enumerate(level):
+        level[j] = lv ^ mask
+        mask &= ~lv
+        if not mask:
+            return
+
+
+def _pair_neighbours(adj: list[int], x: int, nbr_mask: int, r: int,
+                     cliques: list[Clique]) -> int:
+    """Pair up 2r of x's neighbours nbr_mask along r disjoint edges among
+    them, greedily in label order, remove those edges from adj, add each
+    triangle with x to cliques, and return the mask of the matched
+    neighbours. Called when x has the minimum degree floor(n/2) + r with
+    r > 0 on n survivors, which guarantees the pairing; it is checked
+    rather than assumed. adj's rows may hold bits outside nbr_mask: only
+    their bits in it are read."""
+    used = 0
+    matched = 0
+    rest = nbr_mask
+    while rest and matched < r:
+        ubit = rest & -rest
+        rest ^= ubit
+        if used & ubit:
+            continue
+        u = ubit.bit_length() - 1
+        # Matched edges leave the masks at once: they join used
+        # vertices only, which cand leaves out.
+        cand = adj[u] & nbr_mask & ~used & ~ubit
+        if cand:
+            wbit = cand & -cand
+            w = wbit.bit_length() - 1
+            adj[u] ^= wbit
+            adj[w] ^= ubit
+            used |= ubit | wbit
+            matched += 1
+            cliques.append(tuple(sorted((x, u, w))))
+    if matched < r:
+        raise RuntimeError(
+            f"neighborhood pairing stalled at {matched} of {r} edges; "
+            "the minimum-degree guarantee was violated"
+        )
+    return used
+
+
 @lru_cache(maxsize=4096)
 def _erdos_base(alive: int, adj: tuple[int, ...]) -> tuple[Clique, ...]:
     """Minimum partition of the base graph on the <= 4 survivors in alive
     into cliques of <= 3 vertices with pairwise-distinct incidence sets, as
     sorted cliques in the original labels; adj holds every vertex's
     neighbour mask in those labels. A deleted vertex's mask is 0 and its
-    bit is in no other mask, so the key determines the base graph.
+    bit is in no other mask, so the key determines the base graph:
+    _erdos_sparse clears them as it deletes, and _erdos_dense, whose rows
+    keep them, masks the rows with alive before the call.
     Memoized in a bounded cache: a sweep at n <= 7 has at most
     C(7, 4) * 64 = 2,240 keys. A larger graph calls the search uncached
     (__wrapped__), so no key grows with n.

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 
@@ -24,7 +26,7 @@ from cliquerep import (
     validate_greedy,
     validate_partition,
 )
-from cliquerep import decompose, exhaustive_bound_check
+from cliquerep import decompose, exhaustive_bound_check, oracle
 from cliquerep.decompose import _vertex_order
 from helpers import (
     as_partition,
@@ -32,6 +34,7 @@ from helpers import (
     random_graph,
     reference_erdos,
     reference_greedy,
+    remove_edges,
     sparse_random_graph,
 )
 
@@ -234,7 +237,8 @@ class TestGreedyTail:
     def test_large_graphs(self):
         rng = random.Random(8)
         graphs = [random_graph(rng, 12, 0.5), random_graph(rng, 60, 0.5),
-                  complete_bipartite(5, 5), path_graph(40)]
+                  complete_bipartite(5, 5), path_graph(40),
+                  random_graph(random.Random(100), 100, 0.9)]
         # reference_erdos shares the cached n <= 4 base case: run it first.
         want_erdos = [reference_erdos(g) for g in graphs]
         tail, base = decompose._greedy_tail, decompose._erdos_base
@@ -253,6 +257,7 @@ def test_cores_leave_their_rows_alone():
     # cliques.
     samples = [g.adj for n in range(6) for g in enumerate_labeled_graphs(n)]
     samples.append(random_graph(random.Random(60), 60, 0.5).adj)
+    samples.append(random_graph(random.Random(100), 100, 0.9).adj)
     for adj in samples:
         rows = list(adj)
         for core in (decompose._greedy_run, decompose._erdos_cliques):
@@ -498,6 +503,100 @@ class TestErdosPartition:
         if g.n >= 4:
             assert len(p.cliques) <= quarter_square(g.n)
             assert condition_one_holds(p)
+
+
+def _degrees(g):
+    return list(map(int.bit_count, g.adj))
+
+
+class TestErdosLoops:
+    """_erdos_cliques runs one of two deletion loops, chosen by a density
+    rule; each gives the reference cliques on graphs on both sides of it."""
+
+    def loop_graphs(self):
+        rng = random.Random(38)
+        yield from (complete_graph(n) for n in range(8, 31))
+        for n in range(8, 31, 2):
+            yield remove_edges(complete_graph(n), [(v, v + 1) for v in range(0, n, 2)])
+        yield from (complete_bipartite(a, b) for a, b in [(4, 4), (5, 9), (20, 20), (31, 50)])
+        for _ in range(12):
+            n = rng.randint(8, 200)
+            yield random_graph(rng, n, rng.uniform(0.9, 0.99))
+        yield graph(1000, [(0, v) for v in range(1, 1000)])
+        yield graph(1000, [(v, 999) for v in range(999)])
+        yield path_graph(2000)
+        yield sparse_random_graph(random.Random(1200), 1200, 4 / 1200)
+
+    def test_each_loop_matches_the_reference(self):
+        for g in self.loop_graphs():
+            want = reference_erdos(g)
+            for loop in (decompose._erdos_sparse, decompose._erdos_dense):
+                assert tuple(loop(g.adj, _degrees(g))) == want, (loop.__name__, g.n)
+
+    def test_the_rule_splits_these_graphs(self, monkeypatch):
+        # The dense loop runs when n > 7 and the mean degree exceeds n/8.
+        taken = []
+        for name in ("_erdos_sparse", "_erdos_dense"):
+            real = getattr(decompose, name)
+            monkeypatch.setattr(decompose, name, lambda rows, deg, real=real, name=name:
+                                taken.append(name) or real(rows, deg))
+
+        def loop(g):
+            erdos_partition(g)
+            return taken.pop()
+
+        assert {loop(complete_graph(n)) for n in range(8, 31)} == {"_erdos_dense"}
+        assert loop(random_graph(random.Random(500), 500, 0.5)) == "_erdos_dense"
+        assert loop(complete_bipartite(31, 50)) == "_erdos_dense"
+        # K_8 less a perfect matching: mean degree 6 against 1.
+        assert loop(remove_edges(complete_graph(8), [(0, 1), (2, 3), (4, 5), (6, 7)])) == "_erdos_dense"
+        # 4 edges on 8 vertices: mean degree 1, not above 1.
+        assert loop(graph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])) == "_erdos_sparse"
+        assert loop(complete_graph(7)) == "_erdos_sparse"
+        assert loop(path_graph(2000)) == "_erdos_sparse"
+        assert loop(graph(1000, [(0, v) for v in range(1, 1000)])) == "_erdos_sparse"
+        assert loop(sparse_random_graph(random.Random(1200), 1200, 4 / 1200)) == "_erdos_sparse"
+        assert taken == []
+        # The sweep's graphs, n <= 7, never take the dense loop: the densest
+        # 256 masks of n = 6 and n = 7 give the same results with it refused.
+        want = [oracle._sweep_range(n, (1 << n * (n - 1) // 2) - 256, 1 << n * (n - 1) // 2)
+                for n in (6, 7)]
+
+        def refuse(rows, deg):
+            raise AssertionError("the dense loop ran on a sweep graph")
+
+        monkeypatch.setattr(decompose, "_erdos_dense", refuse)
+        assert [oracle._sweep_range(n, (1 << n * (n - 1) // 2) - 256, 1 << n * (n - 1) // 2)
+                for n in (6, 7)] == want
+        assert set(taken) == {"_erdos_sparse"}
+
+    def test_a_stalled_pairing_raises(self):
+        # Vertex 0 has three neighbours and none of them are adjacent: no
+        # pair among them can be matched.
+        adj = [0b1110, 0b1, 0b1, 0b1]
+        with pytest.raises(RuntimeError, match="^neighborhood pairing stalled at 0 of 1 edges"):
+            decompose._pair_neighbours(adj, 0, 0b1110, 1, [])
+
+    #: sha256 of json.dumps(erdos_partition(g).to_json()), recorded before
+    #: _erdos_cliques had a dense loop. G(n, p) is
+    #: random_graph(random.Random(n), n, p).
+    DIGESTS = {
+        (100, 0.5): "f66a993f8a31f1cbd5666de2dee1b493402fb0f9c01b0684e6659747d080639e",
+        (100, 0.9): "1575f534a870a4f587d2eed1aee45113df1f7f18f6972b5f5b17fc533fa4d688",
+        (300, 0.5): "d28765f19b25c1685d2abf7f6a0d4e2510f59e23c0379c91a3f8897cf144f0e8",
+        (300, 0.9): "49b10b99b74d24a1b4a620e40069882ca164a728da043f2e35d242666678d825",
+        (500, 0.5): "34b6b353ccd68498fa076b9ae3f49fe580b3f16a7e72a7981cb7b9f99110b810",
+        (500, 0.9): "d28211a6ffc6652b64a59933a032120ada18a646e04986b7fd001e8b8e884e80",
+        "K_250,250": "017552e7d165c32866b98b82a02aa6ffda285e4da62d9ce32b7c5dd382ce542e",
+        "K_30": "48765c45c222fd9d22deeeb969d115e0981728546f40ee6f0fb0ea4b13117710",
+    }
+
+    def test_pinned_digests(self):
+        special = {"K_250,250": complete_bipartite(250, 250), "K_30": complete_graph(30)}
+        for key, digest in self.DIGESTS.items():
+            g = special[key] if key in special else random_graph(random.Random(key[0]), *key)
+            text = json.dumps(erdos_partition(g).to_json())
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, key
 
 
 def _brute_min_small_partition(g) -> int:
