@@ -234,28 +234,25 @@ def _shaped(
     n: int, cliques: Sequence[Clique], seen: set[Clique], out: list[Violation]
 ) -> list[tuple[int, Clique]]:
     """(position, clique) for each clique whose vertex pairs can be checked.
-    The findings on each clique itself (empty, members that are not
-    vertices, repeated vertices, a repeat of an earlier clique) go to out in
-    clique order; a caller that adds its own findings per position sorts
-    out by position, stably, to put them after these. A vertex is exactly
-    an int in range(n): when every member is an int, a clique of distinct
-    members, all vertices, costs one intersection. A clique goes into seen
-    once it passes these checks."""
-    vertices = frozenset(range(n))
-    exact = {*map(type, chain.from_iterable(cliques))} <= {int}
+    Each clique is tested, in this order, for being empty, for members that
+    are not vertices (exactly an int in range(n)), for repeated vertices
+    and for repeating an earlier clique; a clique that fails one of the
+    first three gets only those findings. Findings go to out in clique
+    order; a caller that adds its own findings per position sorts out by
+    position, stably, to put them after these. A clique goes into seen once
+    it passes the first three tests."""
     checked: list[tuple[int, Clique]] = []
     for i, cl in enumerate(cliques):
-        if not exact or not cl or len(vertices.intersection(cl)) != len(cl):
-            if not cl:
-                out.append(Violation("empty_clique", position=i))
-                continue
-            bad = [v for v in cl if type(v) is not int or v not in vertices]
-            if bad:
-                out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
-                continue
-            if len(set(cl)) != len(cl):
-                out.append(Violation("repeated_vertex", position=i, vertices=cl))
-                continue
+        if not cl:
+            out.append(Violation("empty_clique", position=i))
+            continue
+        bad = [v for v in cl if type(v) is not int or not 0 <= v < n]
+        if bad:
+            out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
+            continue
+        if len(set(cl)) != len(cl):
+            out.append(Violation("repeated_vertex", position=i, vertices=cl))
+            continue
         count = len(seen)
         seen.add(cl)
         if len(seen) == count:
@@ -331,18 +328,21 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     plus one compare per vertex. Only otherwise is every clique walked for
     findings, in O((n + sum of |clique|) * ceil(n/64)) word operations, the
     order of building g.adj, plus one step per finding and sorting the
-    findings.
+    findings. g.adj is read first, so an n too large to hold it fails at
+    once.
     """
-    return [] if _covers_exactly(g, p.cliques) else _partition_findings(g, p.cliques)
+    adj = g.adj
+    return [] if _covers_exactly(adj, p.cliques) else _partition_findings(adj, p.cliques)
 
 
-def _covers_exactly(g: Graph, cliques: Sequence[Clique]) -> bool:
-    """Whether cliques is a valid partition of g, by the test
-    validate_partition describes. The count comes first, from the sizes
-    alone, so a missing or extra clique fails before any member is read."""
-    n = g.n
+def _covers_exactly(adj: Sequence[int], cliques: Sequence[Clique]) -> bool:
+    """Whether cliques is a valid partition of the graph with neighbour rows
+    adj, by the test validate_partition describes. The count comes first,
+    from the sizes alone, so a missing or extra clique fails before any
+    member is read."""
+    n = len(adj)
     sizes = list(map(len, cliques))
-    ends = sum(map(int.bit_count, g.adj))  # twice the edge count
+    ends = sum(map(int.bit_count, adj))  # twice the edge count
     if (sum(map(mul, sizes, sizes)) - sum(sizes) != ends or not all(sizes)
             or len(set(cliques)) != len(cliques)):
         return False
@@ -355,18 +355,17 @@ def _covers_exactly(g: Graph, cliques: Sequence[Clique]) -> bool:
             mask |= 1 << v
         for v in cl:
             cover[v] |= mask
-    return cover == [a | 1 << v for v, a in enumerate(g.adj)]
+    return cover == [a | 1 << v for v, a in enumerate(adj)]
 
 
 def _duplicates_on_mask(
     n: int, mask: int, cliques: Sequence[Clique]
-) -> tuple[int, int, int] | None:
+) -> tuple[int, int] | None:
     """When cliques are a valid partition of the graph with edge bitmask
-    mask on n vertices, (duplicates, nontrivial, widest): the number of
-    vertices whose incidence set, as a clique-position bitmask, an earlier
-    vertex has (the fresh elements augment_to_distinct would attach), the
-    number of cliques of two or more vertices, and the size of the widest
-    of those (0 when there is none). Else None.
+    mask on n vertices, (duplicates, widest): the number of vertices whose
+    incidence set, as a clique-position bitmask, an earlier vertex has (the
+    fresh elements augment_to_distinct would attach), and the size of the
+    widest clique of two or more vertices (0 when there is none). Else None.
 
     The sweep's only pass over a construction, reading no neighbour masks:
     each clique is a non-empty set of exact ints in range(n), their pair
@@ -375,7 +374,7 @@ def _duplicates_on_mask(
     equal cliques of two or more vertices share a pair, and a repeated
     trivial clique meets the mask of the trivial cliques before it."""
     pair_bits = _pair_bits(n)
-    covered = vertices = trivial = nontrivial = widest = 0
+    covered = vertices = trivial = widest = 0
     keys = [0] * n
     bit = 1
     for cl in cliques:
@@ -391,7 +390,6 @@ def _duplicates_on_mask(
             if covered & pairs or members.bit_count() != size:
                 return None
             covered |= pairs
-            nontrivial += 1
             if size > widest:
                 widest = size
         elif size and not trivial & members:
@@ -402,19 +400,17 @@ def _duplicates_on_mask(
         bit <<= 1
     if covered != mask or vertices != (1 << n) - 1:
         return None
-    return n - len(set(keys)), nontrivial, widest
+    return n - len(set(keys)), widest
 
 
-def _partition_findings(g: Graph, cliques: Sequence[Clique]) -> list[Violation]:
-    """validate_partition's findings on a clique sequence, positions as in
-    the sequence, found by walking every clique."""
+def _partition_findings(adj: Sequence[int], cliques: Sequence[Clique]) -> list[Violation]:
+    """validate_partition's findings on a clique sequence over the
+    neighbour rows adj, positions as in the sequence, found by walking
+    every clique."""
     out: list[Violation] = []
-    # g.adj first: for an n too large to hold it fails at once, where the
-    # vertex set would fill memory one vertex at a time.
-    adj = g.adj
     seen: set[Clique] = set()
-    checked = _shaped(g.n, cliques, seen, out)
-    bad = _miscovered(g, (cl for _, cl in checked))
+    checked = _shaped(len(adj), cliques, seen, out)
+    bad = _miscovered(adj, (cl for _, cl in checked))
     if not all(adjacent for _, _, adjacent in bad):
         # Some clique holds a non-adjacent pair. Each clique's findings
         # stay together and in clique order: the sort by position is stable.
@@ -427,30 +423,32 @@ def _partition_findings(g: Graph, cliques: Sequence[Clique]) -> list[Violation]:
                for pair, c, adjacent in bad if adjacent)
     out.extend(Violation("covered_nonedge", pair=pair, observed=c, expected=0)
                for pair, c, adjacent in bad if not adjacent)
-    for v in range(g.n):
-        if adj[v] == 0 and (v,) not in seen:
+    for v, row in enumerate(adj):
+        if row == 0 and (v,) not in seen:
             out.append(Violation("isolated_vertex_uncovered", vertex=v))
     return out
 
 
-def _check_partition(g: Graph, cliques: Sequence[Clique]) -> None:
+def _check_partition(adj: Sequence[int], cliques: Sequence[Clique]) -> None:
     """ValueError naming the first finding, positions as in the sequence,
-    unless cliques form a valid partition of g as validate_partition
-    decides."""
-    if not _covers_exactly(g, cliques):
-        raise ValueError(f"invalid partition: {_partition_findings(g, cliques)[0].to_json()}")
+    unless cliques form a valid partition of the graph with neighbour rows
+    adj, as validate_partition decides."""
+    if not _covers_exactly(adj, cliques):
+        raise ValueError(f"invalid partition: {_partition_findings(adj, cliques)[0].to_json()}")
 
 
-def _miscovered(g: Graph, groups: Iterable[Sequence[int]]) -> list[tuple[Edge, int, int]]:
+def _miscovered(
+    adj: Sequence[int], groups: Iterable[Sequence[int]]
+) -> list[tuple[Edge, int, int]]:
     """(pair, count, adjacency) for every pair u < w whose count, the
     number of groups (of distinct vertices: cliques, or an element's
-    members) holding both, is not its adjacency in g, pairs ascending. Each
-    group ORs its member mask, minus the member, into each member's cover
-    mask, counting the pairs already there; one XOR of cover[u] against
-    g.adj[u] per vertex finds the rest. O((n + sum of |group|) * ceil(n/64))
-    word operations, plus one step per finding and the sort."""
-    adj = g.adj
-    cover = [0] * g.n
+    members) holding both, is not its adjacency in the neighbour rows adj,
+    pairs ascending. Each group ORs its member mask, minus the member, into
+    each member's cover mask, counting the pairs already there; one XOR of
+    cover[u] against adj[u] per vertex finds the rest.
+    O((n + sum of |group|) * ceil(n/64)) word operations, plus one step per
+    finding and the sort."""
+    cover = [0] * len(adj)
     repeats: dict[Edge, int] = {}
     for members in groups:
         mask = 0
@@ -619,8 +617,7 @@ def _erdos_dense(rows: Sequence[int], deg: list[int]) -> list[Clique]:
                 adj[u] ^= xbit
             _lower(level, used)
         _lower(level, nbr_mask)
-    base = tuple(row & alive if alive >> v & 1 else 0 for v, row in enumerate(adj))
-    extras.extend(_erdos_base.__wrapped__(alive, base))
+    extras.extend(_erdos_base.__wrapped__(alive, adj))
     # Each remaining edge once, from its lower end's row, in sorted order;
     # then the few other cliques. The edges share one int per vertex.
     labels = list(range(n))
@@ -683,14 +680,14 @@ def _pair_neighbours(adj: list[int], x: int, nbr_mask: int, r: int,
 
 
 @lru_cache(maxsize=4096)
-def _erdos_base(alive: int, adj: tuple[int, ...]) -> tuple[Clique, ...]:
+def _erdos_base(alive: int, adj: Sequence[int]) -> tuple[Clique, ...]:
     """Minimum partition of the base graph on the <= 4 survivors in alive
     into cliques of <= 3 vertices with pairwise-distinct incidence sets, as
     sorted cliques in the original labels; adj holds every vertex's
-    neighbour mask in those labels. A deleted vertex's mask is 0 and its
-    bit is in no other mask, so the key determines the base graph:
-    _erdos_sparse clears them as it deletes, and _erdos_dense, whose rows
-    keep them, masks the rows with alive before the call.
+    neighbour mask in those labels. Only the survivors' masks are read,
+    and in them only the survivors' bits. A deleted vertex's mask is 0 and
+    its bit is in no other mask, as _erdos_sparse clears them, so the key
+    determines the base graph.
     Memoized in a bounded cache: a sweep at n <= 7 has at most
     C(7, 4) * 64 = 2,240 keys. A larger graph calls the search uncached
     (__wrapped__), so no key grows with n.

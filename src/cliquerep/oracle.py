@@ -24,12 +24,12 @@ from .decompose import (
     _greedy_run,
     _incidence,
     _min_distinct,
+    _partition_findings,
     _vertex_order,
     quarter_square,
     validate_greedy,
-    validate_partition,
 )
-from .graphs import ENUMERATION_MAX_N, Graph, _labeled_graphs, _Record, _relabel_mask, degree
+from .graphs import ENUMERATION_MAX_N, Graph, _labeled_graphs, _Record, _relabel_mask
 from .represent import SetRepresentation
 
 #: Search budgets, chosen so every run finishes in minutes on one machine.
@@ -158,7 +158,7 @@ def check_rs_bound(g: Graph, d: GreedyDecomposition) -> list[Violation]:
         if len(cl) != 2:
             continue
         x, y = cl
-        if degree(g, x) <= 1 and degree(g, y) <= 1:
+        if g.adj[x].bit_count() <= 1 and g.adj[y].bit_count() <= 1:
             continue
         touching = cliques_at[x] + cliques_at[y] - 2
         if touching > g.n - 2:
@@ -191,11 +191,12 @@ def _sweep_range(
     greedy findings as (mask, check, observed) and the edge/triangle
     partition's violations, both in mask order. The constructions run on
     each mask's rows (_greedy_run, _erdos_cliques), without their records,
-    and no Graph is built for a mask. One pass per construction
-    (_duplicates_on_mask) checks it against the mask's pair bits and counts
-    its distinct sets, non-trivial cliques and widest clique; only one that
-    pass does not accept gets a Graph (_from_adj) and goes through the
-    validators."""
+    and no Graph is built. One pass per construction (_duplicates_on_mask)
+    checks it against the mask's pair bits and counts its distinct sets and
+    its widest clique; only one that pass does not accept goes through the
+    partition checks, on the same rows. The non-trivial cliques of a greedy
+    run are counted only when its length breaches the bound, as their
+    count never exceeds it."""
     bound = quarter_square(n)
     max_cliques = 0
     max_elements = 0
@@ -207,14 +208,15 @@ def _sweep_range(
         if checked is None:
             # Only an invalid run fails the one-pass check: raise the
             # ValueError the transform would.
-            _check_partition(Graph._from_adj(n, rows), sequence)
-        duplicates, nontrivial, _ = checked
+            _check_partition(rows, sequence)
+        duplicates, _ = checked
         total = len(sequence)
         if total > max_cliques:
             max_cliques = total
-        if nontrivial > bound:
-            findings.append((mask, "greedy_cliques", nontrivial))
         if total > bound:
+            nontrivial = sum(len(cl) > 1 for cl in sequence)
+            if nontrivial > bound:
+                findings.append((mask, "greedy_cliques", nontrivial))
             findings.append((mask, "greedy_cliques_with_trivial", total))
         elements = total + duplicates
         if elements > max_elements:
@@ -231,14 +233,13 @@ def _sweep_range(
         if checked is None:
             widest = max(map(len, cliques), default=0)
         else:
-            duplicates, _, widest = checked
+            duplicates, widest = checked
         if widest > 3:
             violations.append(BoundViolation(mask, "erdos", "erdos_clique_size", widest, 3))
         if checked is None:
             # The one-pass check rejects exactly what validate_partition
             # finds at fault, so there is at least one finding.
-            g = Graph._from_adj(n, rows)
-            faults = validate_partition(g, CliquePartition(g, tuple(cliques)))
+            faults = _partition_findings(rows, cliques)
             violations.append(BoundViolation(mask, "erdos", "erdos_invalid", len(faults), 0))
             # An invalid partition may list a member twice in a clique or
             # name a non-vertex: count over each clique's set of vertices.
@@ -266,11 +267,12 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     constructions run on the graph's neighbour masks and build no record.
     One pass over a construction's cliques tests that their pairs are the
     graph's edge bitmask, each pair once, and that they cover every vertex,
-    and counts its distinct sets, its non-trivial cliques and its widest
-    clique; a construction that pass does not accept goes through the
-    validators, and an invalid greedy run raises the ValueError the
-    transform would. The walk yields each mask's neighbour rows, and only
-    those two fallbacks build a Graph from them. max_cliques_seen is the
+    and counts its distinct sets and its widest clique; a construction that
+    pass does not accept goes through the partition checks on the same
+    rows, and an invalid greedy run raises the ValueError the transform
+    would. The non-trivial cliques are counted only for a run whose length
+    breaches the bound. The walk yields each mask's neighbour rows, and the
+    sweep builds no Graph from them. max_cliques_seen is the
     largest clique count seen across greedy runs and edge/triangle
     partitions. The report names each run "lex" or "random:<seed>".
 

@@ -87,7 +87,7 @@ def representation_from_partition(
     output then follows from the partition's.
     """
     cliques = p.sequence if isinstance(p, GreedyDecomposition) else p.cliques
-    _check_partition(p.host, cliques)
+    _check_partition(p.host.adj, cliques)
     sets = tuple(map(frozenset, _incidence(p.host.n, cliques)))
     return SetRepresentation(p.host, sets, len(cliques))
 
@@ -170,7 +170,7 @@ def validate_representation(
         if e not in members:
             out.append(Violation("unused_element", element=e))
     out.extend(Violation("wrong_intersection", pair=pair, observed=c, expected=adjacent)
-               for pair, c, adjacent in _miscovered(g, members.values()))
+               for pair, c, adjacent in _miscovered(g.adj, members.values()))
     if require_distinct:
         for cls in distinctness(r).classes:
             if len(cls) > 1:

@@ -157,6 +157,17 @@ def test_every_private_helper_is_used():
     assert unused == []
 
 
+def test_only_graphs_builds_a_graph_from_rows():
+    # Graph._from_adj skips the edge checks, so only the module that walks
+    # and checks the rows it wraps may call it; every other module hands
+    # rows or a checked Graph to the code it calls.
+    callers = {path.name
+               for path in Path(cliquerep.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "_from_adj"}
+    assert callers == {"graphs.py"}
+
+
 def test_sources_parse_at_the_python_floor():
     # Parsed as the oldest Python that pyproject.toml admits, syntax newer
     # than it, such as except*, fails here. Library features, such as the

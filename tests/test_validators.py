@@ -148,7 +148,7 @@ def assert_one_pass_verdicts(g: Graph, cliques, valid: bool) -> None:
     construction that _duplicates_on_mask does not accept to that raise or
     to the validators. The mask check's table has 2^n entries, so it is
     checked at the orders a sweep visits."""
-    assert _covers_exactly(g, cliques) == valid
+    assert _covers_exactly(g.adj, cliques) == valid
     if g.n <= ENUMERATION_MAX_N:
         assert (_duplicates_on_mask(g.n, edge_bitmask(g), cliques) is None) == (not valid)
 
@@ -228,8 +228,8 @@ def test_mask_check_matches_validate_partition_on_every_small_graph():
     # On every labeled graph with n <= 5: the greedy runs, the erdos
     # partition, tampered copies and one-fault copies. The check accepts
     # exactly what validate_partition accepts, and then counts the fresh
-    # elements augment_to_distinct attaches, the non-trivial cliques and
-    # the widest of them.
+    # elements augment_to_distinct attaches and the widest non-trivial
+    # clique.
     rng = random.Random(34)
     accepted = rejected = 0
     for n in range(1, 6):
@@ -247,10 +247,9 @@ def test_mask_check_matches_validate_partition_on_every_small_graph():
                     rejected += 1
                     continue
                 accepted += 1
-                duplicates, nontrivial, widest = found
+                duplicates, widest = found
                 r = representation_from_partition(p)
                 assert duplicates == augment_to_distinct(r).ground_size - r.ground_size
-                assert nontrivial == sum(len(c) >= 2 for c in cliques)
                 assert widest == max((len(c) for c in cliques if len(c) >= 2), default=0)
             for cliques in faults:
                 assert _duplicates_on_mask(n, mask, cliques) is None, (g, cliques)
