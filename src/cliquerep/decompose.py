@@ -485,43 +485,49 @@ def erdos_partition(g: Graph) -> CliquePartition:
     rather than assume), remove those edges, and cover x's edges with r
     triangles plus single edges. The remaining base graph (n <= 4) is solved
     by exhaustive search for a minimum partition with the distinctness
-    property. On at most ENUMERATION_MAX_N vertices the search is memoized
-    on the survivors and the neighbour masks in the original labels
-    (_erdos_base), so a base graph seen before costs one lookup; a larger
-    graph searches once, uncached. Trivial cliques created for vertices
-    isolated at inner steps are kept: the distinctness property can depend
-    on them.
+    property. Trivial cliques created for vertices isolated at inner steps
+    are kept: the distinctness property can depend on them.
 
     The deletion order is the smallest-last order of Matula and Beck
-    (1983), ties to the lowest label. Two loops keep it (_erdos_cliques):
-    on a dense graph, with a mean degree above n/8, one that holds the
-    degrees bit-sliced and reads the single-edge cliques off the rows once
-    at the end; on any other, one step per edge. Both give the same
-    partition.
+    (1983), ties to the lowest label. _erdos_cliques picks one of two loops
+    that keep it: on a dense graph of more than ENUMERATION_MAX_N vertices,
+    with a mean degree above n/8, one that holds the degrees bit-sliced and
+    reads the single-edge cliques off the rows once at the end; on any
+    other, one step per edge. Both give the same partition.
     """
     return CliquePartition(g, tuple(_erdos_cliques(g.adj)))
 
 
 def _erdos_cliques(rows: Sequence[int]) -> list[Clique]:
     """erdos_partition's cliques, sorted, on neighbour rows, which are not
-    changed: the deletions work on a copy. A dense graph, one on more than
-    ENUMERATION_MAX_N vertices whose mean degree exceeds n/8, runs
-    _erdos_dense, whose final read of the rows then walks fewer than eight
-    bit positions per edge; any other runs _erdos_sparse. Both give the
-    same cliques."""
+    changed: the deletions work on a copy. Only here does the vertex count
+    decide which loop deletes down to the base and how the base is found.
+    At n <= ENUMERATION_MAX_N, every sweep graph, only _erdos_sparse runs;
+    it clears a deleted vertex's row and its bit in every other row, so
+    (alive, rows) determines the base graph, which is looked up in the
+    bounded table _erdos_base. A larger graph runs _erdos_dense when its
+    mean degree exceeds n/8, so that the final read of the rows walks fewer
+    than eight bit positions per edge, else _erdos_sparse, and searches its
+    base uncached, so no table key grows with n."""
     n = len(rows)
     deg = list(map(int.bit_count, rows))
-    if n > ENUMERATION_MAX_N and 8 * sum(deg) > n * n:
-        return _erdos_dense(rows, deg)
-    return _erdos_sparse(rows, deg)
+    if n <= ENUMERATION_MAX_N:
+        alive, adj, cliques = _erdos_sparse(rows, deg)
+        cliques += _erdos_base(alive, tuple(adj))
+    else:
+        loop = _erdos_dense if 8 * sum(deg) > n * n else _erdos_sparse
+        alive, adj, cliques = loop(rows, deg)
+        cliques += _erdos_base.__wrapped__(alive, adj)
+    cliques.sort()
+    return cliques
 
 
-def _erdos_sparse(rows: Sequence[int], deg: list[int]) -> list[Clique]:
-    """_erdos_cliques by one step per deleted vertex's neighbour: each of
-    its edges is recorded and cleared, and the neighbour moves between
-    degree buckets. About seven integer operations per edge, plus a sort of
-    the cliques at the end. deg holds the rows' bit counts and is updated
-    in place."""
+def _erdos_sparse(rows: Sequence[int], deg: list[int]) -> tuple[int, list[int], list[Clique]]:
+    """Delete down to the base by one step per deleted vertex's neighbour:
+    each of its edges is recorded and cleared, and the neighbour moves
+    between degree buckets. About seven integer operations per edge. deg
+    holds the rows' bit counts and is updated in place. Returns alive, the
+    rows with each deleted vertex's row and bits cleared, and the cliques."""
     # Vertices keep their labels, and a deleted vertex's mask is cleared, as
     # is its bit in its neighbors' masks. by_degree[d] holds the survivors
     # of degree d, so the lowest bit of the first non-empty one is the
@@ -560,18 +566,15 @@ def _erdos_sparse(rows: Sequence[int], deg: list[int]) -> list[Clique]:
             by_degree[deg[u]] ^= ubit
             deg[u] = du = adj[u].bit_count()
             by_degree[du] |= ubit
-    base = _erdos_base if len(adj) <= ENUMERATION_MAX_N else _erdos_base.__wrapped__
-    cliques.extend(base(alive, tuple(adj)))
-    cliques.sort()
-    return cliques
+    return alive, adj, cliques
 
 
-def _erdos_dense(rows: Sequence[int], deg: list[int]) -> list[Clique]:
-    """_erdos_cliques with bit-sliced degrees, touching no single edge
-    until the end: O(width) integer operations per deleted vertex, where
-    width is the bit length of the largest degree, plus the pairing steps
-    and one pass over every bit position of the rows. deg holds the rows'
-    bit counts.
+def _erdos_dense(rows: Sequence[int], deg: list[int]) -> tuple[int, list[int], list[Clique]]:
+    """Delete down to the base with bit-sliced degrees, touching no single
+    edge until the end: O(width) integer operations per deleted vertex,
+    where width is the bit length of the largest degree, plus the pairing
+    steps and one pass over every bit position of the rows. deg holds the
+    rows' bit counts. Returns alive, the rows and the cliques found.
 
     level[j] is the mask of the vertices whose degree has bit j set.
     Deleting x lowers the degrees of all its surviving neighbours at once,
@@ -581,14 +584,14 @@ def _erdos_dense(rows: Sequence[int], deg: list[int]) -> list[Clique]:
     lowest label. Rows keep the bits of deleted vertices, so every read
     masks them with alive, but lose the three edges of each triangle. Once
     four vertices are left, the edges still in the rows are the
-    single-edge cliques, except those between two survivors, which the base
-    search partitions."""
+    single-edge cliques, except those between two survivors: those are the
+    base graph's."""
     adj = list(rows)
     n = len(adj)
     level = [sum(1 << v for v, d in enumerate(deg) if d >> j & 1)
              for j in range(max(deg).bit_length())]
     alive = (1 << n) - 1
-    extras: list[Clique] = []
+    cliques: list[Clique] = []
     for size in range(n, 4, -1):
         # Keep, from the highest level down, the candidates with that
         # degree bit clear when there are any; d collects the bits.
@@ -606,29 +609,25 @@ def _erdos_dense(rows: Sequence[int], deg: list[int]) -> list[Clique]:
         alive ^= xbit
         nbr_mask = adj[x] & alive
         if not nbr_mask:
-            extras.append((x,))
+            cliques.append((x,))
             continue
         r = d - size // 2
         if r > 0:
-            used = _pair_neighbours(adj, x, nbr_mask, r, extras)
+            used = _pair_neighbours(adj, x, nbr_mask, r, cliques)
             # x's edges to its matched neighbours lie in the triangles.
             adj[x] ^= used
             for u in bits(used):
                 adj[u] ^= xbit
             _lower(level, used)
         _lower(level, nbr_mask)
-    extras.extend(_erdos_base.__wrapped__(alive, adj))
-    # Each remaining edge once, from its lower end's row, in sorted order;
-    # then the few other cliques. The edges share one int per vertex.
+    # Each remaining edge once, from its lower end's row. The edges share
+    # one int per vertex.
     labels = list(range(n))
-    cliques: list[Clique] = []
     for u, row in zip(labels, adj):
         if alive >> u & 1:
             row &= ~alive
         cliques += zip(repeat(u), compress(labels[u + 1:], _bit_flags(row >> u + 1)))
-    cliques += extras
-    cliques.sort()
-    return cliques
+    return alive, adj, cliques
 
 
 def _lower(level: list[int], mask: int) -> None:
@@ -685,12 +684,9 @@ def _erdos_base(alive: int, adj: Sequence[int]) -> tuple[Clique, ...]:
     into cliques of <= 3 vertices with pairwise-distinct incidence sets, as
     sorted cliques in the original labels; adj holds every vertex's
     neighbour mask in those labels. Only the survivors' masks are read,
-    and in them only the survivors' bits. A deleted vertex's mask is 0 and
-    its bit is in no other mask, as _erdos_sparse clears them, so the key
-    determines the base graph.
-    Memoized in a bounded cache: a sweep at n <= 7 has at most
-    C(7, 4) * 64 = 2,240 keys. A larger graph calls the search uncached
-    (__wrapped__), so no key grows with n.
+    and in them only the survivors' bits. Memoized in a bounded cache: on
+    graphs of at most 7 vertices there are at most C(7, 4) * 64 = 2,240
+    keys whose deleted vertices' rows and bits are clear.
 
     The search runs on local labels 0..k-1, and the first cheapest
     partition in branching order wins.

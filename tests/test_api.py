@@ -168,6 +168,19 @@ def test_only_graphs_builds_a_graph_from_rows():
     assert callers == {"graphs.py"}
 
 
+
+def test_only_erdos_cliques_calls_the_erdos_base():
+    # _erdos_cliques alone decides, from the vertex count, whether the base
+    # search goes through the bounded table; the deletion loops only delete
+    # down to the base.
+    callers = {(path.name, node.name)
+               for path in Path(cliquerep.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and any(isinstance(ref, ast.Name) and ref.id == "_erdos_base"
+                       for ref in ast.walk(node))}
+    assert callers == {("decompose.py", "_erdos_cliques")}
+
 def test_sources_parse_at_the_python_floor():
     # Parsed as the oldest Python that pyproject.toml admits, syntax newer
     # than it, such as except*, fails here. Library features, such as the

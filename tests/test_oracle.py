@@ -710,8 +710,8 @@ class TestExhaustiveBoundCheck:
         assert oracle._sweep_range(5, 0, 1024) == want
 
     def test_sweep_builds_no_graph_per_mask(self, monkeypatch):
-        # The sweep walks neighbour rows: only its fallbacks, for a
-        # construction the one-pass check rejects, wrap them in a Graph.
+        # The sweep walks neighbour rows, and its fallbacks, for a
+        # construction the one-pass check rejects, take the rows too.
         want = oracle._sweep_range(5, 0, 1024)
 
         def refuse(cls, n, adj):
