@@ -66,7 +66,8 @@ class CliquePartition(_Record):
 
     Every edge lies in exactly one clique, trivial (single-vertex) cliques
     are allowed anywhere and required for isolated vertices, and no two
-    cliques share the same vertex set. Cliques are stored sorted.
+    cliques share the same vertex set. from_cliques stores them sorted; the
+    plain constructor keeps the order given (verify keeps file positions).
     """
 
     host: Graph
@@ -524,10 +525,10 @@ def _erdos_cliques(rows: Sequence[int]) -> list[Clique]:
 
 def _erdos_sparse(rows: Sequence[int], deg: list[int]) -> tuple[int, list[int], list[Clique]]:
     """Delete down to the base by one step per deleted vertex's neighbour:
-    each of its edges is recorded and cleared, and the neighbour moves
-    between degree buckets. About seven integer operations per edge. deg
-    holds the rows' bit counts and is updated in place. Returns alive, the
-    rows with each deleted vertex's row and bits cleared, and the cliques."""
+    it changes degree bucket, and its edge, unless _pair_neighbours took it
+    in a triangle, is recorded and cleared. About seven integer operations
+    per edge. deg holds the rows' bit counts, updated in place. Returns
+    alive, the rows with deleted vertices' rows and bits clear, and the cliques."""
     # Vertices keep their labels, and a deleted vertex's mask is cleared, as
     # is its bit in its neighbors' masks. by_degree[d] holds the survivors
     # of degree d, so the lowest bit of the first non-empty one is the
@@ -549,12 +550,12 @@ def _erdos_sparse(rows: Sequence[int], deg: list[int]) -> tuple[int, list[int], 
         by_degree[d] ^= xbit
         alive ^= xbit
         nbr_mask = adj[x]
-        adj[x] = 0
         if nbr_mask == 0:
             cliques.append((x,))
         # The cliques are sorted at the end, so each is added when found.
         r = d - n // 2
         used = _pair_neighbours(adj, x, nbr_mask, r, cliques) if r > 0 else 0
+        adj[x] = 0
         rest = nbr_mask
         while rest:
             ubit = rest & -rest
@@ -562,7 +563,7 @@ def _erdos_sparse(rows: Sequence[int], deg: list[int]) -> tuple[int, list[int], 
             u = ubit.bit_length() - 1
             if not used & ubit:
                 cliques.append((x, u) if x < u else (u, x))
-            adj[u] ^= xbit
+                adj[u] ^= xbit
             by_degree[deg[u]] ^= ubit
             deg[u] = du = adj[u].bit_count()
             by_degree[du] |= ubit
@@ -582,7 +583,7 @@ def _erdos_dense(rows: Sequence[int], deg: list[int]) -> tuple[int, list[int], l
     neighbours lose one more the same way. One top-down pass over the
     levels, restricted to alive, finds the minimum-degree survivor with the
     lowest label. Rows keep the bits of deleted vertices, so every read
-    masks them with alive, but lose the three edges of each triangle. Once
+    masks them with alive; _pair_neighbours removes each triangle. Once
     four vertices are left, the edges still in the rows are the
     single-edge cliques, except those between two survivors: those are the
     base graph's."""
@@ -613,12 +614,7 @@ def _erdos_dense(rows: Sequence[int], deg: list[int]) -> tuple[int, list[int], l
             continue
         r = d - size // 2
         if r > 0:
-            used = _pair_neighbours(adj, x, nbr_mask, r, cliques)
-            # x's edges to its matched neighbours lie in the triangles.
-            adj[x] ^= used
-            for u in bits(used):
-                adj[u] ^= xbit
-            _lower(level, used)
+            _lower(level, _pair_neighbours(adj, x, nbr_mask, r, cliques))
         _lower(level, nbr_mask)
     # Each remaining edge once, from its lower end's row. The edges share
     # one int per vertex.
@@ -643,13 +639,15 @@ def _lower(level: list[int], mask: int) -> None:
 
 def _pair_neighbours(adj: list[int], x: int, nbr_mask: int, r: int,
                      cliques: list[Clique]) -> int:
-    """Pair up 2r of x's neighbours nbr_mask along r disjoint edges among
-    them, greedily in label order, remove those edges from adj, add each
-    triangle with x to cliques, and return the mask of the matched
-    neighbours. Called when x has the minimum degree floor(n/2) + r with
-    r > 0 on n survivors, which guarantees the pairing; it is checked
-    rather than assumed. adj's rows may hold bits outside nbr_mask: only
-    their bits in it are read."""
+    """Pair up 2r of x's neighbours nbr_mask along r disjoint edges u < w
+    among them, greedily in label order (a w below u would have been
+    visited first, unmatched, and taken u), add each triangle with x to
+    cliques, remove its three edges from adj at both ends, and return the
+    mask of the matched neighbours. Called when x has the minimum degree
+    floor(n/2) + r with r > 0 on n survivors, which guarantees the pairing;
+    it is checked rather than assumed. Only the rows' bits in nbr_mask are
+    read, and x's row is not read."""
+    xbit = 1 << x
     used = 0
     matched = 0
     rest = nbr_mask
@@ -659,14 +657,14 @@ def _pair_neighbours(adj: list[int], x: int, nbr_mask: int, r: int,
         if used & ubit:
             continue
         u = ubit.bit_length() - 1
-        # Matched edges leave the masks at once: they join used
-        # vertices only, which cand leaves out.
+        # A triangle's edges leave the rows at once: they join x and
+        # used vertices only, which cand leaves out.
         cand = adj[u] & nbr_mask & ~used & ~ubit
         if cand:
             wbit = cand & -cand
             w = wbit.bit_length() - 1
-            adj[u] ^= wbit
-            adj[w] ^= ubit
+            adj[u] ^= wbit | xbit
+            adj[w] ^= ubit | xbit
             used |= ubit | wbit
             matched += 1
             cliques.append(tuple(sorted((x, u, w))))
@@ -675,6 +673,7 @@ def _pair_neighbours(adj: list[int], x: int, nbr_mask: int, r: int,
             f"neighborhood pairing stalled at {matched} of {r} edges; "
             "the minimum-degree guarantee was violated"
         )
+    adj[x] ^= used
     return used
 
 

@@ -79,12 +79,12 @@ def representation_from_partition(
 ) -> SetRepresentation:
     """Element k is the k-th clique; sets[v] collects the cliques through v.
 
-    For an unordered partition, elements follow the stored lexicographic
-    clique order; for a greedy decomposition, sequence positions. The ground
-    size equals the number of cliques. Invalid partitions are rejected; a
-    greedy sequence is checked in sequence order, so the position an error
-    names is the bad clique's element. The intersection property of the
-    output then follows from the partition's.
+    Elements follow a partition's stored clique order, which from_cliques
+    and the constructions sort, or a greedy decomposition's sequence. The
+    ground size equals the number of cliques. Invalid partitions are
+    rejected; a greedy sequence is checked in sequence order, so the
+    position an error names is the bad clique's element. The intersection
+    property of the output then follows from the partition's.
     """
     cliques = p.sequence if isinstance(p, GreedyDecomposition) else p.cliques
     _check_partition(p.host.adj, cliques)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from cliquerep import (
 )
 from cliquerep import decompose, exhaustive_bound_check, oracle
 from cliquerep.decompose import _vertex_order
+from cliquerep.graphs import _labeled_graphs
 from helpers import (
     as_partition,
     graphs,
@@ -572,6 +574,28 @@ class TestErdosLoops:
                 for n in (6, 7)] == want
         assert set(taken) == {"_erdos_sparse"}
 
+    def test_the_pairing_removes_each_triangle_it_forms(self, monkeypatch):
+        # No edge of a triangle the pairing appends is left in the rows, at
+        # either end, so neither loop clears one itself. Only K_7 of these
+        # pairs in the per-edge loop.
+        real = decompose._pair_neighbours
+        formed = []
+
+        def checked(adj, x, nbr_mask, r, cliques):
+            start = len(cliques)
+            used = real(adj, x, nbr_mask, r, cliques)
+            assert len(cliques) - start == r
+            for triangle in cliques[start:]:
+                for u, w in combinations(triangle, 2):
+                    assert not adj[u] >> w & 1 and not adj[w] >> u & 1, (triangle, u, w)
+            formed.append(r)
+            return used
+
+        monkeypatch.setattr(decompose, "_pair_neighbours", checked)
+        for g in (*self.loop_graphs(), complete_graph(7)):
+            erdos_partition(g)
+        assert sum(formed) > 1000
+
     def test_a_stalled_pairing_raises(self):
         # Vertex 0 has three neighbours and none of them are adjacent: no
         # pair among them can be matched.
@@ -599,6 +623,19 @@ class TestErdosLoops:
             g = special[key] if key in special else random_graph(random.Random(key[0]), *key)
             text = json.dumps(erdos_partition(g).to_json())
             assert hashlib.sha256(text.encode()).hexdigest() == digest, key
+
+
+def test_small_graph_digests():
+    # sha256 of the reprs of _erdos_cliques and of _greedy_run on the rows
+    # of every labeled graph with n <= 6, in _labeled_graphs order,
+    # recorded before _pair_neighbours removed whole triangles.
+    erdos, greedy = hashlib.sha256(), hashlib.sha256()
+    for n in range(7):
+        for rows in _labeled_graphs(n, 0, 1 << n * (n - 1) // 2):
+            erdos.update(repr(decompose._erdos_cliques(rows)).encode())
+            greedy.update(repr(decompose._greedy_run(rows)).encode())
+    assert erdos.hexdigest() == "a7d37f278f8e1616cb91633d80f2b5aad3ee37d499232be3d6db7cfd6db1a717"
+    assert greedy.hexdigest() == "82d94784897ec92700e6a733e08065345aca2b93728c14d8a74901427c0b85db"
 
 
 def _brute_min_small_partition(g) -> int:

@@ -7,7 +7,9 @@ sweep checks the lexicographic run and its relabelings only; this module
 takes each of the 209 classes of networkx's graph atlas with n <= 6 and
 follows every choice a greedy step has: at each residual graph, every
 maximal clique of at least two vertices, found here by Bron-Kerbosch with a
-pivot on bitmasks. Nothing below calls the library to search.
+pivot on bitmasks. Nothing below calls the library to search, except the
+tables of cp and omega per class, which tests/test_ilp_oracle.py checks
+against an integer program.
 """
 
 from functools import cache
@@ -16,9 +18,14 @@ import networkx as nx
 
 from cliquerep import (
     CliquePartition,
+    GreedyDecomposition,
     augment_to_distinct,
+    check_rs_bound,
+    enumerate_labeled_graphs,
     graph,
     greedy_decomposition,
+    min_clique_partition,
+    min_distinct_representation,
     representation_from_partition,
     validate_partition,
 )
@@ -53,29 +60,35 @@ def maximal_cliques(rows: tuple[int, ...]) -> list[int]:
     return found
 
 
-def greedy_partitions(rows: tuple[int, ...]) -> frozenset[frozenset[int]]:
-    """The clique sets, as masks, of every greedy decomposition of rows:
-    take any maximal clique of the residual, delete its edges, repeat until
-    no edge is left. Memoized on the labeled residual rows."""
+def _residual(residual: tuple[int, ...], clique: int) -> tuple[int, ...]:
+    """The rows once the edges of clique (a mask) are deleted."""
+    return tuple(row & ~clique if clique >> v & 1 else row for v, row in enumerate(residual))
+
+
+def greedy_partitions(rows: tuple[int, ...]) -> dict[frozenset[int], tuple[int, ...]]:
+    """The clique sets, as masks, of every greedy decomposition of rows,
+    each with the first sequence found for it: take any maximal clique of
+    the residual, delete its edges, repeat until no edge is left. Memoized
+    on the labeled residual rows."""
 
     @cache
     def rest(residual):
         options = maximal_cliques(residual)
         if not options:
-            return frozenset([frozenset()])
-        out = set()
+            return {frozenset(): ()}
+        out = {}
         for clique in options:
-            after = tuple(row & ~clique if clique >> v & 1 else row
-                          for v, row in enumerate(residual))
-            out.update(p | {clique} for p in rest(after))
-        return frozenset(out)
+            for p, sequence in rest(_residual(residual, clique)).items():
+                out.setdefault(p | {clique}, (clique, *sequence))
+        return out
 
     return rest(rows)
 
 
 def _classes():
-    """(n, networkx graph, rows, greedy partitions with the trivial clique
-    of each isolated vertex, as sorted tuples of sorted cliques)."""
+    """(n, networkx graph, rows, greedy partitions): each partition, with
+    the trivial clique of each isolated vertex, as a sorted tuple of sorted
+    cliques, maps to one greedy sequence for it, trivial cliques last."""
     out = []
     for h in nx.graph_atlas_g():
         n = h.number_of_nodes()
@@ -83,8 +96,10 @@ def _classes():
             break
         rows = tuple(sum(1 << w for w in h[v]) for v in range(n))
         trivial = [(v,) for v in range(n) if not rows[v]]
-        partitions = {tuple(sorted([tuple(_bits(c)) for c in p] + trivial))
-                      for p in greedy_partitions(rows)}
+        partitions = {}
+        for p, sequence in greedy_partitions(rows).items():
+            key = tuple(sorted([tuple(_bits(c)) for c in p] + trivial))
+            partitions[key] = tuple(tuple(_bits(c)) for c in sequence) + tuple(trivial)
         out.append((n, h, rows, partitions))
     return out
 
@@ -98,6 +113,20 @@ def _balanced_bipartite(n):
 
 def _graph(n, rows):
     return graph(n, [(u, w) for u in range(n) for w in _bits(rows[u] >> u + 1 << u + 1)])
+
+
+def _exact(n, rows):
+    g = _graph(n, rows)
+    return min_clique_partition(g)[0], min_distinct_representation(g)[0]
+
+
+#: (cp, omega) of each class, in CLASSES order, by the library's searches.
+EXACT = [_exact(n, rows) for n, _, rows, _ in CLASSES]
+
+
+def _column(n, j):
+    """{class: its value in column j of EXACT (0 cp, 1 omega)} on n vertices."""
+    return {h: exact[j] for (k, h, *_), exact in zip(CLASSES, EXACT) if k == n}
 
 
 def test_the_atlas_gives_every_class():
@@ -147,3 +176,77 @@ def test_the_library_runs_are_greedy_decompositions():
         for seed in (None, *range(1, 11)):
             run = greedy_decomposition(g, seed).sequence
             assert tuple(sorted(run)) in partitions, (rows, seed)
+
+
+def test_cp_and_omega_peak_at_a_quarter_square():
+    # Trivial cliques count towards omega, so at n = 4 more classes reach
+    # the peak for it than for cp.
+    for n in range(4, MAX_N + 1):
+        for j, at_four in ((0, 2), (1, 6)):
+            values = _column(n, j)
+            assert max(values.values()) == n * n // 4, (n, j)
+            extremal = [h for h, value in values.items() if value == n * n // 4]
+            if n == 4:
+                assert len(extremal) == at_four, j
+            else:
+                assert len(extremal) == 1, (n, j)
+                assert nx.is_isomorphic(extremal[0], _balanced_bipartite(n)), (n, j)
+
+
+def test_distinct_sets_cost_at_most_n_minus_one_more_than_a_partition():
+    # The gap column omega - cp: K_n pays n - 1 trivial cliques on top of
+    # its one clique, and no other class pays as much.
+    positive = []
+    for n in range(MAX_N + 1):
+        omegas = _column(n, 1)
+        gaps = {h: omegas[h] - cp for h, cp in _column(n, 0).items()}
+        assert min(gaps.values()) >= 0, n
+        positive.append(sum(gap > 0 for gap in gaps.values()))
+        if n >= 1:
+            assert max(gaps.values()) == n - 1, n
+            extremal = [h for h, gap in gaps.items() if gap == n - 1]
+            assert len(extremal) == 1, n
+            assert nx.is_isomorphic(extremal[0], nx.complete_graph(n)), n
+    assert positive == [0, 0, 1, 2, 5, 13, 46]
+
+
+def test_a_triangle_free_class_needs_one_clique_per_edge():
+    # No edge lies in a larger clique, so cp is |E| plus the isolated
+    # vertices; by Mantel's theorem K_{n/2,n/2} has the most edges.
+    triangle_free = 0
+    for (n, h, *_), (cp, _) in zip(CLASSES, EXACT):
+        if not any(nx.triangles(h).values()):
+            assert cp == h.number_of_edges() + nx.number_of_isolates(h), nx.to_graph6_bytes(h)
+            triangle_free += 1
+    # 1, 1, 2, 3, 7, 14 and 38 classes for n = 0..6 (OEIS A006785).
+    assert triangle_free == 66
+
+
+def test_every_labeled_greedy_sequence_up_to_n5_is_within_the_bound():
+    # An independent count: every sequence of maximal cliques on every
+    # labeled graph, with no memo and no isomorphism classes.
+    def lengths(residual):
+        options = maximal_cliques(residual)
+        if not options:
+            yield 0
+        for clique in options:
+            yield from (1 + k for k in lengths(_residual(residual, clique)))
+
+    total, longest = 0, []
+    for n in range(1, 6):
+        found = [k for g in enumerate_labeled_graphs(n) for k in lengths(g.adj)]
+        total += len(found)
+        longest.append(max(found))
+    assert total == 30299
+    assert longest == [0, 1, 2, 4, 6]
+
+
+def test_the_two_clique_lemma_holds_on_one_sequence_per_partition():
+    # check_rs_bound also replays each sequence through validate_greedy.
+    checked = 0
+    for n, _, rows, partitions in CLASSES:
+        g = _graph(n, rows)
+        for sequence in partitions.values():
+            assert check_rs_bound(g, GreedyDecomposition(g, sequence)) == [], (rows, sequence)
+            checked += 1
+    assert checked == 370
