@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 from itertools import chain, compress, repeat
 from operator import attrgetter, mul, or_
 
-from .graphs import ENUMERATION_MAX_N, Edge, Graph, _bit_flags, _pair_bits, _Record, bits
+from .graphs import ENUMERATION_MAX_N, Edge, Graph, _bit_flags, _clique_bits, _Record, bits
 
 Clique = tuple[int, ...]
 #: A clique the search may take, with its vertex mask.
@@ -364,44 +364,54 @@ def _duplicates_on_mask(
 ) -> tuple[int, int] | None:
     """When cliques are a valid partition of the graph with edge bitmask
     mask on n vertices, (duplicates, widest): the number of vertices whose
-    incidence set, as a clique-position bitmask, an earlier vertex has (the
-    fresh elements augment_to_distinct would attach), and the size of the
-    widest clique of two or more vertices (0 when there is none). Else None.
+    incidence set an earlier vertex has (the fresh elements
+    augment_to_distinct would attach), and the size of the widest clique of
+    two or more vertices (0 when there is none). Else None.
 
-    The sweep's only pass over a construction, reading no neighbour masks:
-    each clique is a non-empty set of exact ints in range(n), their pair
-    bits are disjoint and OR to mask, and their vertex masks OR to all n
-    vertices. The cliques are then distinct without a set of them: two
-    equal cliques of two or more vertices share a pair, and a repeated
-    trivial clique meets the mask of the trivial cliques before it."""
-    pair_bits = _pair_bits(n)
-    covered = vertices = trivial = widest = 0
-    keys = [0] * n
-    bit = 1
+    The sweep's only pass over a construction, reading no neighbour masks.
+    Once a clique's members are seen to be exact ints, the order's table
+    (_clique_bits) gives its vertex mask and pair bits, or misses on an
+    empty clique, a repeated member or a non-vertex. The pair bits must be
+    disjoint and OR to mask, and the vertex masks OR to all n vertices. The
+    cliques are then distinct without a set of them: two equal cliques of
+    two or more vertices share a pair, and a repeated trivial clique meets
+    the mask of the trivial cliques before it. Two vertices then share an
+    incidence set only when it is one clique of two or more vertices, the
+    only clique of both (a second would cover their pair twice): each such
+    clique adds its members that lie in no other clique, less one."""
+    table = _clique_bits(n)
+    covered = vertices = multi = trivial = widest = 0
+    wide = []
     for cl in cliques:
-        members = 0
         for v in cl:
-            if type(v) is not int or not 0 <= v < n:
+            if type(v) is not int:
                 return None
-            members |= 1 << v
-            keys[v] |= bit
-        size = len(cl)
-        if size > 1:
-            pairs = pair_bits[members]
-            if covered & pairs or members.bit_count() != size:
+        found = table.get(cl) or table.get(tuple(sorted(cl)))
+        if found is None:
+            return None
+        members, pairs = found
+        if pairs:
+            if covered & pairs:
                 return None
             covered |= pairs
+            wide.append(members)
+            size = len(cl)
             if size > widest:
                 widest = size
-        elif size and not trivial & members:
-            trivial |= members
-        else:
+        elif trivial & members:
             return None
+        else:
+            trivial |= members
+        multi |= vertices & members
         vertices |= members
-        bit <<= 1
     if covered != mask or vertices != (1 << n) - 1:
         return None
-    return n - len(set(keys)), widest
+    duplicates = 0
+    for members in wide:
+        single = (members & ~multi).bit_count()
+        if single > 1:
+            duplicates += single - 1
+    return duplicates, widest
 
 
 def _partition_findings(adj: Sequence[int], cliques: Sequence[Clique]) -> list[Violation]:
@@ -667,7 +677,7 @@ def _pair_neighbours(adj: list[int], x: int, nbr_mask: int, r: int,
             adj[w] ^= ubit | xbit
             used |= ubit | wbit
             matched += 1
-            cliques.append(tuple(sorted((x, u, w))))
+            cliques.append((x, u, w) if x < u else (u, x, w) if x < w else (u, w, x))
     if matched < r:
         raise RuntimeError(
             f"neighborhood pairing stalled at {matched} of {r} edges; "

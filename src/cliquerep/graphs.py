@@ -265,10 +265,15 @@ def _pair_position(n: int, u: int, v: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _pair_bits(n: int) -> tuple[int, ...]:
-    """Per vertex mask on n vertices, the edge bitmask of the pairs inside it."""
-    pairs = [1 << u | 1 << v for u, v in combinations(range(n), 2)]
-    return tuple(sum(1 << k for k, p in enumerate(pairs) if m & p == p) for m in range(1 << n))
+def _clique_bits(n: int) -> dict[tuple[int, ...], tuple[int, int]]:
+    """Each sorted tuple of distinct vertices of range(n), at least one,
+    mapped to (its vertex mask, the edge bitmask of the pairs inside it):
+    2^n - 1 entries."""
+    out = {}
+    for m in range(1, 1 << n):
+        cl = tuple(bits(m))
+        out[cl] = m, sum(1 << _pair_position(n, u, v) for u, v in combinations(cl, 2))
+    return out
 
 
 def _mask_pairs(n: int, mask: int) -> Iterator[Edge]:
@@ -289,7 +294,7 @@ def graph_from_bitmask(n: int, mask: int) -> Graph:
     """Graph whose edge set is the given subset of vertex pairs.
 
     Bit k selects the k-th pair of combinations(range(n), 2); the same
-    convention is used by edge_bitmask, _relabel_mask, _pair_bits, the
+    convention is used by edge_bitmask, _relabel_mask, _clique_bits, the
     labeled-graph walk (_labeled_graphs), and canonical_form.
     """
     _count(n)

@@ -192,9 +192,10 @@ def _sweep_range(
     partition's violations, both in mask order. The constructions run on
     each mask's rows (_greedy_run, _erdos_cliques), without their records,
     and no Graph is built. One pass per construction (_duplicates_on_mask)
-    checks it against the mask's pair bits and counts its distinct sets and
-    its widest clique; only one that pass does not accept goes through the
-    partition checks, on the same rows. The non-trivial cliques of a greedy
+    looks each clique up in the order's table of vertex masks and pair
+    bits, checks the pairs against the mask, and counts the repeated
+    incidence sets and the widest clique; only one that pass does not
+    accept goes through the partition checks, on the same rows. The non-trivial cliques of a greedy
     run are counted only when its length breaches the bound, as their
     count never exceeds it."""
     bound = quarter_square(n)
@@ -265,16 +266,17 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     edge/triangle partition and check its size, its <= 3 clique widths, its
     validity, and the distinctness of its incidence sets. Both
     constructions run on the graph's neighbour masks and build no record.
-    One pass over a construction's cliques tests that their pairs are the
-    graph's edge bitmask, each pair once, and that they cover every vertex,
-    and counts its distinct sets and its widest clique; a construction that
-    pass does not accept goes through the partition checks on the same
-    rows, and an invalid greedy run raises the ValueError the transform
-    would. The non-trivial cliques are counted only for a run whose length
-    breaches the bound. The walk yields each mask's neighbour rows, and the
-    sweep builds no Graph from them. max_cliques_seen is the
-    largest clique count seen across greedy runs and edge/triangle
-    partitions. The report names each run "lex" or "random:<seed>".
+    One pass over a construction's cliques reads each clique's vertex mask
+    and pairs from a table per order, tests that the pairs are the graph's
+    edge bitmask, each pair once, and that the cliques cover every vertex,
+    and counts the repeated incidence sets, from the vertices that lie in
+    one clique only, and the widest clique; a construction that pass does
+    not accept goes through the partition checks on the same rows, and an
+    invalid greedy run raises the ValueError the transform would. The
+    non-trivial cliques are counted only for a run whose length breaches
+    the bound. The walk yields each mask's neighbour rows, and the sweep
+    builds no Graph from them. max_cliques_seen is the largest clique count
+    seen across greedy runs and edge/triangle partitions. The report names each run "lex" or "random:<seed>".
 
     Only the lexicographic greedy is run, once per graph. A seeded run uses
     the same procedure under its vertex order, so its run on g is the

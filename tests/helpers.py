@@ -450,6 +450,18 @@ def _isomorphic(a: Graph, b: Graph) -> bool:
     return False
 
 
+def reference_duplicates_and_widest(n: int, cliques) -> tuple[int, int]:
+    """(duplicates, widest) of a valid partition on n vertices, as the
+    sweep's one-pass check reports them: the vertices whose incidence set,
+    a bitmask of clique positions, an earlier vertex has, and the size of
+    the widest clique of two or more vertices (0 when there is none)."""
+    keys = [0] * n
+    for i, cl in enumerate(cliques):
+        for v in cl:
+            keys[v] |= 1 << i
+    return n - len(set(keys)), max((len(cl) for cl in cliques if len(cl) > 1), default=0)
+
+
 def reference_sweep(n: int, seeds, bound: int) -> tuple[int, int, list[BoundViolation]]:
     """The sweep as a plain loop: every seed's greedy run on every
     labeled graph, then the recursive partition's checks, per graph in that

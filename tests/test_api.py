@@ -169,17 +169,27 @@ def test_only_graphs_builds_a_graph_from_rows():
 
 
 
+def _functions_naming(name: str) -> set[tuple[str, str]]:
+    """(file, function) of each library function whose body names name."""
+    return {(path.name, node.name)
+            for path in Path(cliquerep.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(ref, ast.Name) and ref.id == name for ref in ast.walk(node))}
+
+
 def test_only_erdos_cliques_calls_the_erdos_base():
     # _erdos_cliques alone decides, from the vertex count, whether the base
     # search goes through the bounded table; the deletion loops only delete
     # down to the base.
-    callers = {(path.name, node.name)
-               for path in Path(cliquerep.__file__).parent.glob("*.py")
-               for node in ast.walk(ast.parse(path.read_text()))
-               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and any(isinstance(ref, ast.Name) and ref.id == "_erdos_base"
-                       for ref in ast.walk(node))}
-    assert callers == {("decompose.py", "_erdos_cliques")}
+    assert _functions_naming("_erdos_base") == {("decompose.py", "_erdos_cliques")}
+
+
+def test_only_the_sweeps_one_pass_check_reads_the_clique_table():
+    # The table has 2^n - 1 entries, so it stays behind the sweep's order
+    # cap: the one-pass check runs only on the sweep's graphs.
+    assert _functions_naming("_clique_bits") == {("decompose.py", "_duplicates_on_mask")}
+
 
 def test_sources_parse_at_the_python_floor():
     # Parsed as the oldest Python that pyproject.toml admits, syntax newer

@@ -39,9 +39,9 @@ from cliquerep import (
 from cliquerep.graphs import (
     _CHUNK,
     _MASKS_UP_TO_N,
+    _clique_bits,
     _labeled_graphs,
     _mask_pairs,
-    _pair_bits,
     _plain_edge_list,
     bits,
 )
@@ -740,12 +740,14 @@ class TestEnumeration:
         for lo in (0, 333, 1024):
             assert list(_labeled_graphs(5, lo, lo)) == []
 
-    def test_pair_bits_hold_the_pairs_inside_each_vertex_mask(self):
+    def test_clique_bits_hold_each_vertex_set_with_its_pairs(self):
         for n in range(8):
-            table = _pair_bits(n)
-            assert len(table) == 1 << n
-            for m, pair_mask in enumerate(table):
-                assert list(_mask_pairs(n, pair_mask)) == list(combinations(bits(m), 2))
+            table = _clique_bits(n)
+            sets = [cl for k in range(1, n + 1) for cl in combinations(range(n), k)]
+            assert sorted(table) == sorted(sets) and len(table) == (1 << n) - 1
+            for cl, (m, pair_mask) in table.items():
+                assert list(bits(m)) == list(cl)
+                assert list(_mask_pairs(n, pair_mask)) == list(combinations(cl, 2))
 
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):

@@ -32,12 +32,13 @@ from cliquerep import (
     validate_partition,
     validate_representation,
 )
-from cliquerep.decompose import _covers_exactly, _duplicates_on_mask
-from cliquerep.graphs import ENUMERATION_MAX_N
+from cliquerep.decompose import _covers_exactly, _duplicates_on_mask, _erdos_cliques, _greedy_run
+from cliquerep.graphs import ENUMERATION_MAX_N, _labeled_graphs
 from helpers import (
     as_partition,
     graphs,
     random_graph,
+    reference_duplicates_and_widest,
     reference_validate_greedy,
     reference_validate_partition,
     reference_validate_representation,
@@ -255,6 +256,25 @@ def test_mask_check_matches_validate_partition_on_every_small_graph():
                 assert _duplicates_on_mask(n, mask, cliques) is None, (g, cliques)
     # 1,099 graphs, each with 5 valid constructions and at least 9 faults.
     assert accepted >= 5 * 1099 and rejected >= 9 * 1099
+
+
+def test_mask_check_counts_as_the_incidence_keys_on_every_graph_up_to_n6():
+    # The lexicographic greedy run and the erdos partition of every labeled
+    # graph with n <= 6, as the sweep makes them, then the same partition
+    # with each clique's members reversed and the cliques shuffled: the
+    # check's count and width are those of the clique-position keys.
+    rng = random.Random(42)
+    checked = 0
+    for n in range(1, 7):
+        for mask, rows in enumerate(_labeled_graphs(n, 0, 1 << n * (n - 1) // 2)):
+            for cliques in (_greedy_run(rows), _erdos_cliques(rows)):
+                want = reference_duplicates_and_widest(n, cliques)
+                assert _duplicates_on_mask(n, mask, cliques) == want, (n, mask, cliques)
+                moved = [cl[::-1] for cl in cliques]
+                rng.shuffle(moved)
+                assert _duplicates_on_mask(n, mask, moved) == want, (n, mask, moved)
+                checked += 1
+    assert checked == 2 * sum(1 << n * (n - 1) // 2 for n in range(1, 7))
 
 
 # Each partition passes or fails the exact-cover check on one condition.
