@@ -19,6 +19,7 @@ from itertools import combinations
 from .decompose import (
     CliquePartition,
     GreedyDecomposition,
+    _cliques_doc,
     erdos_partition,
     greedy_decomposition,
     validate_greedy,
@@ -165,25 +166,29 @@ def _print_json(doc) -> None:
 
 
 def _print_rows(doc: dict, rows: str) -> None:
-    """Print doc as _print_json does, where doc[rows] is a list of integer
-    lists (cliques or sets) and every other value is a scalar. With indent
-    set, json.dumps runs CPython's pure-Python encoder, several times slower
-    on a document of megabytes than the C encoder's compact text, which is
-    re-indented here by replacing its separators. A list of integer lists
-    cannot contain itself, so the rows are encoded without the encoder's
-    circular-reference markers (check_circular=False), one insert and one
-    delete per row saved; the text is the same."""
+    """Print doc as _print_json does, where doc[rows] is a list or tuple of
+    integer lists or tuples (cliques or sets), written as arrays, and every
+    other value is a scalar. With indent set, json.dumps runs CPython's
+    pure-Python encoder, several times slower on a document of megabytes
+    than the C encoder, which writes the rows here once with the indented
+    item separator; one replace then opens and closes the rows at their
+    boundaries. A list of integer lists cannot contain itself, so the rows
+    are encoded without the encoder's circular-reference markers
+    (check_circular=False), one insert and one delete per row saved; the
+    text is the same."""
     out = sys.stdout
     for k, key in enumerate(sorted(doc)):
         out.write(("{" if k == 0 else ",") + f"\n  {json.dumps(key)}: ")
         if key == rows and doc[key]:
+            text = json.dumps(doc[key], check_circular=False, separators=(",\n      ", ":"))
             # An empty row is marked [E] until every row has brackets of its
             # own; E cannot occur in the text of a list of integer lists.
-            text = json.dumps(doc[key], check_circular=False, separators=(",", ":"))
-            text = text.replace("[]", "[E]")
-            text = text.replace(",", ",\n      ").replace("],\n      [", "\n    ],\n    [\n      ")
-            text = "[\n    [\n      " + text[2:-2] + "\n    ]\n  ]"
-            out.write(text.replace("[\n      E\n    ]", "[]"))
+            empty = "[]" in text
+            if empty:
+                text = text.replace("[]", "[E]")
+            text = text[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+            text = "[\n    [\n      " + text + "\n    ]\n  ]"
+            out.write(text.replace("[\n      E\n    ]", "[]") if empty else text)
         else:
             out.write(json.dumps(doc[key]))
     out.write("\n}\n")
@@ -221,7 +226,7 @@ def _representation_dot(g: Graph, rep: SetRepresentation) -> str:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    doc = _construct(args, g).to_json()
+    doc = _cliques_doc(_construct(args, g))
     if args.output == "dot":
         print(_partition_dot(g, doc["cliques"]))
     else:

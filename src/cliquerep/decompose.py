@@ -79,11 +79,7 @@ class CliquePartition(_Record):
         return cls(host, tuple(normalized))
 
     def to_json(self) -> dict:
-        return {
-            "n": self.host.n,
-            "ordered": False,
-            "cliques": [list(c) for c in self.cliques],
-        }
+        return {**_cliques_doc(self), "cliques": [list(c) for c in self.cliques]}
 
     @classmethod
     def from_json(cls, doc: dict, host: Graph) -> "CliquePartition":
@@ -98,16 +94,19 @@ class GreedyDecomposition(_Record):
     sequence: tuple[Clique, ...]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.host.n,
-            "ordered": True,
-            "cliques": [list(c) for c in self.sequence],
-        }
+        return {**_cliques_doc(self), "cliques": [list(c) for c in self.sequence]}
 
     @classmethod
     def from_json(cls, doc: dict, host: Graph) -> "GreedyDecomposition":
         cliques = _cliques_from_json(doc, host)
         return cls(host, tuple(tuple(sorted(c)) for c in cliques))
+
+
+def _cliques_doc(p: CliquePartition | GreedyDecomposition) -> dict:
+    """p's JSON document with its cliques as the stored tuples, which
+    json.dumps writes as arrays, byte for byte; to_json lists them."""
+    ordered = isinstance(p, GreedyDecomposition)
+    return {"n": p.host.n, "ordered": ordered, "cliques": p.sequence if ordered else p.cliques}
 
 
 def _check_header(doc: dict, host: Graph, keys: tuple[str, ...]) -> None:
@@ -452,11 +451,12 @@ def _miscovered(
     adj: Sequence[int], groups: Iterable[Sequence[int]]
 ) -> list[tuple[Edge, int, int]]:
     """(pair, count, adjacency) for every pair u < w whose count, the
-    number of groups (of distinct vertices: cliques, or an element's
-    members) holding both, is not its adjacency in the neighbour rows adj,
-    pairs ascending. Each group ORs its member mask, minus the member, into
-    each member's cover mask, counting the pairs already there; one XOR of
-    cover[u] against adj[u] per vertex finds the rest.
+    number of groups (cliques of distinct vertices) holding both, is not
+    its adjacency in the neighbour rows adj, pairs ascending. Its one
+    caller is _partition_findings; validate_representation counts pairs at
+    its failing vertices only. Each group ORs its member mask, minus the
+    member, into each member's cover mask, counting the pairs already
+    there; one XOR of cover[u] against adj[u] per vertex finds the rest.
     O((n + sum of |group|) * ceil(n/64)) word operations, plus one step per
     finding and the sort."""
     cover = [0] * len(adj)

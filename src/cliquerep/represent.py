@@ -9,6 +9,12 @@ elements that appear nowhere else, which never disturbs an intersection.
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Iterable
+from functools import reduce
+from itertools import chain
+from operator import or_
+
 from .decompose import (
     CliquePartition,
     GreedyDecomposition,
@@ -17,9 +23,8 @@ from .decompose import (
     _check_partition,
     _incidence,
     _int_arrays,
-    _miscovered,
 )
-from .graphs import Graph, _Record
+from .graphs import Edge, Graph, _Record, bits
 
 
 class SetRepresentation(_Record):
@@ -146,34 +151,76 @@ def validate_representation(
     empty sets, element ids outside 0..ground_size-1, unused element ids,
     and, when require_distinct is set, every duplicate class. An id that is
     not exactly an int is out of range, after the set's int ids in repr
-    order. Intersections are counted over the members of every int id, in
-    O((n + ground_size + sum of |set|) * ceil(n/64)) word operations, the
-    order of building g.adj, plus sorting each set and the findings. A
-    ground size from_json rejects raises its ValueError.
+    order. Intersections are counted over the members of every int id.
+    One pass ORs each vertex's bit into its ids' member masks. Vertex v
+    passes when its ids' masks OR to adj[v] plus v's own bit and hold,
+    less v once per id, adj[v].bit_count() members: then each neighbour
+    shares exactly one id with v and no other vertex shares any. Both ends
+    of a wrong pair fail, so pairs are counted only above the failing
+    vertices (_miscounted_above). That is O((n + sum of |set|) *
+    ceil(n/64)) word operations, the order of building g.adj, plus one
+    step per finding, in one mask of up to ceil(n/64) words per id; sets
+    holding an id out of range are sorted. A ground size from_json rejects
+    raises its ValueError.
     """
     _check_ground_size(r.ground_size, r.sets)
     if len(r.sets) != g.n:
         return [Violation("size_mismatch", observed=len(r.sets), expected=g.n)]
     out: list[Violation] = []
-    members: dict[int, list[int]] = {}
+    ground = r.ground_size
+    in_range = ({*map(type, chain.from_iterable(r.sets))} <= {int}
+                and all(0 <= min(s) and max(s) < ground for s in r.sets if s))
+    # Indexed by id when every id is an int in range; out-of-range ids count too.
+    masks: list[int] | defaultdict[int, int] = [0] * ground if in_range else defaultdict(int)
+    ids: list[Iterable[int]] = []
     for v, s in enumerate(r.sets):
         if not s:
             out.append(Violation("empty_set", vertex=v))
-        odd = () if {*map(type, s)} <= {int} else [e for e in s if type(e) is not int]
-        for e in sorted(s.difference(odd)) if odd else sorted(s):
-            members.setdefault(e, []).append(v)
-            if not 0 <= e < r.ground_size:
-                out.append(Violation("element_out_of_range", vertex=v, element=e))
-        out.extend(Violation("element_out_of_range", vertex=v, element=e)
-                   for e in sorted(odd, key=repr))
-    for e in range(r.ground_size):
-        if e not in members:
-            out.append(Violation("unused_element", element=e))
+        elif not in_range:
+            odd = () if {*map(type, s)} <= {int} else [e for e in s if type(e) is not int]
+            s = sorted(s.difference(odd)) if odd else sorted(s)
+            out.extend(Violation("element_out_of_range", vertex=v, element=e)
+                       for e in s if not 0 <= e < ground)
+            out.extend(Violation("element_out_of_range", vertex=v, element=e)
+                       for e in sorted(odd, key=repr))
+        ids.append(s)
+        bit = 1 << v
+        for e in s:
+            masks[e] |= bit
+    out.extend(Violation("unused_element", element=e) for e in range(ground) if not masks[e])
+    failing = []
+    for v, (s, row) in enumerate(zip(ids, g.adj)):
+        own = [*map(masks.__getitem__, s)]
+        if (reduce(or_, own, 1 << v) != row | 1 << v
+                or sum(map(int.bit_count, own)) - len(own) != row.bit_count()):
+            failing.append(v)
     out.extend(Violation("wrong_intersection", pair=pair, observed=c, expected=adjacent)
-               for pair, c, adjacent in _miscovered(g.adj, members.values()))
+               for u in failing
+               for pair, c, adjacent in _miscounted_above(
+                   u, g.adj[u], [*map(masks.__getitem__, ids[u])]))
     if require_distinct:
         for cls in distinctness(r).classes:
             if len(cls) > 1:
                 out.append(Violation("duplicate_sets", vertices=cls))
     return out
 
+
+def _miscounted_above(u: int, row: int, own: list[int]) -> list[tuple[Edge, int, int]]:
+    """(pair, count, adjacency) for every pair (u, w) with w > u whose
+    count, the number of masks in own (u's member masks) holding w, is not
+    w's bit in u's neighbour row, w ascending. O(|own| * ceil(n/64)) word
+    operations plus one step per count above 1."""
+    cover = 0
+    repeats: dict[int, int] = {}
+    for mask in own:
+        mask = mask >> u + 1 << u + 1
+        twice = cover & mask
+        if twice:
+            for w in bits(twice):
+                repeats[w] = repeats.get(w, 1) + 1
+        cover |= mask
+    above = row >> u + 1 << u + 1
+    bad = [((u, w), c, 1) for w, c in repeats.items() if above >> w & 1]
+    bad.extend(((u, w), repeats.get(w, 1), 0) if cover >> w & 1 else ((u, w), 0, 1)
+               for w in bits(cover ^ above))
+    return sorted(bad)

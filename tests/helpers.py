@@ -315,26 +315,31 @@ def reference_validate_representation(
     g: Graph, r: SetRepresentation, require_distinct: bool = False
 ) -> list[Violation]:
     """validate_representation the direct way: intersect the two sets of
-    every vertex pair. Only the duplicate classes (distinctness) are shared
-    with the code under test."""
+    every vertex pair. An id that is not exactly an int is out of range,
+    after the set's int ids in repr order, and counts in no intersection.
+    Only the duplicate classes (distinctness) are shared with the code
+    under test."""
     if len(r.sets) != g.n:
         return [Violation("size_mismatch", observed=len(r.sets), expected=g.n)]
     out: list[Violation] = []
     used: set[int] = set()
+    ints = [{e for e in s if type(e) is int} for s in r.sets]
     for v, s in enumerate(r.sets):
         if not s:
             out.append(Violation("empty_set", vertex=v))
-        for e in sorted(s):
+        for e in sorted(ints[v]):
             if not 0 <= e < r.ground_size:
                 out.append(Violation("element_out_of_range", vertex=v, element=e))
             else:
                 used.add(e)
+        for e in sorted((e for e in s if type(e) is not int), key=repr):
+            out.append(Violation("element_out_of_range", vertex=v, element=e))
     for e in range(r.ground_size):
         if e not in used:
             out.append(Violation("unused_element", element=e))
     for u, v in combinations(range(g.n), 2):
         want = 1 if has_edge(g, u, v) else 0
-        got = len(r.sets[u] & r.sets[v])
+        got = len(ints[u] & ints[v])
         if got != want:
             out.append(Violation("wrong_intersection", pair=(u, v), observed=got, expected=want))
     if require_distinct:

@@ -8,6 +8,7 @@ their cost on a large sparse graph and on one large clique."""
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from cliquerep import (
     validate_partition,
     validate_representation,
 )
+from cliquerep import represent
 from cliquerep.decompose import _covers_exactly, _duplicates_on_mask, _erdos_cliques, _greedy_run
 from cliquerep.graphs import ENUMERATION_MAX_N, _labeled_graphs
 from helpers import (
@@ -193,6 +195,122 @@ class TestSameFindingsAsTheReference:
             n = rng.randint(20, 300)
             p = rng.choice((0.01, 0.05, 0.2, 0.5, 0.9))
             assert_same_findings(rng, random_graph(rng, n, p))
+
+
+def edge_incidence(rng: random.Random, g: Graph) -> SetRepresentation:
+    """A valid distinct-set representation built without the program:
+    element k is the k-th edge in a shuffled order, and a vertex whose set
+    is empty or repeats an earlier vertex's gets a fresh element."""
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    sets = [set() for _ in range(g.n)]
+    for k, (u, v) in enumerate(edges):
+        sets[u].add(k)
+        sets[v].add(k)
+    seen, ground = set(), len(edges)
+    for s in sets:
+        if not s or frozenset(s) in seen:
+            s.add(ground)
+            ground += 1
+        seen.add(frozenset(s))
+    return SetRepresentation(g, tuple(map(frozenset, sets)), ground)
+
+
+def move_element(rng: random.Random, sets: list[set], u: int, k: int) -> int:
+    """Move element k from u's set to a third vertex's set that lacks it;
+    return that vertex."""
+    dst = rng.choice([w for w, s in enumerate(sets) if k not in s])
+    sets[u].remove(k)
+    sets[dst].add(k)
+    return dst
+
+
+def one_fault_representations(rng: random.Random, r: SetRepresentation):
+    """Copies of r, each with one fault: an element moved to a third vertex,
+    added to a third set or dropped, an id past the ground set, a huge id in
+    two adjacent sets, an id that is not an int, an emptied set, a set
+    copied onto another vertex, and an unused id."""
+    g = r.host
+
+    def copy(edit, ground=r.ground_size):
+        sets = [set(s) for s in r.sets]
+        edit(sets)
+        return SetRepresentation(g, tuple(map(frozenset, sets)), ground)
+
+    def pick(sets):
+        return rng.choice([v for v, s in enumerate(sets) if s])
+
+    def move(sets):
+        u = pick(sets)
+        move_element(rng, sets, u, rng.choice(sorted(sets[u])))
+
+    def add_to_third(sets):
+        k = rng.choice(sorted(sets[pick(sets)]))
+        sets[rng.choice([w for w, s in enumerate(sets) if k not in s])].add(k)
+
+    def drop(sets):
+        v = pick(sets)
+        sets[v].discard(rng.choice(sorted(sets[v])))
+
+    def huge_in_adjacent(sets):
+        u, v = rng.choice(sorted(g.edges))
+        sets[u].add(10**30)
+        sets[v].add(10**30)
+
+    yield copy(move)
+    yield copy(add_to_third)
+    yield copy(drop)
+    yield copy(lambda sets: sets[pick(sets)].add(rng.choice((-1, r.ground_size))))
+    yield copy(huge_in_adjacent)
+    yield copy(lambda sets: sets[pick(sets)].add(rng.choice((0.0, True, "x"))))
+    yield copy(lambda sets: sets[rng.randrange(g.n)].clear())
+    yield copy(lambda sets: sets.__setitem__(rng.randrange(g.n), set(sets[pick(sets)])))
+    yield copy(lambda sets: None, r.ground_size + 1)
+
+
+def test_same_findings_as_the_reference_on_larger_representations():
+    # Edge-incidence sets and the representations of greedy and erdos
+    # partitions, on seeded graphs with 60 to 150 vertices, valid and with
+    # each single fault.
+    rng = random.Random(43)
+    kinds = set()
+    for _ in range(4):
+        g = random_graph(rng, rng.randint(60, 150), rng.choice((0.05, 0.2, 0.5)))
+        for r in (edge_incidence(rng, g),
+                  representation_from_partition(greedy_decomposition(g, rng.randrange(2**32))),
+                  representation_from_partition(erdos_partition(g))):
+            for s in (r, *one_fault_representations(rng, r)):
+                for distinct in (False, True):
+                    got = [v.to_json() for v in validate_representation(g, s, distinct)]
+                    want = reference_validate_representation(g, s, distinct)
+                    assert got == [v.to_json() for v in want]
+                    kinds.update(v["kind"] for v in got)
+    assert kinds == {"empty_set", "element_out_of_range", "unused_element",
+                     "wrong_intersection", "duplicate_sets"}
+
+
+def test_pairs_are_counted_only_at_the_failing_vertices(monkeypatch):
+    # The element of an edge {u, v} moved from u to a third vertex breaks
+    # a pair at each of the three, so they fail the per-vertex test; no
+    # other vertex's pairs are counted.
+    rng = random.Random(300)
+    g = random_graph(rng, 300, 0.5)
+    r = edge_incidence(rng, g)
+    sets = [set(s) for s in r.sets]
+    u, v = rng.choice(sorted(g.edges))
+    [k] = sets[u] & sets[v]
+    dst = move_element(rng, sets, u, k)
+    bad = SetRepresentation(g, tuple(map(frozenset, sets)), r.ground_size)
+    counted = []
+    real = represent._miscounted_above
+    monkeypatch.setattr(represent, "_miscounted_above",
+                        lambda v, row, own: counted.append(v) or real(v, row, own))
+    got = validate_representation(g, bad)
+    assert got == reference_validate_representation(g, bad)
+    assert {w for f in got for w in f.pair} == {u, v, dst}
+    assert counted == sorted({u, v, dst})
+    counted.clear()
+    assert validate_representation(g, r) == [] and counted == []
 
 
 def mask_check_faults(g: Graph, cliques: tuple) -> list[tuple]:
@@ -390,6 +508,16 @@ def test_linear_on_a_large_sparse_graph():
         start = time.perf_counter()
         assert check() == []
         assert time.perf_counter() - start < 2.0
+    # One member mask per element, each as wide as its highest member: the
+    # traced peak was 16.1 MB, against 11.58 MB for member lists (Python
+    # 3.11). The bound is 1.5 times the member lists' peak.
+    tracemalloc.start()
+    try:
+        assert validate_representation(g, r, require_distinct=True) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 11.58e6
 
 
 def test_linear_in_the_members_of_a_large_clique():
