@@ -325,11 +325,13 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     an isolated one in its trivial clique; the count then covers no edge
     twice and leaves no room for a repeated member, whose clique covers
     fewer than C(k, 2) pairs. A valid partition so costs two ORs per member
-    plus one compare per vertex. Only otherwise is every clique walked for
-    findings, in O((n + sum of |clique|) * ceil(n/64)) word operations, the
-    order of building g.adj, plus one step per finding and sorting the
-    findings. g.adj is read first, so an n too large to hold it fails at
-    once.
+    plus one compare per vertex. Only otherwise are findings sought: each
+    vertex's clique masks go through the per-vertex test that
+    validate_representation shares (_wrong_pairs), with clique k as element
+    k, and pairs are counted only above the vertices that fail it. That is
+    O((n + sum of |clique|) * ceil(n/64)) word operations, the order of
+    building g.adj, plus one step per finding and sorting the findings.
+    g.adj is read first, so an n too large to hold it fails at once.
     """
     adj = g.adj
     return [] if _covers_exactly(adj, p.cliques) else _partition_findings(adj, p.cliques)
@@ -415,19 +417,32 @@ def _duplicates_on_mask(
 
 def _partition_findings(adj: Sequence[int], cliques: Sequence[Clique]) -> list[Violation]:
     """validate_partition's findings on a clique sequence over the
-    neighbour rows adj, positions as in the sequence, found by walking
-    every clique."""
+    neighbour rows adj, positions as in the sequence. Each checked clique's
+    member mask joins the list of each of its members, for the per-vertex
+    test (_wrong_pairs); only the cliques that hold an end of a covered
+    non-edge are walked for not_a_clique pairs."""
     out: list[Violation] = []
     seen: set[Clique] = set()
     checked = _shaped(len(adj), cliques, seen, out)
-    bad = _miscovered(adj, (cl for _, cl in checked))
-    if not all(adjacent for _, _, adjacent in bad):
-        # Some clique holds a non-adjacent pair. Each clique's findings
-        # stay together and in clique order: the sort by position is stable.
-        for i, cl in checked:
-            mask = sum(1 << v for v in cl)
-            out.extend(Violation("not_a_clique", position=i, pair=(u, w))
-                       for u in sorted(cl) for w in bits(mask & ~adj[u] >> u + 1 << u + 1))
+    owns: list[list[int]] = [[] for _ in adj]
+    masks = []
+    for _, cl in checked:
+        mask = 0
+        for v in cl:
+            mask |= 1 << v
+        masks.append(mask)
+        for v in cl:
+            owns[v].append(mask)
+    bad = _wrong_pairs(adj, owns)
+    ends = reduce(or_, (1 << u | 1 << w for (u, w), _, adjacent in bad if not adjacent), 0)
+    if ends:
+        # A clique holding a non-adjacent pair holds both its ends. Each
+        # clique's findings stay together and in clique order: the sort by
+        # position is stable.
+        for (i, cl), mask in zip(checked, masks):
+            if mask & ends:
+                out.extend(Violation("not_a_clique", position=i, pair=(u, w))
+                           for u in sorted(cl) for w in bits(mask & ~adj[u] >> u + 1 << u + 1))
         out.sort(key=attrgetter("position"))
     out.extend(Violation("miscovered_edge", pair=pair, observed=c, expected=1)
                for pair, c, adjacent in bad if adjacent)
@@ -447,40 +462,44 @@ def _check_partition(adj: Sequence[int], cliques: Sequence[Clique]) -> None:
         raise ValueError(f"invalid partition: {_partition_findings(adj, cliques)[0].to_json()}")
 
 
-def _miscovered(
-    adj: Sequence[int], groups: Iterable[Sequence[int]]
-) -> list[tuple[Edge, int, int]]:
+def _wrong_pairs(adj: Sequence[int], owns: Iterable[list[int]]) -> list[tuple[Edge, int, int]]:
     """(pair, count, adjacency) for every pair u < w whose count, the
-    number of groups (cliques of distinct vertices) holding both, is not
-    its adjacency in the neighbour rows adj, pairs ascending. Its one
-    caller is _partition_findings; validate_representation counts pairs at
-    its failing vertices only. Each group ORs its member mask, minus the
-    member, into each member's cover mask, counting the pairs already
-    there; one XOR of cover[u] against adj[u] per vertex finds the rest.
-    O((n + sum of |group|) * ceil(n/64)) word operations, plus one step per
-    finding and the sort."""
-    cover = [0] * len(adj)
-    repeats: dict[Edge, int] = {}
-    for members in groups:
-        mask = 0
-        for v in members:
-            mask |= 1 << v
-        for v in members:
-            add = mask ^ 1 << v
-            twice = cover[v] & add
-            if twice:
-                for w in bits(twice >> v + 1 << v + 1):
-                    repeats[v, w] = repeats.get((v, w), 1) + 1
-            cover[v] |= add
-    bad = [(pair, c, 1) for pair, c in repeats.items() if adj[pair[0]] >> pair[1] & 1]
-    for u, c in enumerate(cover):
-        diff = (c ^ adj[u]) >> u + 1
-        if diff:
-            for w in bits(diff << u + 1):
-                if c >> w & 1:
-                    bad.append(((u, w), repeats.get((u, w), 1), 0))
-                else:
-                    bad.append(((u, w), 0, 1))
+    number of groups holding both, is not its adjacency in the neighbour
+    rows adj, pairs ascending. owns gives, for each vertex u in turn, the
+    member masks of the groups holding u, each group a set of vertices
+    (a clique or an element's members). Vertex u passes when its masks OR
+    to adj[u] plus u's own bit and hold, less u once per mask,
+    adj[u].bit_count() members: then each neighbour shares exactly one
+    group with u and no other vertex shares any. Both ends of a wrong pair
+    fail, so pairs are counted only above the failing vertices
+    (_miscounted_above). O(sum of |owns[u]| * ceil(n/64)) word operations
+    plus one step per finding."""
+    bad: list[tuple[Edge, int, int]] = []
+    for u, (own, row) in enumerate(zip(owns, adj)):
+        if (reduce(or_, own, 1 << u) != row | 1 << u
+                or sum(map(int.bit_count, own)) - len(own) != row.bit_count()):
+            bad.extend(_miscounted_above(u, row, own))
+    return bad
+
+
+def _miscounted_above(u: int, row: int, own: list[int]) -> list[tuple[Edge, int, int]]:
+    """(pair, count, adjacency) for every pair (u, w) with w > u whose
+    count, the number of masks in own (u's member masks) holding w, is not
+    w's bit in u's neighbour row, w ascending. O(|own| * ceil(n/64)) word
+    operations plus one step per count above 1."""
+    cover = 0
+    repeats: dict[int, int] = {}
+    for mask in own:
+        mask = mask >> u + 1 << u + 1
+        twice = cover & mask
+        if twice:
+            for w in bits(twice):
+                repeats[w] = repeats.get(w, 1) + 1
+        cover |= mask
+    above = row >> u + 1 << u + 1
+    bad = [((u, w), c, 1) for w, c in repeats.items() if above >> w & 1]
+    bad.extend(((u, w), repeats.get(w, 1), 0) if cover >> w & 1 else ((u, w), 0, 1)
+               for w in bits(cover ^ above))
     return sorted(bad)
 
 

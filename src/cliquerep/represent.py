@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Iterable
-from functools import reduce
 from itertools import chain
-from operator import or_
 
 from .decompose import (
     CliquePartition,
@@ -23,8 +21,9 @@ from .decompose import (
     _check_partition,
     _incidence,
     _int_arrays,
+    _wrong_pairs,
 )
-from .graphs import Edge, Graph, _Record, bits
+from .graphs import Graph, _Record
 
 
 class SetRepresentation(_Record):
@@ -152,16 +151,14 @@ def validate_representation(
     and, when require_distinct is set, every duplicate class. An id that is
     not exactly an int is out of range, after the set's int ids in repr
     order. Intersections are counted over the members of every int id.
-    One pass ORs each vertex's bit into its ids' member masks. Vertex v
-    passes when its ids' masks OR to adj[v] plus v's own bit and hold,
-    less v once per id, adj[v].bit_count() members: then each neighbour
-    shares exactly one id with v and no other vertex shares any. Both ends
-    of a wrong pair fail, so pairs are counted only above the failing
-    vertices (_miscounted_above). That is O((n + sum of |set|) *
-    ceil(n/64)) word operations, the order of building g.adj, plus one
-    step per finding, in one mask of up to ceil(n/64) words per id; sets
-    holding an id out of range are sorted. A ground size from_json rejects
-    raises its ValueError.
+    One pass ORs each vertex's bit into its ids' member masks, and each
+    vertex's list of its ids' masks goes through the per-vertex test that
+    validate_partition shares (_wrong_pairs): pairs are counted only above
+    the vertices that fail it. That is O((n + sum of |set|) * ceil(n/64))
+    word operations, the order of building g.adj, plus one step per
+    finding, in one mask of up to ceil(n/64) words per id; sets holding an
+    id out of range are sorted. A ground size from_json rejects raises its
+    ValueError.
     """
     _check_ground_size(r.ground_size, r.sets)
     if len(r.sets) != g.n:
@@ -188,39 +185,11 @@ def validate_representation(
         for e in s:
             masks[e] |= bit
     out.extend(Violation("unused_element", element=e) for e in range(ground) if not masks[e])
-    failing = []
-    for v, (s, row) in enumerate(zip(ids, g.adj)):
-        own = [*map(masks.__getitem__, s)]
-        if (reduce(or_, own, 1 << v) != row | 1 << v
-                or sum(map(int.bit_count, own)) - len(own) != row.bit_count()):
-            failing.append(v)
     out.extend(Violation("wrong_intersection", pair=pair, observed=c, expected=adjacent)
-               for u in failing
-               for pair, c, adjacent in _miscounted_above(
-                   u, g.adj[u], [*map(masks.__getitem__, ids[u])]))
+               for pair, c, adjacent in _wrong_pairs(
+                   g.adj, ([*map(masks.__getitem__, s)] for s in ids)))
     if require_distinct:
         for cls in distinctness(r).classes:
             if len(cls) > 1:
                 out.append(Violation("duplicate_sets", vertices=cls))
     return out
-
-
-def _miscounted_above(u: int, row: int, own: list[int]) -> list[tuple[Edge, int, int]]:
-    """(pair, count, adjacency) for every pair (u, w) with w > u whose
-    count, the number of masks in own (u's member masks) holding w, is not
-    w's bit in u's neighbour row, w ascending. O(|own| * ceil(n/64)) word
-    operations plus one step per count above 1."""
-    cover = 0
-    repeats: dict[int, int] = {}
-    for mask in own:
-        mask = mask >> u + 1 << u + 1
-        twice = cover & mask
-        if twice:
-            for w in bits(twice):
-                repeats[w] = repeats.get(w, 1) + 1
-        cover |= mask
-    above = row >> u + 1 << u + 1
-    bad = [((u, w), c, 1) for w, c in repeats.items() if above >> w & 1]
-    bad.extend(((u, w), repeats.get(w, 1), 0) if cover >> w & 1 else ((u, w), 0, 1)
-               for w in bits(cover ^ above))
-    return sorted(bad)

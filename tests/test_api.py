@@ -191,6 +191,15 @@ def test_only_the_sweeps_one_pass_check_reads_the_clique_table():
     assert _functions_naming("_clique_bits") == {("decompose.py", "_duplicates_on_mask")}
 
 
+def test_one_pair_counter_serves_both_validators():
+    # A clique partition and a set representation check the same pair
+    # property, clique k being element k: both validators find their wrong
+    # pairs through the one per-vertex test, and it alone counts pairs.
+    assert _functions_naming("_miscounted_above") == {("decompose.py", "_wrong_pairs")}
+    assert _functions_naming("_wrong_pairs") == {("decompose.py", "_partition_findings"),
+                                                 ("represent.py", "validate_representation")}
+
+
 def test_sources_parse_at_the_python_floor():
     # Parsed as the oldest Python that pyproject.toml admits, syntax newer
     # than it, such as except*, fails here. Library features, such as the

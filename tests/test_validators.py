@@ -19,6 +19,7 @@ from cliquerep import (
     Graph,
     GreedyDecomposition,
     SetRepresentation,
+    Violation,
     augment_to_distinct,
     check_rs_bound,
     complete_graph,
@@ -33,7 +34,7 @@ from cliquerep import (
     validate_partition,
     validate_representation,
 )
-from cliquerep import represent
+from cliquerep import decompose
 from cliquerep.decompose import _covers_exactly, _duplicates_on_mask, _erdos_cliques, _greedy_run
 from cliquerep.graphs import ENUMERATION_MAX_N, _labeled_graphs
 from helpers import (
@@ -302,8 +303,8 @@ def test_pairs_are_counted_only_at_the_failing_vertices(monkeypatch):
     dst = move_element(rng, sets, u, k)
     bad = SetRepresentation(g, tuple(map(frozenset, sets)), r.ground_size)
     counted = []
-    real = represent._miscounted_above
-    monkeypatch.setattr(represent, "_miscounted_above",
+    real = decompose._miscounted_above
+    monkeypatch.setattr(decompose, "_miscounted_above",
                         lambda v, row, own: counted.append(v) or real(v, row, own))
     got = validate_representation(g, bad)
     assert got == reference_validate_representation(g, bad)
@@ -311,6 +312,37 @@ def test_pairs_are_counted_only_at_the_failing_vertices(monkeypatch):
     assert counted == sorted({u, v, dst})
     counted.clear()
     assert validate_representation(g, r) == [] and counted == []
+
+
+def test_partition_pairs_are_counted_only_at_the_failing_vertices(monkeypatch):
+    # A non-neighbour x of a's first member joins clique a, and member y of
+    # clique b moves into clique c, a, b and c disjoint and x in none of
+    # them: every pair at x, y and the members of a, b and c then has a
+    # wrong count, and no pair elsewhere does.
+    rng = random.Random(301)
+    g = random_graph(rng, 300, 0.5)
+    p = erdos_partition(g)
+    cliques = [list(cl) for cl in p.cliques]
+    a, b, c = rng.sample([cl for cl in cliques if len(cl) == 3], 3)
+    while len({*a, *b, *c}) < 9:
+        a, b, c = rng.sample([cl for cl in cliques if len(cl) == 3], 3)
+    x = rng.choice([v for v in range(g.n)
+                    if v not in (*a, *b, *c) and (min(v, a[0]), max(v, a[0])) not in g.edges])
+    failing = sorted({x, *a, *b, *c})
+    a.append(x)
+    y = b.pop(rng.randrange(len(b)))
+    c.append(y)
+    bad = CliquePartition(g, tuple(map(tuple, cliques)))
+    counted = []
+    real = decompose._miscounted_above
+    monkeypatch.setattr(decompose, "_miscounted_above",
+                        lambda v, row, own: counted.append(v) or real(v, row, own))
+    got = validate_partition(g, bad)
+    assert got == reference_validate_partition(g, bad)
+    assert {w for f in got if f.kind != "not_a_clique" for w in f.pair} == {*failing}
+    assert counted == failing
+    counted.clear()
+    assert validate_partition(g, p) == [] and counted == []
 
 
 def mask_check_faults(g: Graph, cliques: tuple) -> list[tuple]:
@@ -534,3 +566,19 @@ def test_linear_in_the_members_of_a_large_clique():
         start = time.perf_counter()
         assert check() == []
         assert time.perf_counter() - start < limit
+    # Faulty ones take milliseconds too once g.adj is built: the one clique
+    # on K_1500 plus an isolated vertex, and K_1500's clique with the edge
+    # (0, 1) again.
+    h = Graph(1501, g.edges)
+    q = CliquePartition(h, (tuple(range(h.n)),))
+    assert h.adj
+    start = time.perf_counter()
+    kinds = [f.kind for f in validate_partition(h, q)]
+    assert time.perf_counter() - start < 1.0
+    assert kinds == ["not_a_clique"] * 1500 + ["covered_nonedge"] * 1500 + [
+        "isolated_vertex_uncovered"]
+    q = CliquePartition(g, (*p.cliques, (0, 1)))
+    start = time.perf_counter()
+    got = validate_partition(g, q)
+    assert time.perf_counter() - start < 1.0
+    assert got == [Violation("miscovered_edge", pair=(0, 1), observed=2, expected=1)]
