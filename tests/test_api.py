@@ -200,6 +200,34 @@ def test_one_pair_counter_serves_both_validators():
                                                  ("represent.py", "validate_representation")}
 
 
+def test_every_cache_is_bounded():
+    # A memo table without a bound grows with every input a process sees,
+    # so each lru_cache in the package is called with an int maxsize, and
+    # functools.cache, which has none, is not used.
+    cached, unbounded = set(), []
+    for path in sorted(Path(cliquerep.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                cached |= {(path.name, node.name) for d in node.decorator_list
+                           if isinstance(d, ast.Call) and getattr(d.func, "id", None) == "lru_cache"}
+            # A Name has an id and an Attribute an attr; no other node has either.
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name not in ("lru_cache", "cache"):
+                continue
+            call = calls.get(id(node))
+            size = call and next((k.value for k in call.keywords if k.arg == "maxsize"),
+                                 call.args[0] if call.args else None)
+            if name == "cache" or not (isinstance(size, ast.Constant)
+                                       and type(size.value) is int):
+                unbounded.append(f"{path.name}:{node.lineno}")
+    assert unbounded == []
+    assert cached == {("graphs.py", "_clique_bits"), ("decompose.py", "_greedy_tail"),
+                      ("decompose.py", "_erdos_base"), ("decompose.py", "_cliques_in"),
+                      ("oracle.py", "_position_set")}
+
+
 def test_sources_parse_at_the_python_floor():
     # Parsed as the oldest Python that pyproject.toml admits, syntax newer
     # than it, such as except*, fails here. Library features, such as the

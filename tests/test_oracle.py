@@ -315,6 +315,47 @@ class TestSearchOptions:
             assert _edge_or_triangles(adj, u, v) == [((u, v), base)] + [
                 ((u, v, w), base | 1 << w) for w in common]
 
+    def test_options_depend_only_on_the_rows_inside_the_common_neighbours(self):
+        # The cache key is u, v, cand and each common neighbour's row inside
+        # cand: a row outside {u, v} and cand, or a common neighbour's bits
+        # outside cand, may change and the second call is a hit.
+        rng = random.Random("search-options:key")
+        changed = 0
+        for adj, u, v in self.seeded_edges():
+            n = len(adj)
+            cand = adj[u] & adj[v]
+            outside = [x for x in range(n) if x not in (u, v) and not cand >> x & 1]
+            common = list(bits(cand))
+            for rows, spare in ((outside, (1 << n) - 1), (common, ~cand & (1 << n) - 1)):
+                if not rows or not spare:
+                    continue
+                other = list(adj)
+                x = rng.choice(rows)
+                other[x] ^= rng.randint(1, spare) & spare or spare
+                assert other[x] != adj[x]
+                want = _cliques_through_edge(adj, u, v)
+                hits = decompose._cliques_in.cache_info().hits
+                assert _cliques_through_edge(other, u, v) == want
+                assert decompose._cliques_in.cache_info().hits == hits + 1
+                changed += 1
+        assert changed > 500
+
+    def test_returned_options_are_the_callers_own(self):
+        for adj, u, v in self.seeded_edges():
+            options = _cliques_through_edge(adj, u, v)
+            options.reverse()
+            options.append(((u, v), 0))
+            assert _cliques_through_edge(adj, u, v) == brute_options(adj, u, v)
+
+    def test_the_options_cache_stays_bounded_on_the_dense_panel(self):
+        # One dense n=10 search reuses most of its keys.
+        decompose._cliques_in.cache_clear()
+        for g in dense_panel(16):
+            min_clique_partition(g)
+        info = decompose._cliques_in.cache_info()
+        assert 0 < info.currsize <= info.maxsize
+        assert info.hits > 4 * info.misses
+
 
 class TestWitnessIdentity:
     """sha256 digests of the search's outputs on every small labeled graph,
@@ -480,10 +521,23 @@ class TestMinDistinctRepresentation:
 
     def test_witness_with_duplicate_sets_raises(self, monkeypatch):
         # The stand-in search covers K2 with its edge alone, so both vertices
-        # get the set {0}: the postcondition must catch it.
-        monkeypatch.setattr(oracle, "_min_distinct", lambda adj, options: [(0, 1)])
-        with pytest.raises(RuntimeError, match="^the minimum witness has duplicate sets$"):
-            min_distinct_representation(complete_graph(2))
+        # get the set {0}: the postcondition must catch it. On K3 one clique
+        # gives all three vertices the position mask 1, which the mask check
+        # before the set cache must catch.
+        for n in (2, 3):
+            monkeypatch.setattr(oracle, "_min_distinct", lambda adj, options: [tuple(range(n))])
+            with pytest.raises(RuntimeError, match="^the minimum witness has duplicate sets$"):
+                min_distinct_representation(complete_graph(n))
+
+    def test_witness_sets_are_the_incidence_of_the_sorted_cliques(self):
+        # The sets come from a cache of position masks; element k is the
+        # k-th clique of the search's result in sorted order.
+        for n in range(6):
+            for g in enumerate_labeled_graphs(n):
+                cliques = sorted(decompose._min_distinct(g.adj, _cliques_through_edge))
+                value, witness = min_distinct_representation(g)
+                assert value == witness.ground_size == len(cliques)
+                assert witness.sets == tuple(map(frozenset, decompose._incidence(n, cliques)))
 
     @given(st.integers(0, (1 << 10) - 1))
     @settings(max_examples=40)
