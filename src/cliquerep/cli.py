@@ -161,21 +161,18 @@ def _construct(args: argparse.Namespace, g: Graph) -> GreedyDecomposition | Cliq
     return greedy_decomposition(g, args.seed)
 
 
-def _print_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _print_rows(doc: dict, rows: str) -> None:
-    """Print doc as _print_json does, where doc[rows] is a list or tuple of
-    integer lists or tuples (cliques or sets), written as arrays, and every
-    other value is a scalar. With indent set, json.dumps runs CPython's
-    pure-Python encoder, several times slower on a document of megabytes
-    than the C encoder, which writes the rows here once with the indented
-    item separator; one replace then opens and closes the rows at their
-    boundaries. A list of integer lists cannot contain itself, so the rows
-    are encoded without the encoder's circular-reference markers
-    (check_circular=False), one insert and one delete per row saved; the
-    text is the same."""
+def _print_rows(doc: dict, rows: str | None = None) -> None:
+    """Print doc, a dict with string keys, as json.dumps(doc, indent=2,
+    sort_keys=True) would: each value is dumped so and indented two spaces
+    more, except doc[rows] when rows is given, a list or tuple of integer
+    lists or tuples (cliques or sets), written as arrays. With indent set,
+    json.dumps runs CPython's pure-Python encoder, several times slower on
+    a document of megabytes than the C encoder, which writes the rows here
+    once with the indented item separator; one replace then opens and
+    closes the rows at their boundaries. A list of integer lists cannot
+    contain itself, so the rows are encoded without the encoder's
+    circular-reference markers (check_circular=False), one insert and one
+    delete per row saved; the text is the same."""
     out = sys.stdout
     for k, key in enumerate(sorted(doc)):
         out.write(("{" if k == 0 else ",") + f"\n  {json.dumps(key)}: ")
@@ -190,7 +187,7 @@ def _print_rows(doc: dict, rows: str) -> None:
             text = "[\n    [\n      " + text + "\n    ]\n  ]"
             out.write(text.replace("[\n      E\n    ]", "[]") if empty else text)
         else:
-            out.write(json.dumps(doc[key]))
+            out.write(json.dumps(doc[key], indent=2, sort_keys=True).replace("\n", "\n  "))
     out.write("\n}\n")
 
 
@@ -261,7 +258,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         rep = SetRepresentation.from_json(doc, g)
         problems = validate_representation(g, rep, require_distinct=args.require_distinct)
-    _print_json({"valid": not problems, "violations": [v.to_json() for v in problems]})
+    _print_rows({"valid": not problems, "violations": [v.to_json() for v in problems]})
     return 0 if not problems else 1
 
 
@@ -278,7 +275,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.output == "dot":
         print(dot())
     else:
-        _print_json({"value": value, "witness": witness_doc})
+        _print_rows({"value": value, "witness": witness_doc})
     return 0
 
 
@@ -288,7 +285,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError:
         raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     report = exhaustive_bound_check(args.n, [None, *seeds])
-    _print_json(report.to_json())
+    _print_rows(report.to_json())
     return 1 if report.violations else 0
 
 

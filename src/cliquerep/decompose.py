@@ -231,17 +231,19 @@ def _greedy_tail(h: int, rows: tuple[int, ...]) -> tuple[Clique, ...]:
 
 
 def _shaped(
-    n: int, cliques: Sequence[Clique], seen: set[Clique], out: list[Violation]
-) -> list[tuple[int, Clique]]:
-    """(position, clique) for each clique whose vertex pairs can be checked.
-    Each clique is tested, in this order, for being empty, for members that
-    are not vertices (exactly an int in range(n)), for repeated vertices
-    and for repeating an earlier clique; a clique that fails one of the
-    first three gets only those findings. Findings go to out in clique
-    order; a caller that adds its own findings per position sorts out by
-    position, stably, to put them after these. A clique goes into seen once
-    it passes the first three tests."""
-    checked: list[tuple[int, Clique]] = []
+    adj: Sequence[int], cliques: Sequence[Clique], out: list[Violation]
+) -> tuple[list[tuple[int, Clique, int]], list[int]]:
+    """(position, clique, vertex mask) for each clique whose pairs can be
+    checked, and the isolated vertices of adj's graph without a trivial
+    clique among these, ascending. Each clique is tested, in this order,
+    for being empty, for members that are not vertices (exactly an int in
+    range(n)), for repeated vertices and for repeating an earlier clique; a
+    clique that fails one of the first three gets only those findings.
+    Findings go to out in clique order; a caller that adds its own findings
+    per position sorts out by position, stably, to put them after these."""
+    n = len(adj)
+    checked: list[tuple[int, Clique, int]] = []
+    seen: set[Clique] = set()
     for i, cl in enumerate(cliques):
         if not cl:
             out.append(Violation("empty_clique", position=i))
@@ -257,8 +259,11 @@ def _shaped(
         seen.add(cl)
         if len(seen) == count:
             out.append(Violation("duplicate_clique", position=i, vertices=cl))
-        checked.append((i, cl))
-    return checked
+        mask = 0
+        for v in cl:
+            mask |= 1 << v
+        checked.append((i, cl, mask))
+    return checked, [v for v, row in enumerate(adj) if row == 0 and (v,) not in seen]
 
 
 def _extension(adj: Sequence[int], clique: Clique) -> int | None:
@@ -284,11 +289,8 @@ def validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
     out: list[Violation] = []
     adj = g.adj
     residual = list(adj)
-    seen: set[Clique] = set()
-    for i, cl in _shaped(g.n, d.sequence, seen, out):
-        mask = 0
-        for v in cl:
-            mask |= 1 << v
+    checked, isolated = _shaped(adj, d.sequence, out)
+    for i, cl, mask in checked:
         for u in sorted(cl):
             for v in bits(mask & ~residual[u] >> u + 1 << u + 1):
                 kind = "double_cover" if adj[u] >> v & 1 else "not_a_clique"
@@ -304,9 +306,7 @@ def validate_greedy(g: Graph, d: GreedyDecomposition) -> list[Violation]:
         rest = residual[u] >> (u + 1) << (u + 1)
         for v in bits(rest):
             out.append(Violation("uncovered_edge", pair=(u, v)))
-    for v in range(g.n):
-        if adj[v] == 0 and (v,) not in seen:
-            out.append(Violation("isolated_vertex_uncovered", vertex=v))
+    out.extend(Violation("isolated_vertex_uncovered", vertex=v) for v in isolated)
     return out
 
 
@@ -422,15 +422,9 @@ def _partition_findings(adj: Sequence[int], cliques: Sequence[Clique]) -> list[V
     test (_wrong_pairs); only the cliques that hold an end of a covered
     non-edge are walked for not_a_clique pairs."""
     out: list[Violation] = []
-    seen: set[Clique] = set()
-    checked = _shaped(len(adj), cliques, seen, out)
+    checked, isolated = _shaped(adj, cliques, out)
     owns: list[list[int]] = [[] for _ in adj]
-    masks = []
-    for _, cl in checked:
-        mask = 0
-        for v in cl:
-            mask |= 1 << v
-        masks.append(mask)
+    for _, cl, mask in checked:
         for v in cl:
             owns[v].append(mask)
     bad = _wrong_pairs(adj, owns)
@@ -439,7 +433,7 @@ def _partition_findings(adj: Sequence[int], cliques: Sequence[Clique]) -> list[V
         # A clique holding a non-adjacent pair holds both its ends. Each
         # clique's findings stay together and in clique order: the sort by
         # position is stable.
-        for (i, cl), mask in zip(checked, masks):
+        for i, cl, mask in checked:
             if mask & ends:
                 out.extend(Violation("not_a_clique", position=i, pair=(u, w))
                            for u in sorted(cl) for w in bits(mask & ~adj[u] >> u + 1 << u + 1))
@@ -448,9 +442,7 @@ def _partition_findings(adj: Sequence[int], cliques: Sequence[Clique]) -> list[V
                for pair, c, adjacent in bad if adjacent)
     out.extend(Violation("covered_nonedge", pair=pair, observed=c, expected=0)
                for pair, c, adjacent in bad if not adjacent)
-    for v, row in enumerate(adj):
-        if row == 0 and (v,) not in seen:
-            out.append(Violation("isolated_vertex_uncovered", vertex=v))
+    out.extend(Violation("isolated_vertex_uncovered", vertex=v) for v in isolated)
     return out
 
 

@@ -75,15 +75,10 @@ class BoundReport(_Record):
         return quarter_square(self.n)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "graphs_checked": self.graphs_checked,
-            "bound": self.bound,
-            "strategies": list(self.strategies),
-            "max_cliques_seen": self.max_cliques_seen,
-            "max_elements_seen": self.max_elements_seen,
-            "violations": [v.to_json() for v in self.violations],
-        }
+        doc = {name: getattr(self, name) for name in self._fields}
+        doc.update(bound=self.bound, strategies=list(self.strategies),
+                   violations=[v.to_json() for v in self.violations])
+        return doc
 
 
 def min_clique_partition(g: Graph) -> tuple[int, CliquePartition]:
@@ -288,7 +283,8 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     non-trivial cliques are counted only for a run whose length breaches
     the bound. The walk yields each mask's neighbour rows, and the sweep
     builds no Graph from them. max_cliques_seen is the largest clique count
-    seen across greedy runs and edge/triangle partitions. The report names each run "lex" or "random:<seed>".
+    seen across greedy runs and edge/triangle partitions. The report names
+    each run "lex" or "random:<seed>".
 
     Only the lexicographic greedy is run, once per graph. A seeded run uses
     the same procedure under its vertex order, so its run on g is the

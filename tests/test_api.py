@@ -200,6 +200,25 @@ def test_one_pair_counter_serves_both_validators():
                                                  ("represent.py", "validate_representation")}
 
 
+def test_one_printer_writes_every_cli_document():
+    # Every JSON document the CLI prints goes through the row printer, so
+    # the bytes of a row document and of any other document cannot drift.
+    tree = ast.parse((Path(cliquerep.__file__).parent / "cli.py").read_text())
+    dumpers = {node.name for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and any(isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                       and call.func.attr == "dumps" for call in ast.walk(node))}
+    assert dumpers == {"_print_rows"}
+
+
+def test_no_source_line_is_longer_than_99_characters():
+    long = [f"{path.name}:{number}"
+            for path in sorted(Path(cliquerep.__file__).parent.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if len(line) > 99]
+    assert long == []
+
+
 def test_every_cache_is_bounded():
     # A memo table without a bound grows with every input a process sees,
     # so each lru_cache in the package is called with an int maxsize, and

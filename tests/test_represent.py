@@ -271,6 +271,21 @@ class TestValidateRepresentation:
         with pytest.raises(ValueError, match=r"^invalid representation: .*element_out_of_range"):
             partition_from_representation(r)
 
+    @pytest.mark.parametrize("odd, wrong", [
+        (5, []),
+        ("x", [Violation("wrong_intersection", pair=(1, 2), observed=0, expected=1)]),
+    ], ids=["int", "str"])
+    def test_out_of_range_int_ids_still_intersect(self, odd, wrong):
+        # On P3, ({0}, {0, odd}, {odd}) over ground size 1: an int id out of
+        # range still covers the edge {1, 2}; an id that is not an int
+        # counts in no intersection.
+        p3 = path_graph(3)
+        assert validate_representation(p3, rep(p3, [{0}, {0, odd}, {odd}], 1)) == [
+            Violation("element_out_of_range", vertex=1, element=odd),
+            Violation("element_out_of_range", vertex=2, element=odd),
+            *wrong,
+        ]
+
     def test_odd_element_ids_follow_the_int_ids_in_repr_order(self):
         g = empty_graph(1)
         problems = validate_representation(g, rep(g, [{"b", 5, 0, 2.5, "a"}], 1))
