@@ -33,8 +33,8 @@ from .oracle import (
 )
 from .represent import (
     SetRepresentation,
+    _representation,
     augment_to_distinct,
-    representation_from_partition,
     validate_representation,
 )
 
@@ -233,7 +233,8 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_represent(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    rep = representation_from_partition(_construct(args, g))
+    # The construction's own cliques, unchecked: see README "CLI".
+    rep = _representation(g, _cliques_doc(_construct(args, g))["cliques"])
     if args.augment:
         rep = augment_to_distinct(rep)
     if args.output == "dot":

@@ -203,8 +203,17 @@ def _greedy_cliques(residual: list[int], starts: range) -> list[Clique]:
     # Residual edges only disappear, so a start left without one is done.
     for start in starts:
         first = 1 << start
-        while residual[start]:
-            members, mask, common = [start], first, residual[start]
+        while row := residual[start]:
+            low = row & -row
+            grow = low.bit_length() - 1
+            common = row & residual[grow]
+            if not common:
+                # No residual triangle on the edge: it is the whole clique.
+                residual[start] ^= low
+                residual[grow] ^= first
+                sequence.append((start, grow))
+                continue
+            members, mask = [start, grow], first | low
             while common:
                 low = common & -common
                 grow = low.bit_length() - 1

@@ -10,10 +10,11 @@ elements that appear nowhere else, which never disturbs an intersection.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from itertools import chain
 
 from .decompose import (
+    Clique,
     CliquePartition,
     GreedyDecomposition,
     Violation,
@@ -92,8 +93,14 @@ def representation_from_partition(
     """
     cliques = p.sequence if isinstance(p, GreedyDecomposition) else p.cliques
     _check_partition(p.host.adj, cliques)
-    sets = tuple(map(frozenset, _incidence(p.host.n, cliques)))
-    return SetRepresentation(p.host, sets, len(cliques))
+    return _representation(p.host, cliques)
+
+
+def _representation(host: Graph, cliques: Sequence[Clique]) -> SetRepresentation:
+    """representation_from_partition without its check, for cliques that
+    already form a valid partition of host: the CLI's own constructions."""
+    sets = tuple(map(frozenset, _incidence(host.n, cliques)))
+    return SetRepresentation(host, sets, len(cliques))
 
 
 def partition_from_representation(r: SetRepresentation) -> CliquePartition:

@@ -212,6 +212,38 @@ class TestRepresent:
         assert code == 0
         assert dot.startswith("graph sets {")
 
+    @pytest.fixture(scope="class")
+    def large(self, tmp_path_factory):
+        """The benchmark's seed-13 G(500, 1/2) and K_{250,250}, as edge lists."""
+        work = tmp_path_factory.mktemp("large")
+        graphs = {"g500": random_graph(random.Random("large-graphs:13:g500"), 500, 0.5),
+                  "k250": complete_bipartite(250, 250)}
+        for name, g in graphs.items():
+            (work / f"{name}.el").write_text(to_edge_list(g))
+        return work, graphs
+
+    @pytest.mark.parametrize("name", ["g500", "k250"])
+    @pytest.mark.parametrize("method", ["greedy", "erdos"])
+    def test_unchecked_construction_is_a_valid_representation(self, large, name, method):
+        # represent builds the sets of its own construction without checking
+        # the partition first: its output must still pass the validator, and
+        # equal what the checking public function prints.
+        work, graphs = large
+        g = graphs[name]
+        built = greedy_decomposition(g) if method == "greedy" else erdos_partition(g)
+        checked = representation_from_partition(built)
+        for augment in (False, True):
+            argv = ["represent", str(work / f"{name}.el"), "--method", method]
+            code, out = run_on_text(argv + ["--augment"] * augment, "")
+            assert code == 0
+            rep = SetRepresentation.from_json(json.loads(out), g)
+            assert validate_representation(g, rep, require_distinct=augment) == []
+            want = io.StringIO()
+            with contextlib.redirect_stdout(want):
+                _print_rows((augment_to_distinct(checked) if augment else checked).to_json(),
+                            "sets")
+            assert out == want.getvalue()
+
 
 class TestVerify:
     def test_partition_missing_edge(self, tmp_path, capsys):

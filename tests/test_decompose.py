@@ -29,7 +29,7 @@ from cliquerep import (
 )
 from cliquerep import decompose, exhaustive_bound_check, oracle
 from cliquerep.decompose import _vertex_order
-from cliquerep.graphs import _labeled_graphs
+from cliquerep.graphs import ENUMERATION_MAX_N, Graph, _labeled_graphs
 from helpers import (
     as_partition,
     graphs,
@@ -251,6 +251,74 @@ class TestGreedyTail:
                 assert greedy_decomposition(g, s).sequence == reference_greedy(g, s), (g, s)
             assert erdos_partition(g).cliques == erdos, g
         assert (tail.cache_info(), base.cache_info()) == before
+
+
+def windmill(blades: list[int]) -> Graph:
+    """Cliques of blades[i] + 1 vertices, each blade's own vertices after
+    the earlier blades', all sharing vertex 0."""
+    edges, v = [], 1
+    for size in blades:
+        members = [0, *range(v, v + size)]
+        edges += combinations(members, 2)
+        v += size
+    return graph(v, edges)
+
+
+def book(triangles: int, squares: int) -> Graph:
+    """Pages on the spine 0 1: a triangle page is one vertex joined to both,
+    a square page two adjacent vertices, one joined to 0 and one to 1."""
+    n = 2 + triangles + 2 * squares
+    edges = [(0, 1)]
+    edges += [(e, p) for p in range(2, 2 + triangles) for e in (0, 1)]
+    edges += [e for p in range(2 + triangles, n, 2) for e in ((0, p), (1, p + 1), (p, p + 1))]
+    return graph(n, edges)
+
+
+class TestEdgeFastPath:
+    """Above ENUMERATION_MAX_N the greedy run takes every start itself, and
+    an edge in no residual triangle is taken whole in one step. On graphs
+    where one start takes edges and larger cliques in turn, the sequence is
+    the direct order-scanning reference's, lexicographic and seeded."""
+
+    SEEDS = [None, 1, 2, 3]
+
+    @staticmethod
+    def mixes(sequence) -> bool:
+        """Whether some start of the sequence takes both an edge and a
+        clique of three or more (members ascend, so a clique's first member
+        is its start)."""
+        sizes: dict[int, set[int]] = {}
+        for cl in sequence:
+            sizes.setdefault(cl[0], set()).add(min(len(cl), 3))
+        return any(s >= {2, 3} for s in sizes.values())
+
+    def assert_matches(self, g):
+        assert g.n > ENUMERATION_MAX_N
+        for s in self.SEEDS:
+            assert greedy_decomposition(g, s).sequence == reference_greedy(g, s), (g, s)
+
+    @pytest.mark.parametrize("g", [
+        windmill([1, 2, 1, 3, 1, 1, 2]),
+        windmill([2, 1, 1, 4, 1]),
+        book(4, 3),
+        book(1, 5),
+        # a star on 0 with the matching 1 2, 4 5, 7 8 among its leaves
+        graph(11, [(0, v) for v in range(1, 11)] + [(1, 2), (4, 5), (7, 8)]),
+        # K_{4,8} with a matching, then with a path, inside the side of 8
+        graph(12, [(u, v) for u in range(4) for v in range(4, 12)] + [(4, 5), (7, 8)]),
+        graph(12, [(u, v) for u in range(4) for v in range(4, 12)] + [(5, 6), (6, 7), (9, 10)]),
+    ], ids=["windmill-a", "windmill-b", "book-a", "book-b", "star-matching",
+            "kab-matching", "kab-path"])
+    def test_shapes(self, g):
+        assert self.mixes(greedy_decomposition(g).sequence)
+        self.assert_matches(g)
+
+    def test_sparse_random_graphs(self):
+        rng = random.Random(47)
+        graphs = [sparse_random_graph(rng, n, 4 / n) for n in rng.choices(range(8, 300), k=40)]
+        for g in graphs:
+            self.assert_matches(g)
+        assert any(self.mixes(greedy_decomposition(g).sequence) for g in graphs)
 
 
 def test_cores_leave_their_rows_alone():

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -22,7 +23,8 @@ from cliquerep import (
     representation_from_partition,
     validate_representation,
 )
-from helpers import as_partition, has_edge, representations_equivalent
+from cliquerep.graphs import ENUMERATION_MAX_N
+from helpers import as_partition, has_edge, random_graph, representations_equivalent
 
 
 @st.composite
@@ -97,6 +99,41 @@ class TestForwardMap:
             representation_from_partition(d)
         assert str(err.value) == (
             "invalid partition: {'kind': 'not_a_clique', 'position': 1, 'pair': [0, 2]}")
+
+    @pytest.mark.parametrize("method", ["erdos", "greedy"])
+    def test_rejects_an_edge_covered_twice_on_a_large_graph(self, method):
+        # The CLI trusts its own constructions; the public function checks
+        # whatever it is handed. One edge clique of a valid g500 partition
+        # becomes an edge that a triangle already covers, so that edge is
+        # covered twice and the dropped one not at all.
+        g = random_graph(random.Random("large-graphs:13:g500"), 500, 0.5)
+        assert g.n > ENUMERATION_MAX_N
+        if method == "erdos":
+            cliques = list(erdos_partition(g).cliques)
+        else:
+            cliques = list(greedy_decomposition(g).sequence)
+        covered = next(c for c in cliques if len(c) == 3)[:2]
+        k = next(k for k, c in enumerate(cliques) if len(c) == 2)
+        dropped, cliques[k] = cliques[k], covered
+        bad = (CliquePartition(g, tuple(cliques)) if method == "erdos"
+               else GreedyDecomposition(g, tuple(cliques)))
+        pair, observed = min((covered, 2), (dropped, 0))
+        first = Violation("miscovered_edge", pair=pair, observed=observed, expected=1)
+        with pytest.raises(ValueError) as err:
+            representation_from_partition(bad)
+        assert str(err.value) == f"invalid partition: {first.to_json()}"
+
+    def test_rejects_a_hand_built_sequence_above_the_enumeration_cap(self):
+        # The triangle 0 1 2 and the path 2 3 4, plus edges 5 6 and 7 8;
+        # clique 2 repeats the triangle's edge 0 1 in place of the edge 3 4.
+        g = graph(9, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (5, 6), (7, 8)])
+        assert g.n > ENUMERATION_MAX_N
+        d = GreedyDecomposition(g, ((0, 1, 2), (2, 3), (0, 1), (5, 6), (7, 8)))
+        with pytest.raises(ValueError) as err:
+            representation_from_partition(d)
+        assert str(err.value) == (
+            "invalid partition: "
+            "{'kind': 'miscovered_edge', 'pair': [0, 1], 'observed': 2, 'expected': 1}")
 
     @given(partitions())
     @settings(max_examples=60)
