@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache, reduce
 from itertools import chain, compress, repeat
-from operator import attrgetter, mul, or_
+from operator import attrgetter, or_
 
 from .graphs import ENUMERATION_MAX_N, Edge, Graph, _bit_flags, _clique_bits, _Record, bits
 
@@ -244,34 +244,36 @@ def _shaped(
 ) -> tuple[list[tuple[int, Clique, int]], list[int]]:
     """(position, clique, vertex mask) for each clique whose pairs can be
     checked, and the isolated vertices of adj's graph without a trivial
-    clique among these, ascending. Each clique is tested, in this order,
-    for being empty, for members that are not vertices (exactly an int in
-    range(n)), for repeated vertices and for repeating an earlier clique; a
-    clique that fails one of the first three gets only those findings.
-    Findings go to out in clique order; a caller that adds its own findings
-    per position sorts out by position, stably, to put them after these."""
+    clique among these, ascending. One loop over a clique's members tests
+    each for being a vertex (exactly an int in range(n)) and ORs it into
+    the mask; a member that is not ends the loop, and the clique gets a
+    bad_vertex finding for each such member and no other. Otherwise the
+    clique is tested for being empty, for repeated vertices (fewer mask
+    bits than members) and for repeating an earlier clique. Findings go to
+    out in clique order; a caller that adds its own findings per position
+    sorts out by position, stably, to put them after these."""
     n = len(adj)
     checked: list[tuple[int, Clique, int]] = []
     seen: set[Clique] = set()
     for i, cl in enumerate(cliques):
-        if not cl:
-            out.append(Violation("empty_clique", position=i))
-            continue
-        bad = [v for v in cl if type(v) is not int or not 0 <= v < n]
-        if bad:
-            out.extend(Violation("bad_vertex", position=i, vertex=v) for v in bad)
-            continue
-        if len(set(cl)) != len(cl):
-            out.append(Violation("repeated_vertex", position=i, vertices=cl))
-            continue
-        count = len(seen)
-        seen.add(cl)
-        if len(seen) == count:
-            out.append(Violation("duplicate_clique", position=i, vertices=cl))
         mask = 0
         for v in cl:
+            if type(v) is not int or not 0 <= v < n:
+                out.extend(Violation("bad_vertex", position=i, vertex=w) for w in cl
+                           if type(w) is not int or not 0 <= w < n)
+                break
             mask |= 1 << v
-        checked.append((i, cl, mask))
+        else:
+            if not cl:
+                out.append(Violation("empty_clique", position=i))
+            elif mask.bit_count() != len(cl):
+                out.append(Violation("repeated_vertex", position=i, vertices=cl))
+            else:
+                count = len(seen)
+                seen.add(cl)
+                if len(seen) == count:
+                    out.append(Violation("duplicate_clique", position=i, vertices=cl))
+                checked.append((i, cl, mask))
     return checked, [v for v, row in enumerate(adj) if row == 0 and (v,) not in seen]
 
 
@@ -326,47 +328,17 @@ def validate_partition(g: Graph, p: CliquePartition) -> list[Violation]:
     non-adjacent pairs covered at all, members that are not cliques,
     duplicate cliques, and isolated vertices lacking a trivial clique.
 
-    One pass first tests for an exact cover (_covers_exactly): distinct,
-    non-empty cliques of vertices, sum C(k, 2) = |E| pairs over their
-    sizes k, and for every vertex v the OR of the masks of the cliques
-    through v equal to adj[v] | 1 << v. The OR test makes the covered
-    pairs exactly the edges and puts every vertex in some clique,
-    an isolated one in its trivial clique; the count then covers no edge
-    twice and leaves no room for a repeated member, whose clique covers
-    fewer than C(k, 2) pairs. A valid partition so costs two ORs per member
-    plus one compare per vertex. Only otherwise are findings sought: each
-    vertex's clique masks go through the per-vertex test that
-    validate_representation shares (_wrong_pairs), with clique k as element
-    k, and pairs are counted only above the vertices that fail it. That is
-    O((n + sum of |clique|) * ceil(n/64)) word operations, the order of
-    building g.adj, plus one step per finding and sorting the findings.
-    g.adj is read first, so an n too large to hold it fails at once.
+    One walk decides validity and finds the faults (_partition_findings).
+    Each clique's members are tested and ORed into its vertex mask in one
+    loop (_shaped); each vertex's clique masks then go through the
+    per-vertex test that validate_representation shares (_wrong_pairs),
+    with clique k as element k, and pairs are counted only above the
+    vertices that fail it. That is O((n + sum of |clique|) * ceil(n/64))
+    word operations, the order of building g.adj, plus one step per
+    finding and sorting the findings. g.adj is read first, so an n too
+    large to hold it fails at once.
     """
-    adj = g.adj
-    return [] if _covers_exactly(adj, p.cliques) else _partition_findings(adj, p.cliques)
-
-
-def _covers_exactly(adj: Sequence[int], cliques: Sequence[Clique]) -> bool:
-    """Whether cliques is a valid partition of the graph with neighbour rows
-    adj, by the test validate_partition describes. The count comes first,
-    from the sizes alone, so a missing or extra clique fails before any
-    member is read."""
-    n = len(adj)
-    sizes = list(map(len, cliques))
-    ends = sum(map(int.bit_count, adj))  # twice the edge count
-    if (sum(map(mul, sizes, sizes)) - sum(sizes) != ends or not all(sizes)
-            or len(set(cliques)) != len(cliques)):
-        return False
-    cover = [0] * n
-    for cl in cliques:
-        mask = 0
-        for v in cl:
-            if type(v) is not int or not 0 <= v < n:
-                return False
-            mask |= 1 << v
-        for v in cl:
-            cover[v] |= mask
-    return cover == [a | 1 << v for v, a in enumerate(adj)]
+    return _partition_findings(g.adj, p.cliques)
 
 
 def _duplicates_on_mask(
@@ -426,10 +398,11 @@ def _duplicates_on_mask(
 
 def _partition_findings(adj: Sequence[int], cliques: Sequence[Clique]) -> list[Violation]:
     """validate_partition's findings on a clique sequence over the
-    neighbour rows adj, positions as in the sequence. Each checked clique's
-    member mask joins the list of each of its members, for the per-vertex
-    test (_wrong_pairs); only the cliques that hold an end of a covered
-    non-edge are walked for not_a_clique pairs."""
+    neighbour rows adj, positions as in the sequence: none exactly when the
+    cliques form a valid partition, so this walk alone decides validity.
+    Each checked clique's member mask joins the list of each of its
+    members, for the per-vertex test (_wrong_pairs); only the cliques that
+    hold an end of a covered non-edge are walked for not_a_clique pairs."""
     out: list[Violation] = []
     checked, isolated = _shaped(adj, cliques, out)
     owns: list[list[int]] = [[] for _ in adj]
@@ -458,9 +431,9 @@ def _partition_findings(adj: Sequence[int], cliques: Sequence[Clique]) -> list[V
 def _check_partition(adj: Sequence[int], cliques: Sequence[Clique]) -> None:
     """ValueError naming the first finding, positions as in the sequence,
     unless cliques form a valid partition of the graph with neighbour rows
-    adj, as validate_partition decides."""
-    if not _covers_exactly(adj, cliques):
-        raise ValueError(f"invalid partition: {_partition_findings(adj, cliques)[0].to_json()}")
+    adj: the one walk validate_partition makes (_partition_findings)."""
+    if findings := _partition_findings(adj, cliques):
+        raise ValueError(f"invalid partition: {findings[0].to_json()}")
 
 
 def _wrong_pairs(adj: Sequence[int], owns: Iterable[list[int]]) -> list[tuple[Edge, int, int]]:

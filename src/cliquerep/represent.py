@@ -87,7 +87,8 @@ def representation_from_partition(
     Elements follow a partition's stored clique order, which from_cliques
     and the constructions sort, or a greedy decomposition's sequence. The
     ground size equals the number of cliques. Invalid partitions are
-    rejected; a greedy sequence is checked in sequence order, so the
+    rejected by the one walk validate_partition makes, which raises on its
+    first finding; a greedy sequence is checked in sequence order, so the
     position an error names is the bad clique's element. The intersection
     property of the output then follows from the partition's.
     """

@@ -200,6 +200,18 @@ def test_one_pair_counter_serves_both_validators():
                                                  ("represent.py", "validate_representation")}
 
 
+def test_one_walk_decides_partition_validity():
+    # A partition is valid exactly when _partition_findings finds nothing:
+    # the transforms' check and the sweep's fallback call it, no other test
+    # of the cover stands beside it, and the shape pass serves it and the
+    # greedy replay alone.
+    assert _functions_naming("_shaped") == {("decompose.py", "_partition_findings"),
+                                            ("decompose.py", "validate_greedy")}
+    assert _functions_naming("_partition_findings") == {
+        ("decompose.py", "validate_partition"), ("decompose.py", "_check_partition"),
+        ("oracle.py", "_sweep_range")}
+
+
 def test_one_printer_writes_every_cli_document():
     # Every JSON document the CLI prints goes through the row printer, so
     # the bytes of a row document and of any other document cannot drift.

@@ -1,10 +1,10 @@
 """validate_partition, validate_representation and validate_greedy against
 the direct algorithms in helpers.py, finding for finding and in order, on
-valid and tampered artifacts and on partitions at the edges of
-validate_partition's exact-cover check; the one-pass checks against the
-walk's verdict; members equal to an int without being one, which are no
-vertices, through the validators and the steps that follow them; and
-their cost on a large sparse graph and on one large clique."""
+valid and tampered artifacts and on partitions that only just fail or pass
+an exact cover; the sweep's one-pass check against the walk's verdict;
+members equal to an int without being one, which are no vertices, through
+the validators and the steps that follow them; and their cost on a large
+sparse graph and on one large clique."""
 
 import random
 import time
@@ -35,7 +35,7 @@ from cliquerep import (
     validate_representation,
 )
 from cliquerep import decompose
-from cliquerep.decompose import _covers_exactly, _duplicates_on_mask, _erdos_cliques, _greedy_run
+from cliquerep.decompose import _duplicates_on_mask, _erdos_cliques, _greedy_run
 from cliquerep.graphs import ENUMERATION_MAX_N, _labeled_graphs
 from helpers import (
     as_partition,
@@ -147,12 +147,10 @@ def tamper_sequence(rng: random.Random, d: GreedyDecomposition) -> GreedyDecompo
 
 
 def assert_one_pass_verdicts(g: Graph, cliques, valid: bool) -> None:
-    """The one-pass checks fail exactly on an invalid partition: the
-    transforms raise on _covers_exactly alone, and the sweep sends a
-    construction that _duplicates_on_mask does not accept to that raise or
-    to the validators. The mask check's table has 2^n entries, so it is
-    checked at the orders a sweep visits."""
-    assert _covers_exactly(g.adj, cliques) == valid
+    """The sweep's one-pass check fails exactly on an invalid partition:
+    it sends a construction that _duplicates_on_mask does not accept to the
+    transforms' raise or to the validators. The check's table has 2^n
+    entries, so it is checked at the orders a sweep visits."""
     if g.n <= ENUMERATION_MAX_N:
         assert (_duplicates_on_mask(g.n, edge_bitmask(g), cliques) is None) == (not valid)
 
@@ -448,6 +446,10 @@ EXACT_COVER_EDGES = {
     # (0, True) equals (0, 1), but True is no vertex: a bad_vertex, and the
     # later (0, 1) is no duplicate of it.
     "true_beside_one": (path_graph(3), ((0, True), (0, 1), (1, 2))),
+    # A clique that fails two shape tests at once, a repeat and a member
+    # that is no vertex, gets only its bad_vertex findings.
+    "repeat_and_out_of_range": (path_graph(3), ((0, 0, 5), (0, 1), (1, 2))),
+    "repeat_and_true": (path_graph(3), ((1, 1, True), (0, 1), (1, 2))),
 }
 
 
