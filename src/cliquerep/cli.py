@@ -20,6 +20,7 @@ from .decompose import (
     CliquePartition,
     GreedyDecomposition,
     _cliques_doc,
+    _incidence,
     erdos_partition,
     greedy_decomposition,
     validate_greedy,
@@ -31,12 +32,7 @@ from .oracle import (
     min_clique_partition,
     min_distinct_representation,
 )
-from .represent import (
-    SetRepresentation,
-    _representation,
-    augment_to_distinct,
-    validate_representation,
-)
+from .represent import SetRepresentation, _repeated, validate_representation
 
 _PALETTE = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a",
@@ -180,7 +176,7 @@ def _print_rows(doc: dict, rows: str | None = None) -> None:
             text = json.dumps(doc[key], check_circular=False, separators=(",\n      ", ":"))
             # An empty row is marked [E] until every row has brackets of its
             # own; E cannot occur in the text of a list of integer lists.
-            empty = "[]" in text
+            empty = not all(doc[key])
             if empty:
                 text = text.replace("[]", "[E]")
             text = text[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
@@ -233,14 +229,20 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 
 def _cmd_represent(args: argparse.Namespace) -> int:
     g = _load_graph(args.input, args.format)
-    # The construction's own cliques, unchecked: see README "CLI".
-    rep = _representation(g, _cliques_doc(_construct(args, g))["cliques"])
+    # The construction's own cliques, unchecked: see README "CLI". Element k
+    # is clique k, so each vertex's set is its ascending incidence row, and
+    # augment_to_distinct's fresh ids, above every other, go on its end.
+    cliques = _cliques_doc(_construct(args, g))["cliques"]
+    rows, ground = _incidence(g.n, cliques), len(cliques)
     if args.augment:
-        rep = augment_to_distinct(rep)
+        fresh = _repeated(map(tuple, rows))
+        for k, v in enumerate(fresh, start=ground):
+            rows[v].append(k)
+        ground += len(fresh)
     if args.output == "dot":
-        print(_representation_dot(g, rep))
+        print(_representation_dot(g, SetRepresentation(g, tuple(map(frozenset, rows)), ground)))
     else:
-        _print_rows(rep.to_json(), "sets")
+        _print_rows({"n": g.n, "ground_size": ground, "sets": rows}, "sets")
     return 0
 
 

@@ -487,12 +487,13 @@ def _plain_edge_list(text: str) -> Graph | None:
     one ' \\n' per line; with both separators made commas, the C JSON
     decoder reads its endpoints, and fails (ValueError) on an empty token,
     a leading zero or more digits than the interpreter's int-digit limit,
-    where it has one. An endpoint of 10 or more digits is at least n, so
-    it fails the range test. Each edge ORs a precomputed bit into both
-    endpoints' masks. An edge sets two new bits, a repeated edge none and a
-    self-loop one, so the masks hold two bits per line exactly when every
-    line is a new edge. This raises nothing: the walk in parse_edge_list
-    reports whatever makes this return None.
+    where it has one. Each edge ORs a precomputed bit into both endpoints'
+    masks, and the indexing is the range test: an endpoint at or above n,
+    10 or more digits included, raises IndexError, and the sign and digit
+    rules leave no negative one. An edge sets two new bits, a repeated
+    edge none and a self-loop one, so the masks hold two bits per line
+    exactly when every line is a new edge. This raises nothing: the walk
+    in parse_edge_list reports whatever makes this return None.
     """
     import json
     import re
@@ -516,12 +517,13 @@ def _plain_edge_list(text: str) -> Graph | None:
             ends = json.loads("[" + chunk.translate(_COMMAS)[:-1] + "]")
         except ValueError:
             return None
-        if max(ends) >= n:
-            return None
         pairs = iter(ends)
-        for u, v in zip(pairs, pairs):
-            masks[u] |= bit[v]
-            masks[v] |= bit[u]
+        try:
+            for u, v in zip(pairs, pairs):
+                masks[u] |= bit[v]
+                masks[v] |= bit[u]
+        except IndexError:  # an endpoint at or above n
+            return None
         count += len(ends)
         start = stop
     if sum(map(int.bit_count, masks)) != count:

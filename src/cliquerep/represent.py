@@ -10,11 +10,10 @@ elements that appear nowhere else, which never disturbs an intersection.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Hashable, Iterable
 from itertools import chain
 
 from .decompose import (
-    Clique,
     CliquePartition,
     GreedyDecomposition,
     Violation,
@@ -94,14 +93,8 @@ def representation_from_partition(
     """
     cliques = p.sequence if isinstance(p, GreedyDecomposition) else p.cliques
     _check_partition(p.host.adj, cliques)
-    return _representation(p.host, cliques)
-
-
-def _representation(host: Graph, cliques: Sequence[Clique]) -> SetRepresentation:
-    """representation_from_partition without its check, for cliques that
-    already form a valid partition of host: the CLI's own constructions."""
-    sets = tuple(map(frozenset, _incidence(host.n, cliques)))
-    return SetRepresentation(host, sets, len(cliques))
+    sets = tuple(map(frozenset, _incidence(p.host.n, cliques)))
+    return SetRepresentation(p.host, sets, len(cliques))
 
 
 def partition_from_representation(r: SetRepresentation) -> CliquePartition:
@@ -130,13 +123,27 @@ def augment_to_distinct(r: SetRepresentation) -> SetRepresentation:
     raises its ValueError.
     """
     _check_ground_size(r.ground_size, r.sets)
-    fresh = sorted(v for group in distinctness(r).classes for v in group[1:])
+    fresh = _repeated(r.sets)
     if not fresh:
         return r
     sets = list(r.sets)
     for k, v in enumerate(fresh, start=r.ground_size):
         sets[v] = sets[v] | {k}
     return SetRepresentation(r.host, tuple(sets), r.ground_size + len(fresh))
+
+
+def _repeated(sets: Iterable[Hashable]) -> list[int]:
+    """The vertices whose set equals an earlier vertex's, ascending: those
+    that gain a fresh element. Sets compare as given, so a vertex's ids
+    come as a frozenset or as a tuple in ascending order."""
+    seen: set[Hashable] = set()
+    out: list[int] = []
+    for v, s in enumerate(sets):
+        if s in seen:
+            out.append(v)
+        else:
+            seen.add(s)
+    return out
 
 
 def distinctness(r: SetRepresentation) -> DistinctnessReport:

@@ -212,6 +212,17 @@ def test_one_walk_decides_partition_validity():
         ("oracle.py", "_sweep_range")}
 
 
+def test_one_rule_picks_the_vertices_that_gain_fresh_elements():
+    # augment_to_distinct and represent's incidence rows augment the same
+    # vertices, and the CLI prints rows it built, not a representation's.
+    assert _functions_naming("_repeated") == {("represent.py", "augment_to_distinct"),
+                                              ("cli.py", "_cmd_represent")}
+    tree = ast.parse((Path(cliquerep.__file__).parent / "cli.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "_repeated" in imported and "_representation" not in imported
+
+
 def test_one_printer_writes_every_cli_document():
     # Every JSON document the CLI prints goes through the row printer, so
     # the bytes of a row document and of any other document cannot drift.

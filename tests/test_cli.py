@@ -244,6 +244,39 @@ class TestRepresent:
                             "sets")
             assert out == want.getvalue()
 
+    #: Graphs on which the greedy gives vertices equal sets, so --augment
+    #: adds fresh elements: K_5 (one clique), two disjoint triangles plus two
+    #: isolated vertices, the windmill of four triangles on vertex 0, and a
+    #: sparse G(60, 0.02) with isolated edges.
+    REPEATED = {
+        "k5": complete_graph(5),
+        "triangles": graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        "windmill": graph(9, [(0, a) for a in range(1, 9)] + [(1, 2), (3, 4), (5, 6), (7, 8)]),
+        "gnp": random_graph(random.Random("repeated-sets:60"), 60, 0.02),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REPEATED))
+    @pytest.mark.parametrize("method", ["greedy", "erdos"])
+    @pytest.mark.parametrize("output", ["json", "dot"])
+    def test_repeated_sets_print_as_the_library_builds_them(self, name, method, output):
+        g = self.REPEATED[name]
+        built = greedy_decomposition(g) if method == "greedy" else erdos_partition(g)
+        plain = representation_from_partition(built)
+        augmented = augment_to_distinct(plain)
+        if method == "greedy":
+            assert augmented.ground_size > plain.ground_size
+        for rep, flag in ((plain, []), (augmented, ["--augment"])):
+            argv = ["represent", "-", "--format", "edgelist", "--method", method,
+                    "--output", output, *flag]
+            code, out = run_on_text(argv, to_edge_list(g))
+            want = io.StringIO()
+            with contextlib.redirect_stdout(want):
+                if output == "dot":
+                    print(cli._representation_dot(g, rep))
+                else:
+                    _print_rows(rep.to_json(), "sets")
+            assert (code, out) == (0, want.getvalue())
+
 
 class TestVerify:
     def test_partition_missing_edge(self, tmp_path, capsys):
@@ -644,6 +677,15 @@ class TestJsonBytes:
 
     def test_empty_and_negative_rows(self, capsys):
         doc = {"n": 3, "ground_size": 12, "sets": [[], [-1, 10**30], [0]]}
+        _print_rows(doc, "sets")
+        assert capsys.readouterr().out == dumped(doc)
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("kind", [list, tuple])
+    def test_an_empty_row_anywhere(self, capsys, where, kind):
+        rows = [[0, 3], [1], [2, 4, 5], [6]]
+        rows.insert(where, [])
+        doc = {"n": 5, "ground_size": 7, "sets": kind(map(kind, rows))}
         _print_rows(doc, "sets")
         assert capsys.readouterr().out == dumped(doc)
 

@@ -486,6 +486,26 @@ class TestPlainEdgeList:
         assert parse_outcome(duplicate).endswith(f"duplicate edge {(u, v)}")
         assert parse_outcome(out_of_range).endswith(f"endpoint out of range for n={g.n}")
 
+    @pytest.mark.parametrize("slot", ["u", "v"])
+    @pytest.mark.parametrize("where", ["first chunk", "later chunk"])
+    def test_an_endpoint_at_or_above_n_fails_its_index(self, slot, where):
+        # The bulk reader's range test is the indexing of its masks: an
+        # endpoint at n, or of ten digits, in either slot of a line in the
+        # first chunk or after chunks already ORed, gives None and the walk's
+        # error.
+        g = random_graph(random.Random(f"range:{slot}:{where}"), 400, 0.5)
+        lines = to_edge_list(g).split("\n")
+        assert len(lines[0]) + 1 + _CHUNK < len("\n".join(lines[:-100]))
+        index = 3 if where == "first chunk" else len(lines) - 100
+        for far in (g.n, 10**9 + 7):
+            u, v = map(int, lines[index].split())
+            bad = list(lines)
+            bad[index] = f"{far} {v}" if slot == "u" else f"{u} {far}"
+            text = "\n".join(bad)
+            assert _plain_edge_list(text) is None
+            assert parse_outcome(text) == (
+                f"line {index + 1}: endpoint out of range for n={g.n}")
+
     #: Lines that pass, or nearly pass, the bulk reader's separator test
     #: but not its layout, each with what the walk makes of it: an edge or
     #: the end of its error message. The 5000-digit endpoint is past the
