@@ -21,6 +21,7 @@ from .decompose import (
     GreedyDecomposition,
     _cliques_doc,
     _incidence,
+    _repeated,
     erdos_partition,
     greedy_decomposition,
     validate_greedy,
@@ -32,7 +33,7 @@ from .oracle import (
     min_clique_partition,
     min_distinct_representation,
 )
-from .represent import SetRepresentation, _repeated, validate_representation
+from .represent import SetRepresentation, validate_representation
 
 _PALETTE = (
     "#1b9e77", "#d95f02", "#7570b3", "#e7298a",

@@ -5,12 +5,16 @@ maximal clique from the residual graph until no edge is left, then covers
 vertices that were isolated from the start with trivial cliques. The
 edge/triangle partition stays within the floor(n^2/4) clique budget while
 keeping every vertex's clique-incidence set distinct from every other
-vertex's (for n >= 4).
+vertex's (for n >= 4). The validators share two walks: one pass over each
+clique's members (_shaped) and one per-vertex test of the pairs
+(_wrong_pairs), which validate_representation also runs. One
+branch-and-bound kernel (_edge_partitions) searches the clique partitions
+for oracle's exact searches and for the edge/triangle partition's base.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from functools import lru_cache, reduce
 from itertools import chain, compress, repeat
 from operator import attrgetter, or_
@@ -117,7 +121,7 @@ def _check_header(doc: dict, host: Graph, keys: tuple[str, ...]) -> None:
     for key in keys:
         if key not in doc:
             raise ValueError(f"artifact is missing the {key!r} key")
-    if not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
+    if type(doc["n"]) is not int:
         raise ValueError("artifact 'n' must be an integer")
     if doc["n"] != host.n:
         raise ValueError(f"artifact n={doc['n']} does not match graph n={host.n}")
@@ -696,7 +700,8 @@ def _erdos_base(alive: int, adj: Sequence[int]) -> tuple[Clique, ...]:
     labels = list(bits(alive))
     local = [sum(1 << j for j, w in enumerate(labels) if adj[v] >> w & 1) for v in labels]
     found = _min_distinct(local, _edge_or_triangles)
-    return tuple(tuple(sorted(labels[v] for v in cl)) for cl in found)
+    # labels ascend and every clique found ascends, so each stays sorted.
+    return tuple(tuple(labels[v] for v in cl) for cl in found)
 
 
 def _edge_or_triangles(residual: list[int], u: int, v: int) -> list[_Option]:
@@ -709,7 +714,7 @@ def _edge_or_triangles(residual: list[int], u: int, v: int) -> list[_Option]:
                                for w in bits(residual[u] & residual[v])]
 
 
-def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[_Option]:
+def _cliques_through_edge(adj: list[int], u: int, v: int) -> tuple[_Option, ...]:
     """All cliques of the (residual) graph containing edge (u, v), each with
     its mask, largest first and lexicographic within a size. Each appears
     exactly once, as u, v and then its other members ascending: a sorted
@@ -720,7 +725,7 @@ def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[_Option]:
     a set of them is a clique depends only on their rows inside cand. So
     the options are looked up in a bounded cache (_cliques_in) under u, v,
     cand and those rows, ascending: a dense G(10, 36) search meets 77 to
-    369 such keys, and 89% of its calls hit. Each call returns a new list."""
+    369 such keys, and 89% of its calls hit. Callers share the tuple."""
     cand = adj[u] & adj[v]
     key = [u, v, cand]
     # Walked inline: the bits() generator doubles the cost of the key.
@@ -729,7 +734,7 @@ def _cliques_through_edge(adj: list[int], u: int, v: int) -> list[_Option]:
         low = rest & -rest
         key.append(adj[low.bit_length() - 1] & cand)
         rest ^= low
-    return list(_cliques_in(*key))
+    return _cliques_in(*key)
 
 
 @lru_cache(maxsize=128)
@@ -785,7 +790,7 @@ def _cliques_needed(residual: Sequence[int], free: int, limit: int) -> int:
 
 def _edge_partitions(
     adj: Sequence[int],
-    options: Callable[[list[int], int, int], list[_Option]],
+    options: Callable[[list[int], int, int], Sequence[_Option]],
     price: Callable[[list[Clique]], int] | None = None,
 ) -> Iterator[list[Clique]]:
     """Clique partitions of adj (neighbor bitmasks): the trivial clique of
@@ -879,7 +884,7 @@ def _edge_partitions(
 
 def _min_distinct(
     adj: Sequence[int],
-    options: Callable[[list[int], int, int], list[_Option]],
+    options: Callable[[list[int], int, int], Sequence[_Option]],
 ) -> list[Clique]:
     """Cheapest clique partition of adj with pairwise-distinct incidence sets.
 
@@ -909,9 +914,7 @@ def _min_distinct(
         best, best_keys = chosen.copy(), keys
     # Every vertex whose key an earlier vertex already has gets a trivial
     # clique, in vertex order.
-    seen: set[int] = set()
-    extras = [(v,) for v, key in enumerate(best_keys) if key in seen or seen.add(key)]
-    return best + extras
+    return best + [(v,) for v in _repeated(best_keys)]
 
 
 def _incidence(n: int, cliques: Iterable[Clique]) -> list[list[int]]:
@@ -920,5 +923,19 @@ def _incidence(n: int, cliques: Iterable[Clique]) -> list[list[int]]:
     for k, cl in enumerate(cliques):
         for v in cl:
             out[v].append(k)
+    return out
+
+
+def _repeated(sets: Iterable[Hashable]) -> list[int]:
+    """The vertices whose set equals an earlier vertex's, ascending: those
+    that gain a fresh element. Sets compare as given, so a vertex's ids
+    come as a frozenset, as a tuple in ascending order or as a mask."""
+    seen: set[Hashable] = set()
+    out: list[int] = []
+    for v, s in enumerate(sets):
+        if s in seen:
+            out.append(v)
+        else:
+            seen.add(s)
     return out
 

@@ -3,8 +3,8 @@
 Exact clique-partition number and exact distinct-family intersection number
 by branch and bound, exhaustive enumeration of all clique partitions of a
 small graph, exhaustive bound sweeps over every labeled graph of a given
-order, and the structural checks that duplicate-set pairs and 2-clique
-neighborhoods are promised to satisfy.
+order, and the structural check that a greedy sequence's 2-cliques are
+promised to satisfy (check_rs_bound).
 """
 
 from __future__ import annotations
@@ -202,9 +202,9 @@ def _sweep_range(
     looks each clique up in the order's table of vertex masks and pair
     bits, checks the pairs against the mask, and counts the repeated
     incidence sets and the widest clique; only one that pass does not
-    accept goes through the partition checks, on the same rows. The non-trivial cliques of a greedy
-    run are counted only when its length breaches the bound, as their
-    count never exceeds it."""
+    accept goes through the partition checks, on the same rows. The
+    non-trivial cliques of a greedy run are counted only when its length
+    breaches the bound, as their count never exceeds it."""
     bound = quarter_square(n)
     max_cliques = 0
     max_elements = 0
@@ -272,19 +272,12 @@ def exhaustive_bound_check(n: int, seeds: Iterable[int | None]) -> BoundReport:
     positions an earlier vertex already has. Per graph: run the
     edge/triangle partition and check its size, its <= 3 clique widths, its
     validity, and the distinctness of its incidence sets. Both
-    constructions run on the graph's neighbour masks and build no record.
-    One pass over a construction's cliques reads each clique's vertex mask
-    and pairs from a table per order, tests that the pairs are the graph's
-    edge bitmask, each pair once, and that the cliques cover every vertex,
-    and counts the repeated incidence sets, from the vertices that lie in
-    one clique only, and the widest clique; a construction that pass does
-    not accept goes through the partition checks on the same rows, and an
-    invalid greedy run raises the ValueError the transform would. The
-    non-trivial cliques are counted only for a run whose length breaches
-    the bound. The walk yields each mask's neighbour rows, and the sweep
-    builds no Graph from them. max_cliques_seen is the largest clique count
-    seen across greedy runs and edge/triangle partitions. The report names
-    each run "lex" or "random:<seed>".
+    constructions run on each mask's neighbour rows, with no Graph or
+    record built, and are checked in one pass each (_sweep_range); an
+    invalid greedy run raises the ValueError the transform would.
+    max_cliques_seen is the largest clique count seen across greedy runs
+    and edge/triangle partitions. The report names each run "lex" or
+    "random:<seed>".
 
     Only the lexicographic greedy is run, once per graph. A seeded run uses
     the same procedure under its vertex order, so its run on g is the

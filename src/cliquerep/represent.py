@@ -10,7 +10,7 @@ elements that appear nowhere else, which never disturbs an intersection.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Hashable, Iterable
+from collections.abc import Iterable
 from itertools import chain
 
 from .decompose import (
@@ -21,6 +21,7 @@ from .decompose import (
     _check_partition,
     _incidence,
     _int_arrays,
+    _repeated,
     _wrong_pairs,
 )
 from .graphs import Graph, _Record
@@ -130,20 +131,6 @@ def augment_to_distinct(r: SetRepresentation) -> SetRepresentation:
     for k, v in enumerate(fresh, start=r.ground_size):
         sets[v] = sets[v] | {k}
     return SetRepresentation(r.host, tuple(sets), r.ground_size + len(fresh))
-
-
-def _repeated(sets: Iterable[Hashable]) -> list[int]:
-    """The vertices whose set equals an earlier vertex's, ascending: those
-    that gain a fresh element. Sets compare as given, so a vertex's ids
-    come as a frozenset or as a tuple in ascending order."""
-    seen: set[Hashable] = set()
-    out: list[int] = []
-    for v, s in enumerate(sets):
-        if s in seen:
-            out.append(v)
-        else:
-            seen.add(s)
-    return out
 
 
 def distinctness(r: SetRepresentation) -> DistinctnessReport:

@@ -213,10 +213,16 @@ def test_one_walk_decides_partition_validity():
 
 
 def test_one_rule_picks_the_vertices_that_gain_fresh_elements():
-    # augment_to_distinct and represent's incidence rows augment the same
-    # vertices, and the CLI prints rows it built, not a representation's.
+    # augment_to_distinct, represent's incidence rows and omega's trivial
+    # cliques augment the same vertices, by the one rule decompose defines,
+    # and the CLI prints rows it built, not a representation's.
     assert _functions_naming("_repeated") == {("represent.py", "augment_to_distinct"),
-                                              ("cli.py", "_cmd_represent")}
+                                              ("cli.py", "_cmd_represent"),
+                                              ("decompose.py", "_min_distinct")}
+    assert {path.name for path in Path(cliquerep.__file__).parent.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == "_repeated"} == {
+                "decompose.py"}
     tree = ast.parse((Path(cliquerep.__file__).parent / "cli.py").read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
@@ -268,6 +274,28 @@ def test_every_cache_is_bounded():
     assert cached == {("graphs.py", "_clique_bits"), ("decompose.py", "_greedy_tail"),
                       ("decompose.py", "_erdos_base"), ("decompose.py", "_cliques_in"),
                       ("oracle.py", "_position_set")}
+
+
+def test_every_private_name_the_docs_give_is_defined():
+    # A docstring, comment or README line that names a removed helper
+    # misleads its reader, so every _name there must be defined in the
+    # package, as a function, a class or an assigned name.
+    package = Path(cliquerep.__file__).parent
+    defined: set[str] = set()
+    texts = [(package.parents[1] / "README.md").read_text()]
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined.add(node.id)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef)):
+                texts.append(ast.get_docstring(node) or "")
+        # A comment is what follows a '#' on its line.
+        texts.extend(line.split("#", 1)[1] for line in source.splitlines() if "#" in line)
+    named = {m for text in texts for m in re.findall(r"(?<![\w.])_[A-Za-z]\w*", text)}
+    assert named - defined == set()
 
 
 def test_sources_parse_at_the_python_floor():

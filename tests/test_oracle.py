@@ -303,7 +303,7 @@ class TestSearchOptions:
         for adj, u, v in self.seeded_edges():
             options = _cliques_through_edge(adj, u, v)
             # each clique once, in the brute force's order, with its mask
-            assert options == brute_options(adj, u, v)
+            assert list(options) == brute_options(adj, u, v)
             if u < v < min(bits(adj[u] & adj[v]), default=v + 1):
                 # sorted tuples, as at the kernel's smallest uncovered edge
                 assert all(cl == tuple(sorted(cl)) for cl, _ in options)
@@ -340,12 +340,14 @@ class TestSearchOptions:
                 changed += 1
         assert changed > 500
 
-    def test_returned_options_are_the_callers_own(self):
+    def test_returned_options_are_the_cached_tuple(self):
+        # No caller can change the options another caller gets: they are a
+        # tuple, and a second call with the same key returns the same one.
         for adj, u, v in self.seeded_edges():
             options = _cliques_through_edge(adj, u, v)
-            options.reverse()
-            options.append(((u, v), 0))
-            assert _cliques_through_edge(adj, u, v) == brute_options(adj, u, v)
+            assert type(options) is tuple
+            assert list(options) == brute_options(adj, u, v)
+            assert _cliques_through_edge(adj, u, v) is options
 
     def test_the_options_cache_stays_bounded_on_the_dense_panel(self):
         # One dense n=10 search reuses most of its keys.

@@ -1,5 +1,6 @@
 import random
 import time
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -436,6 +437,11 @@ class TestJson:
     ])
     def test_header_messages(self, load, keys):
         # The artifact kinds share these checks; keys are checked in order.
+        # 'n' is exactly an int, as Graph's vertex count is: an int subclass
+        # equal to the order is refused too.
+        class Order(IntEnum):
+            THREE = 3
+
         full = {"n": 3, "ordered": False, "cliques": [], "ground_size": 0, "sets": []}
         header = {k: full[k] for k in keys}
         for doc, message in (
@@ -444,6 +450,7 @@ class TestJson:
             ({"n": 3}, f"artifact is missing the {keys[1]!r} key"),
             ({"n": 3, keys[1]: full[keys[1]]}, f"artifact is missing the {keys[2]!r} key"),
             ({**header, "n": True}, "artifact 'n' must be an integer"),
+            ({**header, "n": Order.THREE}, "artifact 'n' must be an integer"),
             ({**header, "n": 4}, "artifact n=4 does not match graph n=3"),
         ):
             with pytest.raises(ValueError) as exc:
