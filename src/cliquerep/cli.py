@@ -27,7 +27,7 @@ from .decompose import (
     validate_greedy,
     validate_partition,
 )
-from .graphs import Graph, bits, parse_edge_list, parse_graph6
+from .graphs import Graph, _clip, bits, parse_edge_list, parse_graph6
 from .oracle import (
     exhaustive_bound_check,
     min_clique_partition,
@@ -142,8 +142,8 @@ def _load_json(path: str) -> dict:
         raise ValueError("artifact JSON is nested too deeply") from None
     except json.JSONDecodeError as exc:
         raise ValueError(f"artifact is not valid JSON: {exc}") from None
-    except ValueError as exc:  # an integer past the interpreter's digit limit
-        raise ValueError(f"artifact JSON cannot be read: {exc}") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ValueError("artifact JSON holds an integer with too many digits") from None
 
 
 def _construct(args: argparse.Namespace, g: Graph) -> GreedyDecomposition | CliquePartition:
@@ -287,7 +287,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
     except ValueError:
-        raise ValueError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+        raise ValueError(
+            f"--seeds must be comma-separated integers, got {_clip(args.seeds)}") from None
     report = exhaustive_bound_check(args.n, [None, *seeds])
     _print_rows(report.to_json())
     return 1 if report.violations else 0

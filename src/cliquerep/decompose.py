@@ -724,8 +724,8 @@ def _cliques_through_edge(adj: list[int], u: int, v: int) -> tuple[_Option, ...]
     Each is (u, v) plus a clique of the common neighbors cand, and whether
     a set of them is a clique depends only on their rows inside cand. So
     the options are looked up in a bounded cache (_cliques_in) under u, v,
-    cand and those rows, ascending: a dense G(10, 36) search meets 77 to
-    369 such keys, and 89% of its calls hit. Callers share the tuple."""
+    cand and those rows, ascending: the exact searches meet the same
+    residual neighbourhoods again and again. Callers share the tuple."""
     cand = adj[u] & adj[v]
     key = [u, v, cand]
     # Walked inline: the bits() generator doubles the cost of the key.

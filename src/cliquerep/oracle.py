@@ -30,7 +30,7 @@ from .decompose import (
     quarter_square,
     validate_greedy,
 )
-from .graphs import ENUMERATION_MAX_N, Graph, _labeled_graphs, _Record, _relabel_mask, bits
+from .graphs import ENUMERATION_MAX_N, Graph, _clip, _labeled_graphs, _Record, _relabel_mask, bits
 from .represent import SetRepresentation
 
 #: Search budgets, chosen so every run finishes in minutes on one machine.
@@ -186,7 +186,7 @@ def _worker_count(chunks: int) -> int:
         except ValueError:
             workers = 0
         if workers < 1:
-            raise ValueError(f"{THREADS_ENV} must be a positive integer, got {env!r}")
+            raise ValueError(f"{THREADS_ENV} must be a positive integer, got {_clip(env)}")
     return max(1, min(workers, cpus, chunks))
 
 

@@ -5,10 +5,11 @@ this file."""
 import ast
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import cliquerep
-from cliquerep import graphs, oracle
+from cliquerep import cli, graphs, oracle
 
 NAMES = [
     "BoundReport", "BoundViolation", "Clique", "CliquePartition", "DistinctnessReport",
@@ -118,6 +119,35 @@ def test_budgets_are_pinned_and_named_in_the_readme():
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("\n## Search budgets\n", 1)[1].split("\n## ", 1)[0]
     assert set(re.findall(r"\b[A-Z0-9_]+_(?:MAX|MIN)_N\b", section)) == set(BUDGETS)
+
+
+def test_every_cli_line_in_the_readme_parses():
+    # A renamed flag or choice leaves a README example that no longer runs.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```\w*\n(.*?)^```", readme, re.M | re.S)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.splitlines() if line.startswith("cliquerep ")]
+    assert len(commands) >= 10
+    parser = cli._build_parser()
+    refused = []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            refused.append(argv)
+    assert refused == []
+
+
+def test_the_readme_gives_wall_times_only_for_its_search_budgets():
+    # Timings go stale with each change that speeds the code up, and
+    # CHANGES.md records them per change, so the README keeps only the cost
+    # of a run at each cap.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    before, section = readme.split("\n## Search budgets\n", 1)
+    after = section.split("\n## ", 1)[1]
+    timed = [line for line in (before + "\n" + after).splitlines()
+             if re.search(r"\d ?(ms|s)\b|fastest of|in process", line)]
+    assert timed == []
 
 
 def test_every_import_is_used():

@@ -410,9 +410,7 @@ class TestVerify:
         (b"n=3\n0 1\n", b"",
          "error: artifact is not valid JSON: Expecting value: line 1 column 1 (char 0)\n"),
         (b"n=3\n0 1\n", b"[" + b"9" * 5000 + b"]",
-         "error: artifact JSON cannot be read: Exceeds the limit (4300 digits) for integer"
-         " string conversion: value has 5000 digits; use sys.set_int_max_str_digits()"
-         " to increase the limit\n"),
+         "error: artifact JSON holds an integer with too many digits\n"),
     ], ids=["graph-not-utf8", "artifact-not-utf8", "truncated-json", "empty-artifact",
             "long-integer"])
     def test_undecodable_file_is_named(self, tmp_path, capsys, graph_bytes, artifact_bytes, err):
@@ -977,6 +975,35 @@ class TestUsage:
         code = run(["--help"])
         capsys.readouterr()
         assert code == 0
+
+    @pytest.mark.parametrize("text, argv, message", [
+        ("x" * 2_000_000, [],
+         "line 1: expected 'n=<count>' header, got '" + "x" * 40 + "'... (2000000 characters)"),
+        ("n=" + "x" * 2_000_000, [],
+         "line 1: bad vertex count '" + "x" * 40 + "'... (2000000 characters)"),
+        ("n=3\n" + "0 1 2 " * 200_000, [],
+         "line 2: expected 'u v', got '" + "0 1 2 " * 6 + "0 1 '... (1199999 characters)"),
+        ("n=3\n0 " + "x" * 2_000_000, [],
+         "line 2: non-integer endpoint in '0 " + "x" * 38 + "'... (2000002 characters)"),
+        ("", ["sweep", "--n", "4", "--seeds", "1," * 1_000_000 + "x"],
+         "--seeds must be comma-separated integers, got '" + "1," * 20
+         + "'... (2000001 characters)"),
+    ], ids=["header", "vertex-count", "token-count", "endpoint", "seeds"])
+    def test_a_huge_input_line_gives_a_short_error_line(self, tmp_path, capsys, text, argv,
+                                                        message):
+        # The message quotes the first 40 characters and the length.
+        path = tmp_path / "long.el"
+        path.write_text(text + "\n")
+        assert run(argv or ["partition", str(path), "--method", "greedy"]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+        assert len(err.encode()) < 200
+
+    def test_a_huge_thread_count_gives_a_short_error_line(self, monkeypatch, capsys):
+        monkeypatch.setenv("CLIQUEREP_THREADS", "x" * 100_000)
+        assert run(["sweep", "--n", "4"]) == 2
+        assert capsys.readouterr() == ("", "error: CLIQUEREP_THREADS must be a positive"
+                                       " integer, got '" + "x" * 40 + "'... (100000 characters)\n")
 
     def test_parse_error_names_line(self, tmp_path, capsys):
         path = tmp_path / "bad.el"

@@ -210,8 +210,9 @@ class TestCliquesNeededBound:
 
     @pytest.mark.slow
     def test_worst_known_n10_graph_within_the_readme_budget(self, option_calls):
-        # K_10 minus {1,2} and {1,8}, the slowest of the 836 n=10 graphs the
-        # README's "Search budgets" names; VM slowdowns reach 1.7x.
+        # K_10 minus {1,2} and {1,8}: the worst known n=10 graph, of the shape
+        # that was slowest in the survey of 941 n=10 graphs that README's
+        # "Search budgets" describes; VM slowdowns reach 1.7x.
         g = graph(10, [e for e in complete_graph(10).edges if e not in ((1, 2), (1, 8))])
         start = time.perf_counter()
         value, witness = min_clique_partition(g)
